@@ -18,7 +18,6 @@ from .qseries import (
     NonRealCoefficient,
     NotInvertible,
     QSeriesError,
-    RealSeries,
     Series,
 )
 from .forms import (

@@ -35,9 +35,9 @@ def default_order():
     env = os.environ.get("QMOCK_ORDER")
     if env is not None:
         try:
-            return int(env)
-        except ValueError:
-            raise QSeriesError(f"QMOCK_ORDER must be an integer, got {env!r}")
+            return nonneg(env)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise QSeriesError(f"QMOCK_ORDER must be a nonnegative integer, got {env!r}")
     return DEFAULT_ORDER
 
 
@@ -50,10 +50,9 @@ def resolve_series(name, order):
 
 def series_csv(s):
     lines = ["exp24,exp,re,im"]
-    for e in range(s.min_exp, s.prec):
+    for e in s.support():
         c = s.coefficient(e)
-        if c:
-            lines.append(f"{e},{Fraction(e, LATTICE_DEN)},{c.re},{c.im}")
+        lines.append(f"{e},{Fraction(e, LATTICE_DEN)},{c.re},{c.im}")
     return "\n".join(lines) + "\n"
 
 
@@ -221,7 +220,7 @@ def build_parser():
 
     p = sub.add_parser("coeffs", help="print the q-expansion of a named series")
     p.add_argument("--series", required=True)
-    p.add_argument("--order", type=int, default=None,
+    p.add_argument("--order", type=nonneg, default=None,
                    help="q-units of precision (default 64, or QMOCK_ORDER)")
     add_format(p)
     p.set_defaults(func=cmd_coeffs)
@@ -261,7 +260,7 @@ def build_parser():
 
     p = sub.add_parser("reduce-z0", help="reduce H_k to a polynomial in Z0hat")
     p.add_argument("--k", type=nonneg, required=True)
-    p.add_argument("--order", type=int, default=32,
+    p.add_argument("--order", type=nonneg, default=32,
                    help="working precision in q-units")
     add_format(p)
     p.set_defaults(func=cmd_reduce_z0)

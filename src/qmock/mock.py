@@ -151,8 +151,8 @@ def h_series(order):
         for v in H_POINTS[1:]:
             total = total + _mu_cached(v, order)
         h = total.scale(-8).assert_real()
-        for e, c in zip(range(h.min_exp, h.prec), h.coeffs):
-            if c and c.re.denominator != 1:
+        for e in h.support():
+            if h.coefficient(e).re.denominator != 1:
                 raise QSeriesError(f"H(tau) coefficient at lattice {e} is not an integer")
         _H_CACHE[order] = MockSeries(h, "mu_sum")
     return _H_CACHE[order]
@@ -201,7 +201,9 @@ def q_plus(order):
     """
     prec = LATTICE_DEN * order
     if order <= 0:
-        return MockSeries(Series.zero(max(prec, 0)), "qplus_assembly")
+        # the q^-1 pole lies below any precision <= 0: certify it from a
+        # positive order rather than claim an empty expansion
+        return MockSeries(q_plus(1).series.truncate(prec), "qplus_assembly")
     s = (
         modular_a_sieved(3, order).scale(Fraction(-7, 2))
         + modular_a_sieved(7, order).scale(Fraction(3, 2))

@@ -8,17 +8,22 @@ are Gaussian rationals a + b*i with Fraction components, which is enough
 to hold every phase that appears when Jacobi theta functions are
 specialised at half-period arguments.
 
+A Series stores only its nonzero terms, as integer numerators over one
+common denominator, so the ring operations run on plain integers and
+cost time in proportion to the nonzero terms, not to the lattice slots
+they span.  GaussRat is the scalar type at the API edge.
+
 All values are immutable after construction and all operations are pure
 functions, so series may be freely shared between threads.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from itertools import compress
+from math import gcd, lcm
+from operator import or_
 
 LATTICE_DEN = 24
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 class QSeriesError(Exception):
@@ -167,21 +172,89 @@ def _ceil_div(a, b):
     return -((-a) // b)
 
 
+def _canonical(exps, re, im, den):
+    """Drop zero terms and reduce numerators and denominator to lowest terms.
+
+    ``exps`` ascending, ``re``/``im`` integer numerators aligned with it
+    (``im`` may be None), ``den`` a positive integer.  Returns the four
+    fields of the canonical sparse store; ``im`` becomes None when no
+    imaginary numerator survives.
+    """
+    if im is None:
+        exps = list(compress(exps, re))
+        re = list(filter(None, re))
+    else:
+        mask = list(map(or_, re, im))
+        exps = list(compress(exps, mask))
+        re = list(compress(re, mask))
+        im = list(compress(im, mask))
+        if not any(im):
+            im = None
+    if not exps:
+        return [], [], None, 1
+    if den != 1:
+        g = gcd(den, *re, *im) if im else gcd(den, *re)
+        if g != 1:
+            den //= g
+            re = [x // g for x in re]
+            if im:
+                im = [x // g for x in im]
+    return exps, re, im, den
+
+
+def _gauss_terms(pairs):
+    """Canonical sparse fields of (exp24, GaussRat) pairs; repeats accumulate."""
+    den = lcm(*(x.denominator for _, c in pairs for x in (c.re, c.im)))
+    re_acc = {}
+    im_acc = {}
+    for e, c in pairs:
+        re_acc[e] = re_acc.get(e, 0) + c.re.numerator * (den // c.re.denominator)
+        im_acc[e] = im_acc.get(e, 0) + c.im.numerator * (den // c.im.denominator)
+    exps = sorted(re_acc)
+    return _canonical(exps, [re_acc[e] for e in exps], [im_acc[e] for e in exps], den)
+
+
+def _series(min_exp, prec, exps, re, im, den):
+    """A Series from canonical sparse fields, without any checking."""
+    s = object.__new__(Series)
+    s.min_exp = min_exp
+    s.prec = prec
+    s._exps = exps
+    s._re = re
+    s._im = im
+    s._den = den
+    return s
+
+
+def _pack(min_exp, prec, exps, re, im, den):
+    return _series(min_exp, prec, *_canonical(exps, re, im, den))
+
+
 class Series:
     """Truncated Laurent series on the lattice (1/24)Z.
 
-    ``coeffs[k]`` is the coefficient of q^((min_exp + k)/24); the series
-    is asserted correct for every exponent strictly below ``prec``
-    lattice units.  Exponents below ``min_exp`` are genuinely zero: all
-    constructors and operations in this package produce the complete
-    expansion from the true valuation upward.
+    The series is asserted correct for every exponent strictly below
+    ``prec`` lattice units.  Exponents below ``min_exp`` are genuinely
+    zero: all constructors and operations in this package produce the
+    complete expansion from the true valuation upward.  ``min_exp`` may
+    lie below the first nonzero term; it is where the dense view
+    ``coeffs`` and the wire format start.
+
+    Only nonzero terms are stored, over one common denominator: ``_exps``
+    holds their ascending lattice exponents, ``_re`` and ``_im`` their
+    integer real and imaginary numerators (``_im`` is None for a real
+    series), and ``_den`` the positive denominator, in lowest terms with
+    all numerators.  The coefficient at ``_exps[i]`` is
+    ``(_re[i] + _im[i]*i) / _den``.
     """
 
-    __slots__ = ("min_exp", "coeffs", "prec")
+    __slots__ = ("min_exp", "prec", "_exps", "_re", "_im", "_den")
 
     lattice_den = LATTICE_DEN
 
     def __init__(self, min_exp, coeffs, prec):
+        """Dense constructor: ``coeffs[k]`` is the coefficient of
+        q^((min_exp + k)/24), one entry for each exponent below prec."""
         coeffs = tuple(coeffs)
         if min_exp > prec:
             raise ValueError(f"min_exp {min_exp} exceeds prec {prec}")
@@ -190,15 +263,17 @@ class Series:
                 f"coefficient count {len(coeffs)} != prec - min_exp = {prec - min_exp}"
             )
         self.min_exp = min_exp
-        self.coeffs = coeffs
         self.prec = prec
+        self._exps, self._re, self._im, self._den = _gauss_terms(
+            [(min_exp + k, c) for k, c in enumerate(map(_as_gauss, coeffs)) if c]
+        )
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
     def zero(cls, prec):
-        return cls(prec, (), prec)
+        return _series(prec, prec, [], [], None, 1)
 
     @classmethod
     def monomial(cls, exp24, coeff=1, *, prec):
@@ -206,7 +281,7 @@ class Series:
         coeff = _as_gauss(coeff)
         if exp24 >= prec or not coeff:
             return cls.zero(prec)
-        return cls(exp24, (coeff,) + (GR_ZERO,) * (prec - exp24 - 1), prec)
+        return _series(exp24, prec, *_gauss_terms([(exp24, coeff)]))
 
     @classmethod
     def one(cls, prec):
@@ -215,38 +290,42 @@ class Series:
     @classmethod
     def from_pairs(cls, pairs, *, prec):
         """Series from (exp24, coefficient) pairs; later pairs accumulate."""
-        live = [(e, _as_gauss(c)) for e, c in pairs if e < prec and _as_gauss(c)]
+        live = [(e, c) for e, c in ((e, _as_gauss(c)) for e, c in pairs) if e < prec and c]
         if not live:
             return cls.zero(prec)
-        lo = min(e for e, _ in live)
-        acc = [GR_ZERO] * (prec - lo)
-        for e, c in live:
-            acc[e - lo] = acc[e - lo] + c
-        return cls(lo, acc, prec)
+        return _series(min(e for e, _ in live), prec, *_gauss_terms(live))
 
     # ------------------------------------------------------------------
     # inspection
 
-    def _nonzero(self):
+    def _gauss(self, i):
+        """The i-th stored nonzero coefficient as a GaussRat."""
+        im = self._im[i] if self._im else 0
+        return GaussRat(Fraction(self._re[i], self._den), Fraction(im, self._den))
+
+    @property
+    def coeffs(self):
+        """Dense view, built on demand: the coefficient of
+        q^((min_exp + k)/24) for each k < prec - min_exp."""
         lo = self.min_exp
-        return [(lo + k, c) for k, c in enumerate(self.coeffs) if c]
+        out = [GR_ZERO] * (self.prec - lo)
+        for i, e in enumerate(self._exps):
+            out[e - lo] = self._gauss(i)
+        return tuple(out)
 
     def support(self):
         """Lattice exponents with nonzero coefficient, ascending."""
-        return tuple(e for e, _ in self._nonzero())
+        return tuple(self._exps)
 
     def val(self):
         """Lattice exponent of the first nonzero term, or None if zero."""
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return self.min_exp + k
-        return None
+        return self._exps[0] if self._exps else None
 
     def is_zero(self):
-        return self.val() is None
+        return not self._exps
 
     def is_real(self):
-        return all(c.is_real for c in self.coeffs)
+        return self._im is None
 
     def coefficient(self, exp24):
         """Exact coefficient of q^(exp24/24).
@@ -261,9 +340,10 @@ class Series:
                 f"is only certified below {self.prec}",
                 needed=exp24 + 1,
             )
-        if exp24 < self.min_exp:
-            return GR_ZERO
-        return self.coeffs[exp24 - self.min_exp]
+        i = bisect_left(self._exps, exp24)
+        if i < len(self._exps) and self._exps[i] == exp24:
+            return self._gauss(i)
+        return GR_ZERO
 
     def coefficient_q(self, exponent):
         """Coefficient at a q-exponent given as int or Fraction."""
@@ -279,10 +359,10 @@ class Series:
         """Copy with leading zero coefficients trimmed (canonical form)."""
         v = self.val()
         if v is None:
-            return Series(self.prec, (), self.prec)
+            return Series.zero(self.prec)
         if v == self.min_exp:
             return self
-        return Series(v, self.coeffs[v - self.min_exp :], self.prec)
+        return _series(v, self.prec, self._exps, self._re, self._im, self._den)
 
     def truncate(self, prec):
         """Restrict certification to exponents below ``prec``."""
@@ -290,13 +370,18 @@ class Series:
             return self
         if prec <= self.min_exp:
             return Series.zero(prec)
-        return Series(self.min_exp, self.coeffs[: prec - self.min_exp], prec)
+        n = bisect_left(self._exps, prec)
+        im = self._im[:n] if self._im else None
+        return _pack(self.min_exp, prec, self._exps[:n], self._re[:n], im, self._den)
 
     # ------------------------------------------------------------------
     # ring operations
 
     def __neg__(self):
-        return Series(self.min_exp, tuple(-c for c in self.coeffs), self.prec)
+        im = [-x for x in self._im] if self._im else None
+        return _series(
+            self.min_exp, self.prec, self._exps, [-x for x in self._re], im, self._den
+        )
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
@@ -305,14 +390,21 @@ class Series:
             return NotImplemented
         prec = min(self.prec, other.prec)
         lo = min(self.min_exp, other.min_exp, prec)
-        acc = [GR_ZERO] * (prec - lo)
-        for e, c in self._nonzero():
-            if e < prec:
-                acc[e - lo] = acc[e - lo] + c
-        for e, c in other._nonzero():
-            if e < prec:
-                acc[e - lo] = acc[e - lo] + c
-        return Series(lo, acc, prec)
+        den = lcm(self._den, other._den)
+        na = bisect_left(self._exps, prec)
+        nb = bisect_left(other._exps, prec)
+        exps = sorted(set(self._exps[:na]).union(other._exps[:nb]))
+        slot = {e: k for k, e in enumerate(exps)}
+        re = [0] * len(exps)
+        im = [0] * len(exps) if self._im or other._im else None
+        for s, n in ((self, na), (other, nb)):
+            f = den // s._den
+            for e, x in zip(s._exps[:n], s._re):
+                re[slot[e]] += x * f
+            if s._im:
+                for e, x in zip(s._exps[:n], s._im):
+                    im[slot[e]] += x * f
+        return _pack(lo, prec, exps, re, im, den)
 
     __radd__ = __add__
 
@@ -329,7 +421,18 @@ class Series:
             return Series.zero(self.prec)
         if c == GR_ONE:
             return self
-        return Series(self.min_exp, tuple(c * x if x else x for x in self.coeffs), self.prec)
+        q = lcm(c.re.denominator, c.im.denominator)
+        cr = c.re.numerator * (q // c.re.denominator)
+        ci = c.im.numerator * (q // c.im.denominator)
+        re, im = self._re, self._im
+        if not ci:
+            new_re = [x * cr for x in re]
+            new_im = [y * cr for y in im] if im else None
+        else:
+            im = im or [0] * len(re)
+            new_re = [x * cr - y * ci for x, y in zip(re, im)]
+            new_im = [x * ci + y * cr for x, y in zip(re, im)]
+        return _pack(self.min_exp, self.prec, self._exps, new_re, new_im, self._den * q)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
@@ -344,34 +447,38 @@ class Series:
         lo = ea + eb
         if av is None or bv is None or lo >= prec:
             return Series.zero(prec)
-        n = prec - lo
-        az = a._nonzero()
-        bz = b._nonzero()
-        if len(az) > len(bz):
-            az, bz = bz, az
-        bz_parts = [(e, c.re, c.im) for e, c in bz]
-        re_acc = [_F0] * n
-        im_acc = [_F0] * n
-        for ea_, ca in az:
-            base = ea_ - lo
-            car, cai = ca.re, ca.im
-            if cai:
-                for eb_, cbr, cbi in bz_parts:
-                    k = base + eb_
-                    if k >= n:
+        if len(a._exps) > len(b._exps):
+            a, b = b, a
+        # term products accumulate by lattice exponent as integer
+        # numerators over a._den * b._den; b's exponents ascend, so the
+        # first product at or beyond prec ends the inner loop
+        re_acc = {}
+        re_get = re_acc.get
+        if a._im is None and b._im is None:
+            im_acc = None
+            b_terms = list(zip(b._exps, b._re))
+            for e, x in zip(a._exps, a._re):
+                lim = prec - e
+                for f, y in b_terms:
+                    if f >= lim:
                         break
-                    re_acc[k] += car * cbr - cai * cbi
-                    im_acc[k] += car * cbi + cai * cbr
-            else:
-                for eb_, cbr, cbi in bz_parts:
-                    k = base + eb_
-                    if k >= n:
+                    k = e + f
+                    re_acc[k] = re_get(k, 0) + x * y
+        else:
+            im_acc = {}
+            im_get = im_acc.get
+            b_terms = list(zip(b._exps, b._re, b._im or [0] * len(b._exps)))
+            for e, xr, xi in zip(a._exps, a._re, a._im or [0] * len(a._exps)):
+                lim = prec - e
+                for f, yr, yi in b_terms:
+                    if f >= lim:
                         break
-                    if cbr:
-                        re_acc[k] += car * cbr
-                    if cbi:
-                        im_acc[k] += car * cbi
-        return Series(lo, tuple(GaussRat(r, i) for r, i in zip(re_acc, im_acc)), prec)
+                    k = e + f
+                    re_acc[k] = re_get(k, 0) + xr * yr - xi * yi
+                    im_acc[k] = im_get(k, 0) + xr * yi + xi * yr
+        exps = sorted(re_acc)
+        im = None if im_acc is None else [im_acc[k] for k in exps]
+        return _pack(lo, prec, exps, [re_acc[k] for k in exps], im, a._den * b._den)
 
     __rmul__ = __mul__
 
@@ -382,37 +489,68 @@ class Series:
         by the standard convolution recurrence, restricted to the
         arithmetic progression actually supported by u (the inverse of a
         series in q^g is again a series in q^g).
+
+        The recurrence runs on integers.  Write u = A / D with A = sum_t
+        A_t q^(t*g) over the Gaussian integers, and 1/A_0 = M / N with N
+        a rational integer.  Then 1/A = sum_t C_t q^(t*g) / N^(t+1) with
+        C_0 = M and C_t = -M * sum_{s>=1} A_s N^(s-1) C_(t-s).
         """
-        nz = self._nonzero()
-        if not nz:
+        exps = self._exps
+        if not exps:
             raise NotInvertible("series has no determined nonzero coefficient")
-        v, lead = nz[0]
-        rel = [(e - v, c) for e, c in nz]
+        v = exps[0]
         length = self.prec - v  # relative certification of the unit part
-        lead_inv = GR_ONE / lead
-        if len(rel) == 1:
-            out = Series.monomial(-v, lead_inv, prec=self.prec - 2 * v)
-            return out
-        g = 0
-        for e, _ in rel[1:]:
-            g = gcd(g, e)
-        tail = rel[1:]
-        b = {0: lead_inv}
-        for k in range(g, length, g):
-            s = None
-            for e, c in tail:
-                if e > k:
-                    break
-                prev = b.get(k - e)
-                if prev is not None:
-                    term = c * prev
-                    s = term if s is None else s + term
-            if s is not None and s:
-                b[k] = -lead_inv * s if lead_inv != GR_ONE else -s
-        coeffs = [GR_ZERO] * length
-        for k, c in b.items():
-            coeffs[k] = c
-        return Series(-v, coeffs, self.prec - 2 * v)
+        out_prec = self.prec - 2 * v
+        if len(exps) == 1:
+            return Series.monomial(-v, GR_ONE / self._gauss(0), prec=out_prec)
+        rel = [e - v for e in exps[1:]]
+        g = gcd(*rel)
+        count = (length - 1) // g + 1  # progression slots below the precision
+        re, im = self._re, self._im
+        if im and im[0]:
+            mr, mi, n_den = re[0], -im[0], re[0] * re[0] + im[0] * im[0]
+        else:
+            mr, mi, n_den = 1, 0, re[0]
+        if im is None:
+            tail = [(e // g, x * n_den ** (e // g - 1)) for e, x in zip(rel, re[1:])]
+            c_re = [0] * count
+            c_re[0] = 1
+            for t in range(1, count):
+                acc = 0
+                for s, x in tail:
+                    if s > t:
+                        break
+                    acc += x * c_re[t - s]
+                c_re[t] = -acc
+            c_im = None
+        else:
+            tail = [
+                (e // g, x * n_den ** (e // g - 1), y * n_den ** (e // g - 1))
+                for e, x, y in zip(rel, re[1:], im[1:])
+            ]
+            c_re = [0] * count
+            c_im = [0] * count
+            c_re[0], c_im[0] = mr, mi
+            for t in range(1, count):
+                sr = si = 0
+                for s, xr, xi in tail:
+                    if s > t:
+                        break
+                    yr, yi = c_re[t - s], c_im[t - s]
+                    sr += xr * yr - xi * yi
+                    si += xr * yi + xi * yr
+                c_re[t] = mi * si - mr * sr
+                c_im[t] = -(mr * si + mi * sr)
+        # term t is D * C_t / N^(t+1): bring every term over |N^count|
+        den = n_den**count
+        lift = self._den if den > 0 else -self._den
+        for t in range(count - 1, -1, -1):
+            c_re[t] *= lift
+            if c_im:
+                c_im[t] *= lift
+            lift *= n_den
+        exps_out = range(-v, -v + count * g, g)
+        return _pack(-v, out_prec, exps_out, c_re, c_im, abs(den))
 
     def pow_int(self, k):
         """Integer power by binary exponentiation; negative k inverts."""
@@ -438,13 +576,15 @@ class Series:
 
     def q_derive(self):
         """Apply q d/dq: multiply each coefficient by its exponent."""
-        return Series(
+        exps = self._exps
+        im = [y * e for e, y in zip(exps, self._im)] if self._im else None
+        return _pack(
             self.min_exp,
-            tuple(
-                c * Fraction(self.min_exp + k, LATTICE_DEN) if c else c
-                for k, c in enumerate(self.coeffs)
-            ),
             self.prec,
+            exps,
+            [x * e for e, x in zip(exps, self._re)],
+            im,
+            self._den * LATTICE_DEN,
         )
 
     def rescale_exponents(self, num, den):
@@ -456,16 +596,18 @@ class Series:
         if num < 1 or den < 1:
             raise ValueError("rescale factors must be positive integers")
         new_prec = _ceil_div(self.prec * num, den)
-        pairs = []
-        for e, c in self._nonzero():
+        exps = []
+        for e in self._exps:
             j = e * num
             if j % den:
                 raise LatticeError(
                     f"exponent {Fraction(e, LATTICE_DEN)} maps off the lattice under "
                     f"q -> q^({num}/{den})"
                 )
-            pairs.append((j // den, c))
-        return Series.from_pairs(pairs, prec=new_prec)
+            exps.append(j // den)
+        if not exps:
+            return Series.zero(new_prec)
+        return _series(exps[0], new_prec, exps, self._re, self._im, self._den)
 
     def sieve(self, r, m):
         """Keep only terms whose integer q-exponent is r mod m.
@@ -473,54 +615,60 @@ class Series:
         Requires all nonzero exponents to be integers (multiples of 24).
         """
         kept = []
-        for e, c in self._nonzero():
+        for i, e in enumerate(self._exps):
             if e % LATTICE_DEN:
                 raise LatticeError(
                     f"sieve requires integer q-exponents; found {Fraction(e, LATTICE_DEN)}"
                 )
             if (e // LATTICE_DEN) % m == r % m:
-                kept.append((e, c))
-        return Series.from_pairs(kept, prec=self.prec)
+                kept.append(i)
+        if not kept:
+            return Series.zero(self.prec)
+        re, im = self._re, self._im
+        return _pack(
+            self._exps[kept[0]],
+            self.prec,
+            [self._exps[i] for i in kept],
+            [re[i] for i in kept],
+            [im[i] for i in kept] if im else None,
+            self._den,
+        )
 
     def assert_real(self):
-        """Certify that every coefficient is real, or raise."""
-        for k, c in enumerate(self.coeffs):
-            if c.im:
-                e = self.min_exp + k
-                raise NonRealCoefficient(
-                    f"imaginary part {c.im} at exponent q^({Fraction(e, LATTICE_DEN)})"
-                )
-        return RealSeries(self.min_exp, self.coeffs, self.prec)
+        """Certify that every coefficient is real, or raise; returns self."""
+        if self._im:
+            i = next(i for i, y in enumerate(self._im) if y)
+            raise NonRealCoefficient(
+                f"imaginary part {Fraction(self._im[i], self._den)} at exponent "
+                f"q^({Fraction(self._exps[i], LATTICE_DEN)})"
+            )
+        return self
 
     # ------------------------------------------------------------------
     # comparison and display
 
+    def _terms(self):
+        return (self._exps, self._re, self._im, self._den)
+
     def agrees_with(self, other):
         """Coefficientwise equality up to the smaller precision."""
         prec = min(self.prec, other.prec)
-        lo = min(self.min_exp, other.min_exp)
-        for e in range(lo, prec):
-            a = self.coefficient(e) if e >= self.min_exp else GR_ZERO
-            b = other.coefficient(e) if e >= other.min_exp else GR_ZERO
-            if a != b:
-                return False
-        return True
+        return self.truncate(prec)._terms() == other.truncate(prec)._terms()
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        a = self.normalized()
-        b = other.normalized()
-        return a.prec == b.prec and a.min_exp == b.min_exp and a.coeffs == b.coeffs
+        return self.prec == other.prec and self._terms() == other._terms()
 
     __hash__ = None
 
     def __repr__(self):
-        return f"Series(min_exp={self.min_exp}, prec={self.prec}, terms={len(self.support())})"
+        return f"Series(min_exp={self.min_exp}, prec={self.prec}, terms={len(self._exps)})"
 
     def __str__(self):
         parts = []
-        for e, c in self._nonzero():
+        for i, e in enumerate(self._exps):
+            c = self._gauss(i)
             exp = Fraction(e, LATTICE_DEN)
             if exp == 0:
                 mono = ""
@@ -550,20 +698,23 @@ class Series:
     # JSON wire format
 
     def to_json_obj(self):
-        """The exact interchange form: integers as decimal strings."""
+        """The exact interchange form: integers as decimal strings, one
+        entry for every exponent from min_exp up to prec."""
+        lo = self.min_exp
+        coeffs = [["0", "1", "0", "1"] for _ in range(self.prec - lo)]
+        for i, e in enumerate(self._exps):
+            c = self._gauss(i)
+            coeffs[e - lo] = [
+                str(c.re.numerator),
+                str(c.re.denominator),
+                str(c.im.numerator),
+                str(c.im.denominator),
+            ]
         return {
             "lattice_den": LATTICE_DEN,
-            "min_exp": self.min_exp,
+            "min_exp": lo,
             "prec": self.prec,
-            "coeffs": [
-                [
-                    str(c.re.numerator),
-                    str(c.re.denominator),
-                    str(c.im.numerator),
-                    str(c.im.denominator),
-                ]
-                for c in self.coeffs
-            ],
+            "coeffs": coeffs,
         }
 
     @classmethod
@@ -577,55 +728,3 @@ class Series:
             for rn, rd, sn, sd in obj["coeffs"]
         ]
         return cls(int(obj["min_exp"]), coeffs, int(obj["prec"]))
-
-
-class RealSeries(Series):
-    """A Series whose coefficients are certified real."""
-
-    __slots__ = ()
-
-    def __init__(self, min_exp, coeffs, prec):
-        super().__init__(min_exp, coeffs, prec)
-        for c in self.coeffs:
-            if c.im:
-                raise NonRealCoefficient("RealSeries constructed with complex coefficient")
-
-
-# ----------------------------------------------------------------------
-# functional aliases, for callers who prefer free functions
-
-
-def add(a, b):
-    return a + b
-
-
-def mul(a, b):
-    return a * b
-
-
-def invert(a):
-    return a.invert()
-
-
-def pow_int(a, k):
-    return a.pow_int(k)
-
-
-def q_derive(a):
-    return a.q_derive()
-
-
-def rescale_exponents(a, num, den):
-    return a.rescale_exponents(num, den)
-
-
-def coefficient(a, exp24):
-    return a.coefficient(exp24)
-
-
-def sieve(a, r, m):
-    return a.sieve(r, m)
-
-
-def assert_real(a):
-    return a.assert_real()

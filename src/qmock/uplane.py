@@ -329,8 +329,15 @@ def z0_reduce(f, max_degree):
     Greedy principal-part elimination: Z0hat^d has leading coefficient
     exactly 1 at q^(-2d), so subtracting c_d Z0hat^d strictly raises the
     valuation.  After the constant is removed, the tail must vanish to
-    the input's precision; anything else raises NotPolynomialInZ0.
+    the input's precision; anything else raises NotPolynomialInZ0.  The
+    constant is read at q^0, so the input must be certified above it.
     """
+    if f.prec <= 0:
+        raise InsufficientPrecision(
+            f"z0_reduce reads the constant term at q^0, but the input is only "
+            f"certified below q^({Fraction(f.prec, LATTICE_DEN)})",
+            needed=1,
+        )
     for e in f.support():
         if e % (2 * LATTICE_DEN):
             raise OddExponent(

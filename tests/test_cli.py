@@ -1,6 +1,12 @@
 """The command-line surface: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from qmock.cli import main
 from qmock.qseries import Series
@@ -143,3 +149,50 @@ def test_order_env_override(capsys, monkeypatch):
     monkeypatch.setenv("QMOCK_ORDER", "abc")
     code, _, err = run(capsys, "coeffs", "--series", "Mq")
     assert code == 2 and "QMOCK_ORDER" in err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["verify", "--suite", "moonshine"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmock", *argv],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    code, out, _ = run(capsys, *argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
+
+
+def test_reduce_z0_constant_at_orders_1_and_32(capsys):
+    for order in ("1", "32"):
+        code, out, _ = run(capsys, "reduce-z0", "--k", "1", "--order", order)
+        assert code == 0
+        assert out.startswith("H_1 = (-448) + ")
+
+
+def test_reduce_z0_order_zero_is_insufficient_precision(capsys):
+    # at order 0 the constant term is not certified; reporting 0 would
+    # be a false answer
+    code, out, err = run(capsys, "reduce-z0", "--k", "1", "--order", "0")
+    assert code == 2
+    assert out == ""
+    assert "insufficient precision" in err and "z0_reduce" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--series", "H", "--order", "-5"),
+    ("reduce-z0", "--k", "1", "--order", "-1"),
+])
+def test_negative_order_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "must be nonnegative" in capsys.readouterr().err
+
+
+def test_negative_order_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("QMOCK_ORDER", "-3")
+    code, out, err = run(capsys, "coeffs", "--series", "H")
+    assert code == 2 and out == ""
+    assert "QMOCK_ORDER must be a nonnegative integer" in err

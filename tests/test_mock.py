@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from qmock.qseries import GaussRat, Series
+from qmock.qseries import GaussRat, QSeriesError, Series
 from qmock.forms import (
+    NAMED_FORMS,
     HalfPeriodPoint,
     V_HALF,
     V_ONE_PLUS_TAU_HALF,
@@ -13,6 +14,7 @@ from qmock.forms import (
     V_ZERO,
 )
 from qmock.mock import (
+    NAMED_MOCKS,
     PoleAtArgument,
     a_coefficients,
     elliptic_genus_check,
@@ -154,8 +156,28 @@ def test_q_plus_rescaled_expansion():
 
 
 def test_q_plus_zero_order_empty():
-    qp = q_plus(0)
-    assert qp.series.prec == 0 and qp.series.is_zero()
+    # order 0 certifies nothing at or above q^0, but the q^-1 pole lies
+    # below it and must still be there
+    qp = q_plus(0).series
+    assert qp.prec == 0
+    assert qp.support() == (-24,)
+    assert qp.coefficient(-24) == 1
+    assert str(qp) == "q^-1 + O(q^(0))"
+    assert str(q_plus_rescaled(0).series) == "q^(-1/8) + O(q^(0))"
+
+
+@pytest.mark.parametrize("order", range(4))
+@pytest.mark.parametrize("name", sorted({**NAMED_FORMS, **NAMED_MOCKS}))
+def test_named_series_certify_only_true_coefficients(name, order):
+    # every coefficient a series certifies, at every small order, must
+    # survive a computation at a higher order
+    make = {**NAMED_FORMS, **NAMED_MOCKS}[name]
+    try:
+        got = make(order)
+    except (ValueError, QSeriesError):
+        return
+    assert got.prec == 24 * order
+    assert got.agrees_with(make(order + 2))
 
 
 def test_q_plus_minus_h12_denominators_divide_6():

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -336,3 +337,144 @@ def test_json_strings_survive_big_integers():
     s = Series.monomial(0, Fraction(big, big + 2), prec=24)
     back = Series.from_json_obj(json.loads(json.dumps(s.to_json_obj())))
     assert back.coefficient(0).re == Fraction(big, big + 2)
+
+
+# ------------------------------------------------- dense reference kernel
+#
+# The dense GaussRat multiply and inverse that the sparse integer kernel
+# replaced, kept over the dense view ``coeffs`` as a differential oracle.
+
+
+def _dense_nonzero(s):
+    return [(s.min_exp + k, c) for k, c in enumerate(s.coeffs) if c]
+
+
+def _dense_val(s):
+    nz = _dense_nonzero(s)
+    return nz[0][0] if nz else None
+
+
+def dense_mul(a, b):
+    av, bv = _dense_val(a), _dense_val(b)
+    ea = a.prec if av is None else av
+    eb = b.prec if bv is None else bv
+    prec = min(a.prec + eb, b.prec + ea)
+    lo = ea + eb
+    if av is None or bv is None or lo >= prec:
+        return Series.zero(prec)
+    n = prec - lo
+    az = _dense_nonzero(a)
+    bz = _dense_nonzero(b)
+    if len(az) > len(bz):
+        az, bz = bz, az
+    bz_parts = [(e, c.re, c.im) for e, c in bz]
+    re_acc = [Fraction(0)] * n
+    im_acc = [Fraction(0)] * n
+    for ea_, ca in az:
+        base = ea_ - lo
+        car, cai = ca.re, ca.im
+        if cai:
+            for eb_, cbr, cbi in bz_parts:
+                k = base + eb_
+                if k >= n:
+                    break
+                re_acc[k] += car * cbr - cai * cbi
+                im_acc[k] += car * cbi + cai * cbr
+        else:
+            for eb_, cbr, cbi in bz_parts:
+                k = base + eb_
+                if k >= n:
+                    break
+                if cbr:
+                    re_acc[k] += car * cbr
+                if cbi:
+                    im_acc[k] += car * cbi
+    return Series(lo, tuple(GaussRat(r, i) for r, i in zip(re_acc, im_acc)), prec)
+
+
+def dense_invert(s):
+    nz = _dense_nonzero(s)
+    if not nz:
+        raise NotInvertible("series has no determined nonzero coefficient")
+    v, lead = nz[0]
+    rel = [(e - v, c) for e, c in nz]
+    length = s.prec - v
+    lead_inv = GR_ONE / lead
+    if len(rel) == 1:
+        return Series.monomial(-v, lead_inv, prec=s.prec - 2 * v)
+    g = 0
+    for e, _ in rel[1:]:
+        g = gcd(g, e)
+    tail = rel[1:]
+    b = {0: lead_inv}
+    for k in range(g, length, g):
+        acc = None
+        for e, c in tail:
+            if e > k:
+                break
+            prev = b.get(k - e)
+            if prev is not None:
+                term = c * prev
+                acc = term if acc is None else acc + term
+        if acc is not None and acc:
+            b[k] = -lead_inv * acc if lead_inv != GR_ONE else -acc
+    coeffs = [GR_ZERO] * length
+    for k, c in b.items():
+        coeffs[k] = c
+    return Series(-v, coeffs, s.prec - 2 * v)
+
+
+@st.composite
+def oracle_series(draw):
+    """Dense series with Gaussian-rational coefficients over denominators
+    1, 2 and 3, leading zeros, nonzero terms on a progression (so that
+    inversion runs on a coarser step), and the zero series."""
+    min_exp = draw(st.integers(-30, 30))
+    lead_zeros = draw(st.integers(0, 3))
+    length = draw(st.integers(0, 14))
+    step = draw(st.sampled_from([1, 2, 3, 8]))
+    imaginary = draw(st.booleans())
+    part = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+    coeffs = [GR_ZERO] * lead_zeros
+    for k in range(length):
+        if k % step:
+            coeffs.append(GR_ZERO)
+        else:
+            coeffs.append(GaussRat(draw(part), draw(part) if imaginary else 0))
+    return Series(min_exp, coeffs, min_exp + len(coeffs))
+
+
+def assert_same_series(got, want):
+    assert (got.min_exp, got.prec) == (want.min_exp, want.prec)
+    assert got.coeffs == want.coeffs
+    assert got.to_json_obj() == want.to_json_obj()
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_series(), oracle_series())
+def test_mul_matches_dense_reference(a, b):
+    assert_same_series(a * b, dense_mul(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_series())
+def test_invert_matches_dense_reference(s):
+    try:
+        want = dense_invert(s)
+    except NotInvertible:
+        with pytest.raises(NotInvertible):
+            s.invert()
+        return
+    assert_same_series(s.invert(), want)
+
+
+def test_storage_is_sparse():
+    # a dense store would hold a million slots for each of these
+    far = 10**6
+    s = S([(0, 1), (far // 2, 3)], far)
+    sq = s * s
+    assert sq.support() == (0, far // 2)
+    assert sq.coefficient(far // 2) == 6
+    inv = s.invert()
+    assert inv.coefficient(far // 2) == -3
+    assert (s + sq).coefficient(0) == 2
