@@ -8,7 +8,8 @@ bounded-multiplicity dynamic program.
 """
 
 from qmock import M24_DIMENSIONS, a_coefficients, decompose_bounded, decompose_distinct
-from qmock.moonshine import report_json_obj, verify_known_decompositions
+from qmock.moonshine import report_json_obj
+from qmock.verify import check_moonshine
 
 a = a_coefficients(8)
 print("A_n:", a)
@@ -37,5 +38,6 @@ print(f"A_8 with multiplicities <= 2: {count} ways")
 
 # The consolidated report used by the command line.
 print(report_json_obj(a[6], distinct=True, cap=1, max_witnesses=1))
-verify_known_decompositions()
-print("verification of the explicit decompositions: pass")
+
+# The same check `qmock verify --suite moonshine` runs.
+print(check_moonshine())

@@ -65,7 +65,6 @@ from .moonshine import (
     DecompositionWitness,
     decompose_bounded,
     decompose_distinct,
-    verify_known_decompositions,
 )
 
 __version__ = "0.1.0"

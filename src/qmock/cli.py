@@ -252,9 +252,9 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--distinct", action="store_true",
                    help="search for a subset witness (default when no --cap)")
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=nonneg, default=None,
                    help="count multiplicity vectors with entries <= cap")
-    p.add_argument("--max-witnesses", type=int, default=4, dest="max_witnesses")
+    p.add_argument("--max-witnesses", type=nonneg, default=4, dest="max_witnesses")
     add_format(p, default="json")
     p.set_defaults(func=cmd_moonshine)
 

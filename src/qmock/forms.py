@@ -9,13 +9,13 @@ identities theta_j(tau) = (2 if j==2 else 1) * Theta_j(tau/8).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .qseries import (
     LATTICE_DEN,
     GaussRat,
     QSeriesError,
     Series,
+    order_memo,
     quarter_phase,
 )
 
@@ -101,7 +101,7 @@ def _eta_lattice(k, prec):
     return Series.from_pairs(pairs, prec=prec)
 
 
-@lru_cache(maxsize=None)
+@order_memo
 def eta(k, order):
     """q-expansion of eta(k*tau) to the given order in q-units."""
     if order <= 0:
@@ -162,6 +162,7 @@ def theta_char(a, b, v, order):
     return Series.from_pairs(pairs, prec=prec)
 
 
+@order_memo
 def theta_nullwert(j, order):
     """theta_j(0|tau) for j = 2, 3, 4, from the defining sums."""
     prec = LATTICE_DEN * order
@@ -190,7 +191,7 @@ THETA_BIG_SPECS = {
 }
 
 
-@lru_cache(maxsize=None)
+@order_memo
 def theta_big(j, order):
     """Theta_j(tau) for j = 2, 3, 4, via its eta-quotient form."""
     if j not in THETA_BIG_SPECS:
@@ -232,7 +233,7 @@ def _sigma1(n):
     return s
 
 
-@lru_cache(maxsize=None)
+@order_memo
 def eisenstein_e2(order):
     """E2(tau) = 1 - 24 * sum sigma_1(n) q^n."""
     prec = LATTICE_DEN * order
@@ -242,7 +243,7 @@ def eisenstein_e2(order):
     return Series.from_pairs(pairs, prec=prec)
 
 
-@lru_cache(maxsize=None)
+@order_memo
 def e_star(order):
     """The weight-2 combination 16*Theta2^4 + Theta3^4 (this is E*(4tau))."""
     t2 = theta_big(2, order)
@@ -251,7 +252,7 @@ def e_star(order):
     return out.truncate(LATTICE_DEN * order)
 
 
-@lru_cache(maxsize=None)
+@order_memo
 def z0_hat(order):
     """The weakly holomorphic function E*(4tau) / (Theta2*Theta3)^2.
 
@@ -274,12 +275,12 @@ SPEC_A = EtaQuotientSpec(((4, 8), (8, -7)))  # eta(4t)^8 / eta(8t)^7
 SPEC_B = EtaQuotientSpec(((8, 5), (16, -4)))  # eta(8t)^5 / eta(16t)^4
 
 
-@lru_cache(maxsize=None)
+@order_memo
 def modular_a(order):
     return eta_quotient(SPEC_A, order)
 
 
-@lru_cache(maxsize=None)
+@order_memo
 def modular_b(order):
     return eta_quotient(SPEC_B, order)
 

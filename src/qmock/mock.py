@@ -16,6 +16,7 @@ from .qseries import (
     GaussRat,
     QSeriesError,
     Series,
+    order_memo,
     quarter_phase,
 )
 from .forms import (
@@ -46,7 +47,12 @@ class MockSeries:
         """Coefficient of q^(-1/8 + k/2), the k-th graded coefficient."""
         return self.series.coefficient(-3 + 12 * k)
 
+    def truncate(self, prec):
+        """The same mock certified only below ``prec`` lattice units."""
+        return MockSeries(self.series.truncate(prec), self.construction)
 
+
+@order_memo
 def mu_half_period(v, order):
     """The Appell-Lerch sum mu(v; tau) for v = r + s*tau, r,s in (1/2)Z.
 
@@ -125,37 +131,24 @@ def mu_half_period(v, order):
     return (prefactor * lerch_sum * theta1.invert()).truncate(prec)
 
 
-_MU_CACHE = {}
-
-
-def _mu_cached(v, order):
-    key = (v.r, v.s, order)
-    if key not in _MU_CACHE:
-        _MU_CACHE[key] = mu_half_period(v, order)
-    return _MU_CACHE[key]
-
-
 H_POINTS = (V_HALF, V_ONE_PLUS_TAU_HALF, V_TAU_HALF)
 
-_H_CACHE = {}
 
-
+@order_memo
 def h_series(order):
     """H(tau) = -8 * [mu(1/2) + mu((1+tau)/2) + mu(tau/2)].
 
     The result is certified real with integer coefficients; the graded
     coefficients live at exponents -1/8 + k/2 and vanish for odd k.
     """
-    if order not in _H_CACHE:
-        total = _mu_cached(H_POINTS[0], order)
-        for v in H_POINTS[1:]:
-            total = total + _mu_cached(v, order)
-        h = total.scale(-8).assert_real()
-        for e in h.support():
-            if h.coefficient(e).re.denominator != 1:
-                raise QSeriesError(f"H(tau) coefficient at lattice {e} is not an integer")
-        _H_CACHE[order] = MockSeries(h, "mu_sum")
-    return _H_CACHE[order]
+    total = mu_half_period(H_POINTS[0], order)
+    for v in H_POINTS[1:]:
+        total = total + mu_half_period(v, order)
+    h = total.scale(-8).assert_real()
+    for e in h.support():
+        if h.coefficient(e).re.denominator != 1:
+            raise QSeriesError(f"H(tau) coefficient at lattice {e} is not an integer")
+    return MockSeries(h, "mu_sum")
 
 
 def a_coefficients(order):
@@ -261,7 +254,7 @@ def elliptic_genus_mock(v, order):
     pad_order = order + 4
     t1 = theta_char(1, 1, v, pad_order)
     eta3 = eta(1, pad_order + 1).pow_int(3)
-    mu = _mu_cached(v, pad_order)
+    mu = mu_half_period(v, pad_order)
     h = h_series(pad_order).series
     out = t1.pow_int(2) * eta3.invert() * (mu.scale(24) + h)
     return out.truncate(LATTICE_DEN * order)
@@ -278,8 +271,8 @@ NAMED_MOCKS = {
     "H": lambda order: h_series(order).series,
     "Qplus": lambda order: q_plus(order).series,
     "QplusTau8": lambda order: q_plus_rescaled(order).series,
-    "mu:half": lambda order: _mu_cached(V_HALF, order),
-    "mu:tauhalf": lambda order: _mu_cached(V_TAU_HALF, order),
-    "mu:onetauhalf": lambda order: _mu_cached(V_ONE_PLUS_TAU_HALF, order),
+    "mu:half": lambda order: mu_half_period(V_HALF, order),
+    "mu:tauhalf": lambda order: mu_half_period(V_TAU_HALF, order),
+    "mu:onetauhalf": lambda order: mu_half_period(V_ONE_PLUS_TAU_HALF, order),
     "Mq": mock_theta_m,
 }

@@ -118,32 +118,6 @@ A6_PARTS = (3520, 10395)
 A7_PARTS = (1771, 2024, 5313, 5544, 5796, 10395)
 
 
-def verify_known_decompositions():
-    """Check that A_1..A_5 are single dimensions and that the explicit
-    A_6/A_7 witnesses validate against the computed coefficients;
-    raises on any mismatch."""
-    a = a_coefficients(9)
-    report = {"memberships": {}, "witnesses": {}}
-    for n in range(1, 6):
-        ok = a[n] in M24_DIMENSIONS
-        report["memberships"][n] = {"value": a[n], "is_dimension": ok}
-        if not ok:
-            raise AssertionError(f"A_{n} = {a[n]} is not an M24 irrep dimension")
-    for n, parts in ((6, A6_PARTS), (7, A7_PARTS)):
-        total = sum(parts)
-        if total != a[n]:
-            raise AssertionError(f"A_{n} witness sums to {total}, computed {a[n]}")
-        found = decompose_distinct(a[n])
-        if found is None:
-            raise AssertionError(f"no distinct decomposition found for A_{n}")
-        report["witnesses"][n] = {
-            "value": a[n],
-            "parts": parts,
-            "search_parts": found.dims(),
-        }
-    return report
-
-
 def report_json_obj(target, distinct=True, cap=None, max_witnesses=4):
     """The machine-readable decomposition report for one target."""
     obj = {

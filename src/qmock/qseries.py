@@ -19,9 +19,11 @@ functions, so series may be freely shared between threads.
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import wraps
 from itertools import compress
 from math import gcd, lcm
 from operator import or_
+from threading import Lock
 
 LATTICE_DEN = 24
 
@@ -728,3 +730,38 @@ class Series:
             for rn, rd, sn, sd in obj["coeffs"]
         ]
         return cls(int(obj["min_exp"]), coeffs, int(obj["prec"]))
+
+
+# ----------------------------------------------------------------------
+# the order-monotone memo
+
+
+def order_memo(fn):
+    """Memoise ``fn(*key, order)`` by the largest order computed so far.
+
+    ``order`` (in q-units) is the last positional argument and the key
+    is everything before it.  Each key keeps only its largest-order
+    result, which must have a ``truncate``; a smaller positive order is
+    served as ``stored.truncate(LATTICE_DEN * order)``, the certified
+    prefix it asks for.  An entry is replaced only by a larger order, so
+    concurrent callers can at worst compute the same result twice.
+    Orders <= 0 bypass the memo, so their error and pole paths still run.
+    """
+    best = {}  # key -> (order, result)
+    store = Lock()  # held only to compare and replace, never around fn
+
+    @wraps(fn)
+    def memo(*args):
+        key, order = args[:-1], args[-1]
+        if order <= 0:
+            return fn(*args)
+        stored_order, stored = best.get(key, (0, None))
+        if stored_order >= order:
+            return stored.truncate(LATTICE_DEN * order)
+        result = fn(*args)
+        with store:
+            if best.get(key, (0,))[0] < order:
+                best[key] = (order, result)
+        return result
+
+    return memo

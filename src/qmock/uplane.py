@@ -19,7 +19,6 @@ cross-check is the module's main self-validation.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .qseries import (
     LATTICE_DEN,
@@ -101,24 +100,6 @@ def mock_order_for(m, n):
     return (required_mock_prec(m, n) + PREC_MARGIN) // LATTICE_DEN + 1
 
 
-@lru_cache(maxsize=None)
-def qplus_mock(order):
-    return q_plus_rescaled(order)
-
-
-@lru_cache(maxsize=None)
-def h12_mock(order):
-    h = h_series(order)
-    return MockSeries(h.series.scale(Fraction(1, 12)), h.construction)
-
-
-@lru_cache(maxsize=None)
-def kernel_mock(order):
-    """Q+(tau/8) - H(tau)/12, the element the functional annihilates."""
-    diff = qplus_mock(order).series - h12_mock(order).series
-    return MockSeries(diff, "explicit")
-
-
 def _theta_factor(m, n, k, order):
     """theta4^9 (theta2^4+theta3^4)^(m+n-k) / (theta2 theta3)^(2m+2n+3)."""
     t2 = theta_nullwert(2, order)
@@ -177,7 +158,9 @@ def column_extract(m, n, k_max):
 
 def kernel_check(m, n):
     """D_{m,2n} on Q+(tau/8) - H(tau)/12; zero for every m, n."""
-    return u_plane_coefficient(kernel_mock(mock_order_for(m, n)), m, n)
+    order = mock_order_for(m, n)
+    h12 = h_series(order).series.scale(Fraction(1, 12))
+    return u_plane_coefficient(q_plus_rescaled(order).series - h12, m, n)
 
 
 def theta_quotient_factor(order):
@@ -195,7 +178,8 @@ def theta_quotient_factor(order):
 
 def phi_route_a(m, n):
     """Phi_{m,2n} as the functional on H/12 (equal to that on Q+(tau/8))."""
-    return u_plane_coefficient(h12_mock(mock_order_for(m, n)), m, n)
+    h12 = h_series(mock_order_for(m, n)).series.scale(Fraction(1, 12))
+    return u_plane_coefficient(h12, m, n)
 
 
 def phi_route_b(m, n):
@@ -229,7 +213,7 @@ def phi_route_b(m, n):
 def donaldson_phi(m, n, route):
     """Phi_{m,2n} by the named route."""
     if route == ROUTE_QPLUS:
-        return u_plane_coefficient(qplus_mock(mock_order_for(m, n)), m, n)
+        return u_plane_coefficient(q_plus_rescaled(mock_order_for(m, n)), m, n)
     if route == ROUTE_H12:
         return phi_route_a(m, n)
     if route == ROUTE_FINAL:

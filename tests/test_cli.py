@@ -183,6 +183,8 @@ def test_reduce_z0_order_zero_is_insufficient_precision(capsys):
 @pytest.mark.parametrize("argv", [
     ("coeffs", "--series", "H", "--order", "-5"),
     ("reduce-z0", "--k", "1", "--order", "-1"),
+    ("moonshine", "--n", "6", "--cap", "-1"),
+    ("moonshine", "--n", "6", "--max-witnesses", "-2"),
 ])
 def test_negative_order_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

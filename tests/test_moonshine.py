@@ -9,7 +9,6 @@ from qmock.moonshine import (
     decompose_bounded,
     decompose_distinct,
     report_json_obj,
-    verify_known_decompositions,
 )
 
 
@@ -96,14 +95,6 @@ def test_witnesses_in_lex_order_and_valid():
     vecs = [w.multiplicities for w in witnesses]
     assert vecs == sorted(vecs)
     assert all(w.total() == 1058 for w in witnesses)
-
-
-def test_verify_known_decompositions():
-    report = verify_known_decompositions()
-    assert report["memberships"][1]["value"] == 45
-    assert report["memberships"][3]["value"] == 770
-    assert report["witnesses"][6]["search_parts"] == (3520, 10395)
-    assert sum(report["witnesses"][7]["parts"]) == 30843
 
 
 def test_report_json_schema():
