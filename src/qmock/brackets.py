@@ -10,12 +10,16 @@ in q^scale and each derivative picks up a factor 1/scale.  Applying the
 unit-variable operator verbatim to a rescaled operand would neither
 reproduce the rescale of the bracket nor preserve the operand's support
 progression.
+
+Precision follows the rules in ``qseries``: E2 is built to the operand's
+prec - val, so the bracket certifies exactly the operand's prec, and
+``bracket_hat`` certifies m8.prec - 48k - 24 whatever k is.
 """
 
 from fractions import Fraction
 from math import comb
 
-from .qseries import LATTICE_DEN
+from .qseries import q_order
 from .forms import eisenstein_e2, eta, theta_big
 
 
@@ -40,7 +44,7 @@ def bracket_coefficients(k):
     return tuple(terms)
 
 
-def cohen_bracket(m_series, k, scale=1, e2_order=None):
+def cohen_bracket(m_series, k, scale=1):
     """sum_j c_{k,j} * scale^(-j) * E2(scale*tau)^(k-j) * (q d/dq)^j M.
 
     ``scale`` = 1 is the plain operator; ``scale`` = N evaluates the
@@ -52,11 +56,8 @@ def cohen_bracket(m_series, k, scale=1, e2_order=None):
     if k == 0:
         return m_series
     v = m_series.val()
-    v = 0 if v is None else min(v, 0)
-    if e2_order is None:
-        # E2 powers must not cap the result below the operand's precision
-        e2_order = (m_series.prec - v) // (LATTICE_DEN * scale) + 2
-    e2 = eisenstein_e2(e2_order)
+    rel = 0 if v is None else m_series.prec - v  # E2(scale*tau) needs this
+    e2 = eisenstein_e2(q_order(Fraction(rel, scale)))
     if scale != 1:
         e2 = e2.rescale_exponents(scale, 1)
     result = None
@@ -69,16 +70,15 @@ def cohen_bracket(m_series, k, scale=1, e2_order=None):
         if j < k:
             term = e2.pow_int(k - j) * term
         result = term if result is None else result + term
-    return result.truncate(m_series.prec)
+    return result
 
 
 def bracket_hat(m8, k):
     """eta(8tau)^3 / (Theta2*Theta3)^(2k+2) times the bracket of an
     8tau-variable operand; the building block of the kernel mechanism."""
-    prec = m8.prec
-    pad = prec + 48 * (k + 2) + 48
-    order = pad // LATTICE_DEN + 2
-    eta8_cubed = eta(8, order).pow_int(3)
-    t23 = theta_big(2, order) * theta_big(3, order)
+    v = m8.val()
+    rel = 1 if v is None else m8.prec - v  # 1 keeps Theta2 invertible for a zero m8
+    eta8_cubed = eta(8, q_order(rel + 8)).pow_int(3)
+    t23 = theta_big(2, q_order(rel + 24)) * theta_big(3, q_order(rel))
     bracket = cohen_bracket(m8, k, scale=8)
     return eta8_cubed * t23.pow_int(-(2 * k + 2)) * bracket

@@ -16,6 +16,7 @@ from .qseries import (
     QSeriesError,
     Series,
     order_memo,
+    q_order,
     quarter_phase,
 )
 
@@ -112,17 +113,13 @@ def eta(k, order):
 def eta_quotient(spec, order):
     """Exact expansion of an eta quotient to ``order`` q-units."""
     prec_target = LATTICE_DEN * order
-    val = spec.prefactor_exp24()
-    # Each factor eta(k*tau)^e contributes prec - val = P_k - k to the
-    # product's min-rule, independent of the sign of e; the starting 1
-    # needs the same headroom or it caps the product early.
-    result = Series.one(prec_target - val + 8)
+    rel = prec_target - spec.prefactor_exp24()
+    # eta(k*tau) has val k: it needs rel + k, and k + 1 so an inverse sees its lead
+    result = Series.one(rel)
     for k, e in spec.factors:
         if e == 0:
             continue
-        p_k = prec_target - val + k + 8
-        f = _eta_lattice(k, max(p_k, k + 1)).pow_int(e)
-        result = result * f
+        result = result * _eta_lattice(k, max(rel + k, k + 1)).pow_int(e)
     return result.truncate(prec_target)
 
 
@@ -160,6 +157,12 @@ def theta_char(a, b, v, order):
         pairs.append(term(n))
         n -= 1
     return Series.from_pairs(pairs, prec=prec)
+
+
+def theta_char_val(a, v):
+    """Exponent of theta_char(a, b, v)'s first term: a lower bound on its
+    valuation, exact for theta_1 (a = b = 1) off the lattice points."""
+    return 3 * ((a + v.s2) % 2 - v.s2**2)
 
 
 @order_memo
@@ -246,10 +249,8 @@ def eisenstein_e2(order):
 @order_memo
 def e_star(order):
     """The weight-2 combination 16*Theta2^4 + Theta3^4 (this is E*(4tau))."""
-    t2 = theta_big(2, order)
-    t3 = theta_big(3, order)
-    out = t2.pow_int(4).scale(16) + t3.pow_int(4)
-    return out.truncate(LATTICE_DEN * order)
+    t2 = theta_big(2, q_order(LATTICE_DEN * order - 72))  # Theta2^4 has val 96
+    return t2.pow_int(4).scale(16) + theta_big(3, order).pow_int(4)
 
 
 @order_memo
@@ -259,11 +260,11 @@ def z0_hat(order):
     Leading term is exactly q^(-2); the greedy polynomial reduction in
     the invariant layer depends on that, so it is asserted here.
     """
-    pad = order + 8
-    t2 = theta_big(2, pad)
-    t3 = theta_big(3, pad)
-    z0 = e_star(pad) * (t2 * t3).pow_int(2).invert()
-    z0 = z0.truncate(LATTICE_DEN * order)
+    prec = LATTICE_DEN * order
+    # val Z0hat = -48, val Theta2 = 24, val Theta3 = val E* = 0
+    t2 = theta_big(2, q_order(prec + 48 + 24))
+    t3 = theta_big(3, q_order(prec + 48))
+    z0 = e_star(q_order(prec + 48)) * (t2 * t3).pow_int(2).invert()
     assert z0.val() == -2 * LATTICE_DEN and z0.coefficient(-2 * LATTICE_DEN) == 1
     return z0
 
@@ -292,7 +293,7 @@ def modular_a_sieved(residue, order):
 
 NAMED_FORMS = {
     "eta": lambda order: eta(1, order),
-    "eta3": lambda order: eta(1, order + 1).pow_int(3).truncate(LATTICE_DEN * order),
+    "eta3": lambda order: eta(1, q_order(24 * order - 2)).pow_int(3).truncate(24 * order),
     "theta2": lambda order: theta_nullwert(2, order),
     "theta3": lambda order: theta_nullwert(3, order),
     "theta4": lambda order: theta_nullwert(4, order),

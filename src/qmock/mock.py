@@ -17,6 +17,7 @@ from .qseries import (
     QSeriesError,
     Series,
     order_memo,
+    q_order,
     quarter_phase,
 )
 from .forms import (
@@ -24,10 +25,12 @@ from .forms import (
     V_HALF,
     V_ONE_PLUS_TAU_HALF,
     V_TAU_HALF,
+    V_ZERO,
     eta,
     modular_a_sieved,
     modular_b,
     theta_char,
+    theta_char_val,
     theta_nullwert,
 )
 
@@ -69,66 +72,46 @@ def mu_half_period(v, order):
     if v.is_lattice_point():
         raise PoleAtArgument(f"mu has a pole at v = {v.r} + {v.s}*tau")
     r2, s2 = v.r2, v.s2
-    prec = LATTICE_DEN * order
-    pad = prec + 2 * LATTICE_DEN  # room for the division by theta_1
-
     c_sign = 1 if r2 % 2 == 0 else -1  # e^(2 pi i r)
+    unit = GaussRat(0, 1) * quarter_phase(r2)  # the prefactor's i * e^(pi i r)
+    prec = LATTICE_DEN * order
+    v_theta1 = theta_char_val(1, v)
+    need = prec + v_theta1  # the Lerch sum's prec against 1/theta_1
 
-    def min_exp24(n):
-        # leading lattice exponent of the n-th summand
-        base = 12 * n * (n + 1) + 12 * n * s2
-        e_x = 24 * n + 12 * s2
-        return base if e_x >= 0 else base - e_x
-
-    def add_summand(n, pairs):
-        base = 12 * n * (n + 1) + 12 * n * s2
-        # (-1)^n * c^n with c = e^(2 pi i r) = +-1
-        coef = (1 if n % 2 == 0 else -1) * (1 if n % 2 == 0 else c_sign)
-        e_x = 24 * n + 12 * s2
-        if e_x > 0:
-            j = 0
-            while base + j * e_x < pad:
-                pairs.append((base + j * e_x, GaussRat(coef * (c_sign ** j))))
-                j += 1
-        elif e_x == 0:
-            if c_sign == 1:
-                raise PoleAtArgument("geometric factor 1/(1-1) in the mu sum")
-            pairs.append((base, GaussRat(Fraction(coef, 2))))
-        else:
-            j = 1
-            while base - j * e_x < pad:
-                pairs.append((base - j * e_x, GaussRat(-coef * (c_sign ** j))))
-                j += 1
+    def summand(n):
+        # the prefactor times summand n is sum_j coef * c^j q^(first + j*step)
+        first = 12 * n * (n + 1) + 12 * n * s2 + 6 * s2
+        step = 24 * n + 12 * s2
+        coef = unit if n % 2 == 0 else -c_sign * unit  # (-1)^n * c^n
+        if step < 0:
+            return first - step, -step, -c_sign * coef
+        return first, step, coef
 
     pairs = []
-    # Scan outward: min_exp24 grows like 12 n^2 in both directions (it is
-    # n(n+1)/2 + ns, plus |n+s| after the negative rewrite), so once a
-    # side exceeds the target it stays out.
-    n = 0
-    prev = None
-    while min_exp24(n) < pad or n < 2:
-        if min_exp24(n) < pad:
-            add_summand(n, pairs)
-        if prev is not None and n >= 2:
-            assert min_exp24(n) >= prev, "mu summand exponents must grow"
-        prev = min_exp24(n)
-        n += 1
-    n = -1
-    prev = None
-    while min_exp24(n) < pad or n > -3:
-        if min_exp24(n) < pad:
-            add_summand(n, pairs)
-        if prev is not None and n <= -3:
-            assert min_exp24(n) >= prev, "mu summand exponents must grow"
-        prev = min_exp24(n)
-        n -= 1
+    # Scan outward: the first exponent grows like 12 n^2 in both
+    # directions (it is n(n+1)/2 + ns + s/2, plus |n+s| after the negative
+    # rewrite), so once a side exceeds need it stays out.
+    for start, direction in ((0, 1), (-1, -1)):
+        n = start
+        while True:
+            first, step, coef = summand(n)
+            if abs(n - start) >= 2:
+                if first >= need:
+                    break
+                assert first >= prev, "mu summand exponents must grow"
+            if step:
+                pairs += [(e, coef * c_sign**j) for j, e in enumerate(range(first, need, step))]
+            elif c_sign == 1:
+                raise PoleAtArgument("geometric factor 1/(1-1) in the mu sum")
+            elif first < need:
+                pairs.append((first, coef * Fraction(1, 2)))
+            prev = first
+            n += direction
 
-    lerch_sum = Series.from_pairs(pairs, prec=pad)
-    theta1 = theta_char(1, 1, v, (pad // LATTICE_DEN) + 2)
-    prefactor = Series.monomial(
-        6 * s2, GaussRat(0, 1) * quarter_phase(r2), prec=pad
-    )  # i * e^(pi i r) * q^(s/2)
-    return (prefactor * lerch_sum * theta1.invert()).truncate(prec)
+    lerch = Series.from_pairs(pairs, prec=need)
+    v_lerch = lerch.prec if lerch.is_zero() else lerch.val()
+    theta1 = theta_char(1, 1, v, q_order(prec - v_lerch + 2 * v_theta1))
+    return (lerch * theta1.invert()).truncate(prec)
 
 
 H_POINTS = (V_HALF, V_ONE_PLUS_TAU_HALF, V_TAU_HALF)
@@ -193,15 +176,12 @@ def q_plus(order):
     exponents of Q+ are -1 mod 4.
     """
     prec = LATTICE_DEN * order
-    if order <= 0:
-        # the q^-1 pole lies below any precision <= 0: certify it from a
-        # positive order rather than claim an empty expansion
-        return MockSeries(q_plus(1).series.truncate(prec), "qplus_assembly")
+    work = q_order(prec)  # at least 1: the q^-1 pole lies below any prec <= 0
     s = (
-        modular_a_sieved(3, order).scale(Fraction(-7, 2))
-        + modular_a_sieved(7, order).scale(Fraction(3, 2))
-        + modular_b(order).scale(Fraction(-1, 2))
-        + mock_theta_m(order).scale(4)
+        modular_a_sieved(3, work).scale(Fraction(-7, 2))
+        + modular_a_sieved(7, work).scale(Fraction(3, 2))
+        + modular_b(work).scale(Fraction(-1, 2))
+        + mock_theta_m(work).scale(4)
     )
     return MockSeries(s.truncate(prec).assert_real(), "qplus_assembly")
 
@@ -218,13 +198,8 @@ def mock_from_coefficients(h_values, order):
     Feeding unit vectors recovers the constant-term functional column
     by column; the construction is linear in h_values.
     """
-    prec = LATTICE_DEN * order
-    pairs = []
-    for k, hk in enumerate(h_values):
-        e = -3 + 12 * k
-        if e < prec:
-            pairs.append((e, GaussRat(Fraction(hk))))
-    return MockSeries(Series.from_pairs(pairs, prec=prec), "explicit")
+    pairs = [(-3 + 12 * k, Fraction(hk)) for k, hk in enumerate(h_values)]
+    return MockSeries(Series.from_pairs(pairs, prec=LATTICE_DEN * order), "explicit")
 
 
 # ----------------------------------------------------------------------
@@ -235,14 +210,16 @@ def elliptic_genus_theta(v, order):
     """8 * sum_j (theta_j(z|tau)/theta_j(tau))^2 for j = 2, 3, 4 at z = v."""
     if not isinstance(v, HalfPeriodPoint):
         v = HalfPeriodPoint(*v)
-    pad_order = order + 4
+    prec = LATTICE_DEN * order
     chars = {2: (1, 0), 3: (0, 0), 4: (0, 1)}
-    total = Series.zero(LATTICE_DEN * pad_order)
+    total = Series.zero(prec)
     for j, (a, b) in chars.items():
-        num = theta_char(a, b, v, pad_order)
-        den = theta_nullwert(j, pad_order)
+        # (num/den)^2 with val num >= lo and val den = theta_j(0|tau)'s, exact
+        lo, v_den = theta_char_val(a, v), theta_char_val(a, V_ZERO)
+        num = theta_char(a, b, v, q_order(prec - lo + 2 * v_den))
+        den = theta_nullwert(j, q_order(prec - 2 * lo + 3 * v_den))
         total = total + (num * den.invert()).pow_int(2)
-    return total.scale(8).truncate(LATTICE_DEN * order)
+    return total.scale(8)
 
 
 def elliptic_genus_mock(v, order):
@@ -251,20 +228,20 @@ def elliptic_genus_mock(v, order):
         v = HalfPeriodPoint(*v)
     if v.is_lattice_point():
         raise PoleAtArgument("mu(z;tau) is singular at lattice points z")
-    pad_order = order + 4
-    t1 = theta_char(1, 1, v, pad_order)
-    eta3 = eta(1, pad_order + 1).pow_int(3)
-    mu = mu_half_period(v, pad_order)
-    h = h_series(pad_order).series
-    out = t1.pow_int(2) * eta3.invert() * (mu.scale(24) + h)
-    return out.truncate(LATTICE_DEN * order)
+    prec = LATTICE_DEN * order
+    # theta_1^2 / eta^3 has valuation 2*v_t1 - 3, exactly
+    v_t1 = theta_char_val(1, v)
+    s_order = q_order(prec - 2 * v_t1 + 3)
+    s = mu_half_period(v, s_order).scale(24) + h_series(s_order).series
+    v_s = s.prec if s.is_zero() else s.val()
+    t1 = theta_char(1, 1, v, q_order(prec - v_t1 + 3 - v_s))
+    eta3 = eta(1, q_order(prec - 2 * v_t1 + 4 - v_s)).pow_int(3)
+    return (t1.pow_int(2) * eta3.invert() * s).truncate(prec)
 
 
 def elliptic_genus_check(v, order):
     """Difference of the two genus representations; zero when both converge."""
-    lhs = elliptic_genus_theta(v, order)
-    rhs = elliptic_genus_mock(v, order)
-    return (lhs - rhs).truncate(LATTICE_DEN * order)
+    return elliptic_genus_theta(v, order) - elliptic_genus_mock(v, order)
 
 
 NAMED_MOCKS = {

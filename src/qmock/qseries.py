@@ -13,6 +13,20 @@ common denominator, so the ring operations run on plain integers and
 cost time in proportion to the nonzero terms, not to the lattice slots
 they span.  GaussRat is the scalar type at the API edge.
 
+Precision rules.  Each operation certifies exactly what its inputs
+allow, and every working order in the package is derived from these
+rules, with no safety margin:
+* a product is certified below min_i(prec_i + sum_{j != i} val_j), so to
+  certify it below P, factor i needs prec >= P - sum_{j != i} val_j;
+  lower bounds on the other factors' valuations are enough (a zero
+  series counts its prec as its valuation);
+* an inverse 1/g is certified below g.prec - 2*val(g); it needs g's
+  exact valuation, with g.prec >= val(g) + 1 so its leading term is known;
+* a sum is certified below the smallest prec of its summands.
+So products, powers and inverses all keep prec - val: F = prod f_i^(e_i)
+is certified below P once each f_i has prec >= P - val(F) + val(f_i);
+``q_order`` rounds that up to q-units.
+
 All values are immutable after construction and all operations are pure
 functions, so series may be freely shared between threads.
 """
@@ -172,6 +186,12 @@ def quarter_phase(t):
 
 def _ceil_div(a, b):
     return -((-a) // b)
+
+
+def q_order(prec):
+    """The smallest order >= 1 in q-units that reaches ``prec`` lattice units
+    (an int or a Fraction): the only place that rounds lattice to q-units."""
+    return max(1, _ceil_div(prec, LATTICE_DEN))
 
 
 def _canonical(exps, re, im, den):

@@ -14,6 +14,11 @@ Two independent evaluation routes are first-class:
 
 Any disagreement between the routes is a hard RouteMismatch error: this
 cross-check is the module's main self-validation.
+
+Working orders follow the rules in ``qseries``, with no safety margin.
+Every route B term has valuation -48(m+n+2) lattice units; with
+R = 48(m+n+2) + 1, T and Z0hat are built to R - 48 and H(8tau) to R - 24
+(``bracket_hat`` keeps its operand's prec - val whatever k is).
 """
 
 import math
@@ -26,6 +31,7 @@ from .qseries import (
     InsufficientPrecision,
     QSeriesError,
     Series,
+    q_order,
 )
 from .forms import eta, theta_big, theta_nullwert, z0_hat
 from .mock import MockSeries, h_series, mock_from_coefficients, q_plus, q_plus_rescaled
@@ -34,9 +40,6 @@ from .brackets import bracket_hat, cohen_bracket
 ROUTE_QPLUS = "QplusTau8"
 ROUTE_H12 = "HOver12"
 ROUTE_FINAL = "FinalFormula"
-
-#: lattice-unit safety margin added on top of every computed requirement
-PREC_MARGIN = 8
 
 
 class RouteMismatch(QSeriesError):
@@ -75,13 +78,14 @@ class Z0Polynomial:
 
     def evaluate(self, order):
         """Re-expand the polynomial as a Series to ``order`` q-units."""
-        z0 = z0_hat(order + 2 * self.degree() + 2)
-        total = Series.monomial(0, self.coefficients[0], prec=LATTICE_DEN * order)
-        for d in range(1, len(self.coefficients)):
-            c = self.coefficients[d]
+        prec = LATTICE_DEN * order
+        # Z0hat^d, of valuation -48d, needs Z0hat's prec at prec + 48(d - 1)
+        z0 = z0_hat(q_order(prec + 48 * (self.degree() - 1)))
+        total = Series.monomial(0, self.coefficients[0], prec=prec)
+        for d, c in enumerate(self.coefficients[1:], 1):
             if c:
                 total = total + z0.pow_int(d).scale(c)
-        return total.truncate(LATTICE_DEN * order)
+        return total
 
 
 def required_mock_prec(m, n):
@@ -96,8 +100,8 @@ def required_mock_prec(m, n):
 
 
 def mock_order_for(m, n):
-    """q-units order that builds a mock comfortably above the requirement."""
-    return (required_mock_prec(m, n) + PREC_MARGIN) // LATTICE_DEN + 1
+    """q-units order that builds a mock certified to the requirement."""
+    return q_order(required_mock_prec(m, n))
 
 
 def _theta_factor(m, n, k, order):
@@ -128,7 +132,10 @@ def u_plane_coefficient(mplus, m, n):
             needed=need,
         )
     a = 2 * m + 2 * n + 3
-    theta_order = (3 * a + 15 + PREC_MARGIN) // LATTICE_DEN + 2
+    # the constant term of (theta factor, val -3a) * (bracket, val >= val(M+))
+    # needs theta2, of val 3, to 1 - val(M+) + 3a + 3
+    v = series.val()
+    theta_order = q_order(1 - (series.prec if v is None else v) + 3 * a + 3)
     total = GaussRat(0)
     for k in range(n + 1):
         scalar = (
@@ -167,13 +174,13 @@ def theta_quotient_factor(order):
     """Theta4^9 / (Theta2 Theta3 eta(8tau)^3), the 8tau-variable factor
     that converts the theta prefactor into Z0hat powers.  It equals
     -1/2 * q d/dq Z0hat exactly."""
-    pad = order + PREC_MARGIN
-    t4 = theta_big(4, pad)
-    t2 = theta_big(2, pad)
-    t3 = theta_big(3, pad)
-    eta83 = eta(8, pad).pow_int(3)
-    out = t4.pow_int(9) * (t2 * t3 * eta83).invert()
-    return out.truncate(LATTICE_DEN * order)
+    prec = LATTICE_DEN * order
+    # val T = -48; Theta4, Theta2, Theta3 and eta(8tau) have val 0, 24, 0, 8
+    t4 = theta_big(4, q_order(prec + 48))
+    t2 = theta_big(2, q_order(prec + 48 + 24))
+    t3 = theta_big(3, q_order(prec + 48))
+    eta83 = eta(8, q_order(prec + 48 + 8)).pow_int(3)
+    return t4.pow_int(9) * (t2 * t3 * eta83).invert()
 
 
 def phi_route_a(m, n):
@@ -184,15 +191,10 @@ def phi_route_a(m, n):
 
 def phi_route_b(m, n):
     """Phi_{m,2n} from the closed 8tau-variable product formula."""
-    # pole budget: T has q^(-2), Z0^j has q^(-2j), Ehat^k has q^(-2k-2)
-    depth = 48 * (m + n) + 96 + 1
-    base_order = depth // LATTICE_DEN + PREC_MARGIN
-    z0 = z0_hat(base_order + 2 * (m + n) + 2)
-    tq = theta_quotient_factor(base_order + 2 * (m + n) + 2)
-    # the bracket-hat loses 48k+24 lattice units plus the operand margin
-    h8_prec = LATTICE_DEN * base_order + 48 * (n + 2) + 48
-    h_order = h8_prec // (8 * LATTICE_DEN) + 1
-    h8 = h_series(h_order).series.rescale_exponents(8, 1)
+    rel = 48 * (m + n + 2) + 1  # T * Z0^j * Ehat^k has val -48(m+n+2)
+    z0 = z0_hat(q_order(rel - 48))
+    tq = theta_quotient_factor(q_order(rel - 48))
+    h8 = h_series(q_order(Fraction(rel - 24, 8))).series.rescale_exponents(8, 1)
     total = Fraction(0)
     for k in range(n + 1):
         ehat = bracket_hat(h8, k)
@@ -292,10 +294,9 @@ def h_k_series(k, order):
     """H_k(q) = eta(8tau)^3/(Theta2 Theta3)^(2k+2) * E^k[Q+(tau) - H(8tau)/12],
     certified to ``order`` q-units; always lands in C((q^2))."""
     prec = LATTICE_DEN * order
-    need = prec + 48 * (k + 2) + 48
-    qp = q_plus(need // LATTICE_DEN + 1).series
-    h_ord = need // (8 * LATTICE_DEN) + 1
-    h8 = h_series(h_ord).series.rescale_exponents(8, 1)
+    need = prec + 48 * k + 24  # bracket_hat certifies its operand's prec - 48k - 24
+    qp = q_plus(q_order(need)).series
+    h8 = h_series(q_order(Fraction(need, 8))).series.rescale_exponents(8, 1)
     diff = qp - h8.scale(Fraction(1, 12))
     out = bracket_hat(diff, k).truncate(prec)
     bad = [e for e in out.support() if e % (2 * LATTICE_DEN)]
@@ -333,7 +334,8 @@ def z0_reduce(f, max_degree):
         raise NotPolynomialInZ0(
             f"pole order {2 * pole_degree} exceeds 2*max_degree = {2 * max_degree}"
         )
-    z0 = z0_hat(f.prec // LATTICE_DEN + 2 * max_degree + 4)
+    # Z0hat^d for d <= pole_degree must reach the input's prec
+    z0 = z0_hat(q_order(f.prec + 48 * (pole_degree - 1)))
     coeffs = [Fraction(0)] * (pole_degree + 1)
     g = f
     while True:

@@ -61,6 +61,7 @@ def test_k1_on_monomial():
     m = Series.monomial(-3, 1, prec=24 * 8)
     got = cohen_bracket(m, 1)
     expected = (eisenstein_e2(10) - 24 * alpha) * m
+    assert got.prec == m.prec
     assert got.agrees_with(expected)
 
 
@@ -72,6 +73,7 @@ def test_k2_explicit_form():
         - e2 * s.q_derive() * 48
         + s.q_derive().q_derive() * 192
     )
+    assert cohen_bracket(s, 2).prec == s.prec
     assert cohen_bracket(s, 2).agrees_with(expected)
 
 
@@ -102,12 +104,27 @@ def test_scaled_variable_is_conjugate_of_plain_bracket():
     for k in (1, 2, 3):
         lhs = cohen_bracket(m.rescale_exponents(8, 1), k, scale=8)
         rhs = cohen_bracket(m, k).rescale_exponents(8, 1)
+        assert lhs.prec == rhs.prec == 8 * m.prec
         assert lhs.agrees_with(rhs)
 
 
 def test_bracket_hat_zero_input():
     z = Series.zero(24 * 12)
     assert bracket_hat(z, 2).is_zero()
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("operand", ["H8", "monomial", "zero"])
+def test_bracket_hat_prec_is_operand_prec_minus_48k_minus_24(operand, k, unmemoised):
+    m8 = {
+        "H8": lambda: h_series(3).series.rescale_exponents(8, 1),
+        "monomial": lambda: Series.monomial(-24, 3, prec=24 * 20),
+        "zero": lambda: Series.zero(24 * 12),
+    }[operand]()
+    out = bracket_hat(m8, k)
+    assert out.prec == m8.prec - 48 * k - 24
+    if operand == "zero":
+        assert out.is_zero()
 
 
 def test_bracket_hat_valuation_k0():

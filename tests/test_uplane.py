@@ -15,6 +15,7 @@ from qmock.uplane import (
     InvariantRecord,
     NotPolynomialInZ0,
     OddExponent,
+    Z0Polynomial,
     column_extract,
     donaldson_phi,
     format_z,
@@ -183,6 +184,26 @@ def test_theta_quotient_factor_valuation():
     tq = theta_quotient_factor(12)
     assert tq.val() == -48
     assert tq.coefficient(-48) == 1
+
+
+# each builder must certify exactly the order it is asked for, and only
+# true coefficients: a factor built one q-unit short shows as a shorter
+# prec, which a final truncate cannot hide
+SWEPT = {
+    "theta_quotient_factor": theta_quotient_factor,
+    **{f"h_k_series-{k}": (lambda order, k=k: h_k_series(k, order)) for k in range(4)},
+    "Z0Polynomial.evaluate": Z0Polynomial(
+        (Fraction(5), Fraction(-560), Fraction(0), Fraction(35, 3))
+    ).evaluate,
+}
+
+
+@pytest.mark.parametrize("order", range(1, 17))
+@pytest.mark.parametrize("name", sorted(SWEPT))
+def test_builders_certify_exactly_their_order(name, order, unmemoised):
+    got = SWEPT[name](order)
+    assert got.prec == 24 * order
+    assert got.agrees_with(SWEPT[name](order + 2))
 
 
 # ----------------------------------------------------------- Z0hat reduction
