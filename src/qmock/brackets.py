@@ -11,11 +11,21 @@ unit-variable operator verbatim to a rescaled operand would neither
 reproduce the rescale of the bracket nor preserve the operand's support
 progression.
 
+Every bracket comes from one ladder.  With U_j = scale^(-j) (q d/dq)^j M
+* E2^(-j), the bracket is E^k[M] = E2^k * sum_j c_{k,j} U_j, so all
+brackets of orders 0..K cost O(K) products (E2^(-j), U_j and E2^k, each
+one product up from the last) plus cheap scalar sums, where bracketing
+each k on its own costs O(K^2).  ``bracket_hat``'s prefactor climbs the
+same way, by one (Theta2 Theta3)^(-2) per k.  ``cohen_bracket`` and
+``bracket_hat`` are the top rung of a ladder.
+
 Precision follows the rules in ``qseries``: E2 is built to the operand's
-prec - val, so the bracket certifies exactly the operand's prec, and
-``bracket_hat`` certifies m8.prec - 48k - 24 whatever k is.
+prec - val and has valuation 0, so E2^(-1) is certified as far as E2 and
+every bracket certifies exactly the operand's prec; ``bracket_hat``
+certifies m8.prec - 48k - 24 whatever k is.
 """
 
+from collections import deque
 from fractions import Fraction
 from math import comb
 
@@ -44,41 +54,67 @@ def bracket_coefficients(k):
     return tuple(terms)
 
 
-def cohen_bracket(m_series, k, scale=1):
-    """sum_j c_{k,j} * scale^(-j) * E2(scale*tau)^(k-j) * (q d/dq)^j M.
+def bracket_ladder(m_series, k_max, scale=1):
+    """Yield E^0[M], ..., E^k_max[M] in the scale*tau variable, in order.
 
     ``scale`` = 1 is the plain operator; ``scale`` = N evaluates the
-    operator an operand given in the N*tau variable, i.e. it equals the
-    q -> q^N rescale of the plain bracket of the unrescaled operand.
+    operator on an operand given in the N*tau variable, i.e. E^k equals
+    the q -> q^N rescale of the plain bracket of the unrescaled operand.
+    E^0[M] is M itself.
     """
-    if k < 0:
+    if k_max < 0:
         raise ValueError("bracket order k must be nonnegative")
-    if k == 0:
-        return m_series
     v = m_series.val()
     rel = 0 if v is None else m_series.prec - v  # E2(scale*tau) needs this
     e2 = eisenstein_e2(q_order(Fraction(rel, scale)))
     if scale != 1:
         e2 = e2.rescale_exponents(scale, 1)
-    result = None
+    u = [m_series]
     deriv = m_series
     inv_scale = Fraction(1, scale)
-    for j, c in bracket_coefficients(k):
-        if j > 0:
-            deriv = deriv.q_derive()
-        term = deriv.scale(c * inv_scale**j)
-        if j < k:
-            term = e2.pow_int(k - j) * term
-        result = term if result is None else result + term
-    return result
+    e2_inv = e2.invert() if k_max else None
+    for j in range(1, k_max + 1):
+        deriv = deriv.q_derive().scale(inv_scale)
+        e2_inv_j = e2_inv if j == 1 else e2_inv_j * e2_inv
+        u.append(deriv * e2_inv_j)
+    for k in range(k_max + 1):
+        total = None
+        for j, c in bracket_coefficients(k):
+            term = u[j].scale(c)
+            total = term if total is None else total + term
+        if k:
+            e2_k = e2 if k == 1 else e2_k * e2
+            total = e2_k * total
+        yield total
 
 
-def bracket_hat(m8, k):
-    """eta(8tau)^3 / (Theta2*Theta3)^(2k+2) times the bracket of an
-    8tau-variable operand; the building block of the kernel mechanism."""
+def bracket_hat_ladder(m8, k_max):
+    """Yield eta(8tau)^3 / (Theta2*Theta3)^(2k+2) * E^k[m8] for k = 0..k_max,
+    the bracket taken in the 8tau variable; the building blocks of the
+    kernel mechanism and of route B."""
     v = m8.val()
     rel = 1 if v is None else m8.prec - v  # 1 keeps Theta2 invertible for a zero m8
     eta8_cubed = eta(8, q_order(rel + 8)).pow_int(3)
     t23 = theta_big(2, q_order(rel + 24)) * theta_big(3, q_order(rel))
-    bracket = cohen_bracket(m8, k, scale=8)
-    return eta8_cubed * t23.pow_int(-(2 * k + 2)) * bracket
+    step = t23.pow_int(-2)
+    prefactor = eta8_cubed * step
+    for k, bracket in enumerate(bracket_ladder(m8, k_max, scale=8)):
+        if k:
+            prefactor = prefactor * step
+        yield prefactor * bracket
+
+
+def _top(ladder):
+    return deque(ladder, maxlen=1)[0]
+
+
+def cohen_bracket(m_series, k, scale=1):
+    """E^k[M]: sum_j c_{k,j} * scale^(-j) * E2(scale*tau)^(k-j) * (q d/dq)^j M,
+    the top rung of ``bracket_ladder``."""
+    return _top(bracket_ladder(m_series, k, scale))
+
+
+def bracket_hat(m8, k):
+    """eta(8tau)^3 / (Theta2*Theta3)^(2k+2) times the bracket of an
+    8tau-variable operand, the top rung of ``bracket_hat_ladder``."""
+    return _top(bracket_hat_ladder(m8, k))

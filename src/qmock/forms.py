@@ -104,9 +104,10 @@ def _eta_lattice(k, prec):
 
 @order_memo
 def eta(k, order):
-    """q-expansion of eta(k*tau) to the given order in q-units."""
-    if order <= 0:
-        raise ValueError("order must be positive")
+    """q-expansion of eta(k*tau) to the given order in q-units; order 0
+    certifies the empty prefix."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     return _eta_lattice(k, LATTICE_DEN * order)
 
 

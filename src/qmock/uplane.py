@@ -1,23 +1,33 @@
 """The constant-term functional and the Donaldson invariants of CP^2.
 
-Two independent evaluation routes are first-class:
+Two independent evaluation routes are first-class.  In both, term k of
+Phi_{m,2n} is a constant term whose series depends only on the degree
+t = m+n and on k; only the scalar weights depend on (m, n):
 
-* route A works in the tau variable: the functional D_{m,2n}[M+] is the
-  k-sum of multinomial-weighted constant terms of
-  theta4^9 (theta2^4+theta3^4)^(m+n-k) (theta2 theta3)^(-(2m+2n+3)) * E^k[M+];
+* route A works in the tau variable: c^A_{t,k} is the constant term of
+  theta4^9 (theta2^4+theta3^4)^(t-k) (theta2 theta3)^(-(2t+3)) * E^k[M+],
+  and the functional D_{m,2n}[M+] = -2 (2n)!/(n! 6^n) sum_k (-1)^k C(n,k) c^A_{t,k};
 
-* route B works in the 8tau variable: the same numbers come from the
-  closed product  T * Z0^(m+n-k) * Ehat^k[H(8tau)]  with
-  T = Theta4^9/(Theta2 Theta3 eta(8tau)^3), summed against binomial
-  weights and the scalar 2^(2m+3n+4) 3^(n+1) m! n!.  (T equals
-  -1/2 * q d/dq Z0hat; the two routes balance with T as the factor.)
+* route B works in the 8tau variable: c^B_{t,k} is the constant term of
+  the closed product  T * Z0^(t-k) * Ehat^k[H(8tau)]  with
+  T = Theta4^9/(Theta2 Theta3 eta(8tau)^3), and
+  Phi_{m,2n} = -(2n)!/(n! 2^(2m+3n+4) 3^(n+1)) sum_k (-1)^k C(n,k) c^B_{t,k}.
+  (T equals -1/2 * q d/dq Z0hat; the two routes balance with T as the factor.)
 
-Any disagreement between the routes is a hard RouteMismatch error: this
-cross-check is the module's main self-validation.
+So each route builds its vector c_t = (c_{t,0}, ..., c_{t,t}) once per
+degree, with the prefactor powers and the brackets climbing one product
+per k (``brackets.bracket_ladder``), and every Phi of degree t is a
+weighted sum of its first n+1 entries.  The routes' weights differ by
+3 * 2^(2t+5), so they agree on every pair of degree t exactly when
+c^B_t = 3 * 2^(2t+5) * c^A_t.  The weights are triangular in (n, k) with
+a nonzero diagonal, so a vector is zero exactly when the value of every
+pair of its degree is zero: checking vectors is no weaker than checking
+pairs.  Any disagreement between the routes is a hard RouteMismatch
+error: this cross-check is the module's main self-validation.
 
 Working orders follow the rules in ``qseries``, with no safety margin.
-Every route B term has valuation -48(m+n+2) lattice units; with
-R = 48(m+n+2) + 1, T and Z0hat are built to R - 48 and H(8tau) to R - 24
+Every route B term has valuation -48(t+2) lattice units; with
+R = 48(t+2) + 1, T and Z0hat are built to R - 48 and H(8tau) to R - 24
 (``bracket_hat`` keeps its operand's prec - val whatever k is).
 """
 
@@ -27,7 +37,6 @@ from fractions import Fraction
 
 from .qseries import (
     LATTICE_DEN,
-    GaussRat,
     InsufficientPrecision,
     QSeriesError,
     Series,
@@ -35,7 +44,7 @@ from .qseries import (
 )
 from .forms import eta, theta_big, theta_nullwert, z0_hat
 from .mock import MockSeries, h_series, mock_from_coefficients, q_plus, q_plus_rescaled
-from .brackets import bracket_hat, cohen_bracket
+from .brackets import bracket_hat, bracket_hat_ladder, bracket_ladder
 
 ROUTE_QPLUS = "QplusTau8"
 ROUTE_H12 = "HOver12"
@@ -104,16 +113,43 @@ def mock_order_for(m, n):
     return q_order(required_mock_prec(m, n))
 
 
-def _theta_factor(m, n, k, order):
-    """theta4^9 (theta2^4+theta3^4)^(m+n-k) / (theta2 theta3)^(2m+2n+3)."""
+def functional_vector(mplus, t, k_max):
+    """Route A's constant terms c_{t,k}[M+], k = 0..k_max, of degree t:
+    c_{t,k} = CT[theta4^9 S^(t-k) (theta2 theta3)^(-(2t+3)) E^k[M+]] with
+    S = theta2^4 + theta3^4.  M+ must meet ``required_mock_prec``."""
+    series = mplus.series if isinstance(mplus, MockSeries) else mplus
+    a = 2 * t + 3
+    # the constant term of (theta factor, val -3a) * (bracket, val >= val(M+))
+    # needs theta2, of val 3, to 1 - val(M+) + 3a + 3
+    v = series.val()
+    order = q_order(1 - (series.prec if v is None else v) + 3 * a + 3)
     t2 = theta_nullwert(2, order)
     t3 = theta_nullwert(3, order)
-    t4 = theta_nullwert(4, order)
     s = t2.pow_int(4) + t3.pow_int(4)
-    out = t4.pow_int(9) * (t2 * t3).pow_int(-(2 * m + 2 * n + 3))
-    if m + n - k:
-        out = out * s.pow_int(m + n - k)
-    return out
+    factors = [theta_nullwert(4, order).pow_int(9) * (t2 * t3).pow_int(-a)]
+    for _ in range(t):
+        factors.append(factors[-1] * s)
+    return tuple(
+        _real_constant_term(factors[t - k] * bracket, "A")
+        for k, bracket in enumerate(bracket_ladder(series, k_max))
+    )
+
+
+def _real_constant_term(series, route):
+    ct = series.constant_term()
+    if ct.im:
+        raise QSeriesError(f"route {route} constant term has imaginary part {ct.im}")
+    return ct.re
+
+
+def _alternating_sum(vector, n):
+    return sum(Fraction((-1) ** k * math.comb(n, k)) * vector[k] for k in range(n + 1))
+
+
+def weigh_a(vector, n):
+    """D_{m,2n} from the first n+1 entries of a route A vector."""
+    scalar = -Fraction(2 * math.factorial(2 * n), math.factorial(n) * 6**n)
+    return scalar * _alternating_sum(vector, n)
 
 
 def u_plane_coefficient(mplus, m, n):
@@ -131,24 +167,7 @@ def u_plane_coefficient(mplus, m, n):
             f"got {series.prec}",
             needed=need,
         )
-    a = 2 * m + 2 * n + 3
-    # the constant term of (theta factor, val -3a) * (bracket, val >= val(M+))
-    # needs theta2, of val 3, to 1 - val(M+) + 3a + 3
-    v = series.val()
-    theta_order = q_order(1 - (series.prec if v is None else v) + 3 * a + 3)
-    total = GaussRat(0)
-    for k in range(n + 1):
-        scalar = (
-            Fraction((-1) ** (k + 1))
-            / (Fraction(2) ** (n - 1) * Fraction(3) ** n)
-            * Fraction(math.factorial(2 * n), math.factorial(n - k) * math.factorial(k))
-        )
-        factor = _theta_factor(m, n, k, theta_order)
-        term = factor * cohen_bracket(series, k)
-        total = total + term.constant_term() * scalar
-    if total.im:
-        raise QSeriesError(f"functional value has imaginary part {total.im}")
-    return total.re
+    return weigh_a(functional_vector(series, m + n, n), n)
 
 
 def column_extract(m, n, k_max):
@@ -163,11 +182,24 @@ def column_extract(m, n, k_max):
     return out
 
 
+def _h12(t):
+    return h_series(mock_order_for(t, 0)).series.scale(Fraction(1, 12))
+
+
+def vector_a(t):
+    """Route A's vector of degree t on H/12."""
+    return functional_vector(_h12(t), t, t)
+
+
+def kernel_vector(t):
+    """Route A's vector of degree t on Q+(tau/8) - H(tau)/12; all zero."""
+    qplus = q_plus_rescaled(mock_order_for(t, 0)).series
+    return functional_vector(qplus - _h12(t), t, t)
+
+
 def kernel_check(m, n):
     """D_{m,2n} on Q+(tau/8) - H(tau)/12; zero for every m, n."""
-    order = mock_order_for(m, n)
-    h12 = h_series(order).series.scale(Fraction(1, 12))
-    return u_plane_coefficient(q_plus_rescaled(order).series - h12, m, n)
+    return weigh_a(kernel_vector(m + n), n)
 
 
 def theta_quotient_factor(order):
@@ -183,33 +215,53 @@ def theta_quotient_factor(order):
     return t4.pow_int(9) * (t2 * t3 * eta83).invert()
 
 
-def phi_route_a(m, n):
-    """Phi_{m,2n} as the functional on H/12 (equal to that on Q+(tau/8))."""
-    h12 = h_series(mock_order_for(m, n)).series.scale(Fraction(1, 12))
-    return u_plane_coefficient(h12, m, n)
-
-
-def phi_route_b(m, n):
-    """Phi_{m,2n} from the closed 8tau-variable product formula."""
-    rel = 48 * (m + n + 2) + 1  # T * Z0^j * Ehat^k has val -48(m+n+2)
+def vector_b(t):
+    """Route B's constant terms CT[T Z0hat^(t-k) Ehat^k[H(8tau)]], k = 0..t."""
+    rel = 48 * (t + 2) + 1  # T * Z0^j * Ehat^k has val -48(t+2)
     z0 = z0_hat(q_order(rel - 48))
-    tq = theta_quotient_factor(q_order(rel - 48))
+    chain = [theta_quotient_factor(q_order(rel - 48))]  # T Z0hat^j, j = 0..t
+    for _ in range(t):
+        chain.append(chain[-1] * z0)
     h8 = h_series(q_order(Fraction(rel - 24, 8))).series.rescale_exponents(8, 1)
-    total = Fraction(0)
-    for k in range(n + 1):
-        ehat = bracket_hat(h8, k)
-        term = tq * ehat
-        if m + n - k:
-            term = term * z0.pow_int(m + n - k)
-        ct = term.constant_term()
-        if ct.im:
-            raise QSeriesError(f"route B constant term has imaginary part {ct.im}")
-        total += Fraction((-1) ** k * math.comb(n, k)) * ct.re
+    return tuple(
+        _real_constant_term(chain[t - k] * ehat, "B")
+        for k, ehat in enumerate(bracket_hat_ladder(h8, t))
+    )
+
+
+def weigh_b(vector, m, n):
+    """Phi_{m,2n} from the first n+1 entries of a route B vector."""
     scalar = -Fraction(
         math.factorial(2 * n),
         math.factorial(n) * 2 ** (2 * m + 3 * n + 4) * 3 ** (n + 1),
     )
-    return scalar * total
+    return scalar * _alternating_sum(vector, n)
+
+
+# (t, {builder: vector}) of the degree asked for last; each t keeps its
+# own dict, so racing callers can at worst build a vector twice.
+_degree = (None, {})
+
+
+def _vector_of_degree(build, t):
+    global _degree
+    slot_t, vectors = _degree
+    if slot_t != t:
+        vectors = {}
+        _degree = (t, vectors)
+    if build not in vectors:
+        vectors[build] = build(t)
+    return vectors[build]
+
+
+def phi_route_a(m, n):
+    """Phi_{m,2n} as the functional on H/12 (equal to that on Q+(tau/8))."""
+    return weigh_a(_vector_of_degree(vector_a, m + n), n)
+
+
+def phi_route_b(m, n):
+    """Phi_{m,2n} from the closed 8tau-variable product formula."""
+    return weigh_b(_vector_of_degree(vector_b, m + n), m, n)
 
 
 def donaldson_phi(m, n, route):

@@ -44,10 +44,14 @@ from .uplane import (
     RouteMismatch,
     donaldson_phi,
     column_extract,
+    functional_vector,
     generating_function,
     h_k_series,
-    kernel_check,
+    kernel_vector,
+    mock_order_for,
     theta_quotient_factor,
+    vector_a,
+    weigh_a,
     z0_reduce,
 )
 
@@ -182,13 +186,20 @@ def check_symbolic_columns():
     )
 
 
+def _nonzero_pairs(vector, total):
+    """(m, n, value) for each pair of degree ``total`` whose route A value
+    is nonzero.  The weights are triangular in (n, k) with a nonzero
+    diagonal, so the list is empty exactly when the vector is zero."""
+    if not any(vector):
+        return []
+    pairs = ((total - n, n, weigh_a(vector, n)) for n in range(total, -1, -1))
+    return [(m, n, v) for m, n, v in pairs if v]
+
+
 def check_kernel(max_total=8):
     bad = []
     for total in range(max_total + 1):
-        for m in range(total + 1):
-            v = kernel_check(m, total - m)
-            if v:
-                bad.append((m, total - m, str(v)))
+        bad += [(m, n, str(v)) for m, n, v in _nonzero_pairs(kernel_vector(total), total)]
     return _result(
         "kernel-vanishing",
         not bad,
@@ -212,11 +223,12 @@ def check_routes(max_total=8):
 def check_parity(max_total=9):
     bad = []
     for total in range(1, max_total + 1, 2):
-        for m in range(total + 1):
-            for route in (ROUTE_QPLUS, ROUTE_H12):
-                v = donaldson_phi(m, total - m, route)
-                if v:
-                    bad.append((m, total - m, route, str(v)))
+        qplus = q_plus_rescaled(mock_order_for(total, 0))
+        for route, vector in (
+            (ROUTE_QPLUS, functional_vector(qplus, total, total)),
+            (ROUTE_H12, vector_a(total)),
+        ):
+            bad += [(m, n, route, str(v)) for m, n, v in _nonzero_pairs(vector, total)]
     return _result(
         "parity-vanishing",
         not bad,

@@ -63,9 +63,12 @@ def test_served_orders_equal_direct_computation(module, name, key):
 
 def test_nonpositive_orders_bypass_the_memo():
     forms.eta(1, WARM_ORDER)
-    for order in (0, -1):
-        with pytest.raises(ValueError):
-            forms.eta(1, order)
+    # order 0 certifies the empty prefix, as every named series does
+    empty = forms.eta(1, 0)
+    assert empty.prec == 0 and empty.is_zero()
+    assert str(empty) == "O(q^(0))"
+    with pytest.raises(ValueError):
+        forms.eta(1, -1)
     mock.h_series(WARM_ORDER)
     assert str(mock.q_plus(0).series) == "q^-1 + O(q^(0))"
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmock.qseries import GaussRat, QSeriesError, Series
+from qmock.qseries import GaussRat, Series
 from qmock.forms import (
     NAMED_FORMS,
     HalfPeriodPoint,
@@ -173,10 +173,7 @@ def test_named_series_certify_only_true_coefficients(name, order, unmemoised):
     # survive a computation at a higher order
     make = {**NAMED_FORMS, **NAMED_MOCKS}[name]
     make = getattr(make, "__wrapped__", make)
-    try:
-        got = make(order)
-    except (ValueError, QSeriesError):
-        return
+    got = make(order)
     assert got.prec == 24 * order
     assert got.agrees_with(make(order + 2))
 
