@@ -1,14 +1,14 @@
 """A walk through the exact series engine.
 
 Every object is a truncated Laurent series with exponents on the
-lattice (1/24)Z and Gaussian-rational coefficients.  Precision is an
+lattice (1/24)Z and rational coefficients.  Precision is an
 explicit exponent bound carried through every operation, so a printed
 coefficient is always certified, never extrapolated.
 """
 
 import json
 
-from qmock import GaussRat, Series
+from qmock import Series
 
 # Build series from (lattice exponent, coefficient) pairs.  Lattice
 # units are 24ths of a power of q, so q itself sits at index 24 and
@@ -36,11 +36,6 @@ print("q d/dq of q^(-1/8)      =", Series.monomial(-3, 1, prec=24).q_derive())
 # leave the lattice raises LatticeError instead of rounding.
 s = Series.from_pairs([(-24, 1), (7 * 24, 27)], prec=24 * 8)
 print("q -> q^(1/8) rescale     =", s.rescale_exponents(1, 8))
-
-# Gaussian-rational coefficients hold the four phases 1, i, -1, -i that
-# theta characteristics produce at half-period arguments.
-phase = Series.monomial(3, GaussRat(0, 1), prec=24)
-print("a purely imaginary term  =", phase)
 
 # The JSON wire format round-trips bit for bit; integers travel as
 # decimal strings so arbitrary precision survives any parser.

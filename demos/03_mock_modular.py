@@ -17,8 +17,8 @@ from qmock import (
 )
 from qmock.forms import V_HALF, V_ONE_PLUS_TAU_HALF, V_TAU_HALF
 
-# The three specialisations of mu.  Each is real; the middle one needs
-# the phase bookkeeping i * e^(pi i r) * q^(s/2) to cancel exactly.
+# The three specialisations of mu.  Each is real: the prefactor
+# i * e^(pi i r) and theta_1's phase are the same power of i and cancel.
 for v, label in ((V_HALF, "1/2"), (V_ONE_PLUS_TAU_HALF, "(1+tau)/2"),
                  (V_TAU_HALF, "tau/2")):
     mu = mu_half_period(v, 3)
@@ -48,5 +48,5 @@ print("Q+(tau/8) =", q_plus_rescaled(3).series)
 # Q+(tau/8) and H/12 share their modular defect: the difference has
 # small denominators and is annihilated by the invariant functional.
 diff = q_plus_rescaled(5).series - h.series.scale(Fraction(1, 12))
-dens = {diff.coefficient(e).re.denominator for e in diff.support()}
+dens = {diff.coefficient(e).denominator for e in diff.support()}
 print("denominators of Q+(tau/8) - H/12:", sorted(dens))

@@ -3,8 +3,9 @@ SO(3) Donaldson invariants of CP^2.
 
 The public surface, by layer:
 
-* qseries  - GaussRat, Series: the exact Laurent-series ring
-* forms    - eta quotients, theta functions, E2, E*, Z0hat
+* qseries  - Series: the exact Laurent-series ring over the rationals
+* forms    - eta quotients, theta functions (phases as quarter-turn
+             counts), E2, E*, Z0hat
 * mock     - Appell-Lerch mu, H(tau), the Q+ series, elliptic genus
 * brackets - the E2-corrected weight-raising derivative
 * uplane   - the constant-term functional and the invariant tables
@@ -12,10 +13,8 @@ The public surface, by layer:
 """
 
 from .qseries import (
-    GaussRat,
     InsufficientPrecision,
     LatticeError,
-    NonRealCoefficient,
     NotInvertible,
     QSeriesError,
     Series,

@@ -51,8 +51,7 @@ def resolve_series(name, order):
 def series_csv(s):
     lines = ["exp24,exp,re,im"]
     for e in s.support():
-        c = s.coefficient(e)
-        lines.append(f"{e},{Fraction(e, LATTICE_DEN)},{c.re},{c.im}")
+        lines.append(f"{e},{Fraction(e, LATTICE_DEN)},{s.coefficient(e)},0")
     return "\n".join(lines) + "\n"
 
 

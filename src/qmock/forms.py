@@ -10,15 +10,7 @@ identities theta_j(tau) = (2 if j==2 else 1) * Theta_j(tau/8).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qseries import (
-    LATTICE_DEN,
-    GaussRat,
-    QSeriesError,
-    Series,
-    order_memo,
-    q_order,
-    quarter_phase,
-)
+from .qseries import LATTICE_DEN, QSeriesError, Series, order_memo, q_order
 
 
 class PhaseError(QSeriesError):
@@ -94,7 +86,7 @@ def _eta_lattice(k, prec):
         for jj in ((j, -j) if j else (0,)):
             e = k * (1 + 12 * jj * (3 * jj - 1))
             if e < prec:
-                pairs.append((e, GaussRat(1) if jj % 2 == 0 else GaussRat(-1)))
+                pairs.append((e, 1 if jj % 2 == 0 else -1))
                 hit = True
         if j and not hit:
             break
@@ -125,26 +117,29 @@ def eta_quotient(spec, order):
 
 
 def theta_char(a, b, v, order):
-    """Jacobi theta with characteristics at v = r + s*tau.
+    """Jacobi theta with characteristics at v = r + s*tau, as a pair
+    ``(p, series)``: theta = i^p * series, with the quarter-turn count
+    p = a(2r+b) mod 4 and a rational series.
 
-    Term n carries q^((2n+a)^2/8 + (2n+a)s/2) and the Gaussian-unit
-    phase e^(pi*i*(2n+a)(r+b/2)); both stay on the lattice because
-    r, s have denominator at most 2.
+    Term n carries q^((2n+a)^2/8 + (2n+a)s/2) and the phase
+    e^(pi*i*(2n+a)(r+b/2)) = i^((2n+a)(2r+b)) = i^p * (-1)^(n(2r+b)), so
+    the series holds the signs (-1)^(n(2r+b)); exponents stay on the
+    lattice because r, s have denominator at most 2.
     """
     if a not in (0, 1) or b not in (0, 1):
         raise ValueError("theta characteristics must be 0 or 1")
     if not isinstance(v, HalfPeriodPoint):
         v = HalfPeriodPoint(*v)
     prec = LATTICE_DEN * order
-    r2, s2 = v.r2, v.s2
+    turn = v.r2 + b  # 2r + b
+    s2 = v.s2
 
     def exp24(n):
         m = 2 * n + a
         return 3 * m * m + 6 * s2 * m
 
     def term(n):
-        m = 2 * n + a
-        return exp24(n), quarter_phase(m * (r2 + b))
+        return exp24(n), -1 if n * turn % 2 else 1
 
     pairs = []
     # the exponent is a parabola in n; scan outward from its vertex
@@ -157,7 +152,7 @@ def theta_char(a, b, v, order):
     while exp24(n) < prec:
         pairs.append(term(n))
         n -= 1
-    return Series.from_pairs(pairs, prec=prec)
+    return a * turn % 4, Series.from_pairs(pairs, prec=prec)
 
 
 def theta_char_val(a, v):
@@ -174,14 +169,14 @@ def theta_nullwert(j, order):
     if j == 2:
         n = 0
         while 3 * (2 * n + 1) ** 2 < prec:
-            pairs.append((3 * (2 * n + 1) ** 2, GaussRat(2)))
+            pairs.append((3 * (2 * n + 1) ** 2, 2))
             n += 1
     elif j in (3, 4):
-        pairs.append((0, GaussRat(1)))
+        pairs.append((0, 1))
         n = 1
         while 12 * n * n < prec:
             c = 2 if (j == 3 or n % 2 == 0) else -2
-            pairs.append((12 * n * n, GaussRat(c)))
+            pairs.append((12 * n * n, c))
             n += 1
     else:
         raise ValueError("theta index must be 2, 3 or 4")
@@ -210,14 +205,14 @@ def theta_big_direct(j, order):
     if j == 2:
         n = 0
         while 24 * (2 * n + 1) ** 2 < prec:
-            pairs.append((24 * (2 * n + 1) ** 2, GaussRat(1)))
+            pairs.append((24 * (2 * n + 1) ** 2, 1))
             n += 1
     elif j in (3, 4):
-        pairs.append((0, GaussRat(1)))
+        pairs.append((0, 1))
         n = 1
         while 96 * n * n < prec:
             c = 2 if (j == 3 or n % 2 == 0) else -2
-            pairs.append((96 * n * n, GaussRat(c)))
+            pairs.append((96 * n * n, c))
             n += 1
     else:
         raise ValueError("theta index must be 2, 3 or 4")
@@ -241,9 +236,9 @@ def _sigma1(n):
 def eisenstein_e2(order):
     """E2(tau) = 1 - 24 * sum sigma_1(n) q^n."""
     prec = LATTICE_DEN * order
-    pairs = [(0, GaussRat(1))]
+    pairs = [(0, 1)]
     for n in range(1, order):
-        pairs.append((LATTICE_DEN * n, GaussRat(-24 * _sigma1(n))))
+        pairs.append((LATTICE_DEN * n, -24 * _sigma1(n)))
     return Series.from_pairs(pairs, prec=prec)
 
 

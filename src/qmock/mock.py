@@ -11,15 +11,7 @@ in the invariant layer.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qseries import (
-    LATTICE_DEN,
-    GaussRat,
-    QSeriesError,
-    Series,
-    order_memo,
-    q_order,
-    quarter_phase,
-)
+from .qseries import LATTICE_DEN, QSeriesError, Series, order_memo, q_order
 from .forms import (
     HalfPeriodPoint,
     V_HALF,
@@ -73,16 +65,15 @@ def mu_half_period(v, order):
         raise PoleAtArgument(f"mu has a pole at v = {v.r} + {v.s}*tau")
     r2, s2 = v.r2, v.s2
     c_sign = 1 if r2 % 2 == 0 else -1  # e^(2 pi i r)
-    unit = GaussRat(0, 1) * quarter_phase(r2)  # the prefactor's i * e^(pi i r)
     prec = LATTICE_DEN * order
     v_theta1 = theta_char_val(1, v)
     need = prec + v_theta1  # the Lerch sum's prec against 1/theta_1
 
     def summand(n):
-        # the prefactor times summand n is sum_j coef * c^j q^(first + j*step)
+        # summand n is sum_j coef * c^j q^(first + j*step)
         first = 12 * n * (n + 1) + 12 * n * s2 + 6 * s2
         step = 24 * n + 12 * s2
-        coef = unit if n % 2 == 0 else -c_sign * unit  # (-1)^n * c^n
+        coef = 1 if n % 2 == 0 else -c_sign  # (-1)^n * c^n
         if step < 0:
             return first - step, -step, -c_sign * coef
         return first, step, coef
@@ -104,13 +95,14 @@ def mu_half_period(v, order):
             elif c_sign == 1:
                 raise PoleAtArgument("geometric factor 1/(1-1) in the mu sum")
             elif first < need:
-                pairs.append((first, coef * Fraction(1, 2)))
+                pairs.append((first, Fraction(coef, 2)))
             prev = first
             n += direction
 
     lerch = Series.from_pairs(pairs, prec=need)
     v_lerch = lerch.prec if lerch.is_zero() else lerch.val()
-    theta1 = theta_char(1, 1, v, q_order(prec - v_lerch + 2 * v_theta1))
+    # the prefactor i e^(pi i r) and theta_1's phase i^p are both i^(2r+1)
+    _, theta1 = theta_char(1, 1, v, q_order(prec - v_lerch + 2 * v_theta1))
     return (lerch * theta1.invert()).truncate(prec)
 
 
@@ -121,15 +113,15 @@ H_POINTS = (V_HALF, V_ONE_PLUS_TAU_HALF, V_TAU_HALF)
 def h_series(order):
     """H(tau) = -8 * [mu(1/2) + mu((1+tau)/2) + mu(tau/2)].
 
-    The result is certified real with integer coefficients; the graded
+    The result is certified to have integer coefficients; the graded
     coefficients live at exponents -1/8 + k/2 and vanish for odd k.
     """
     total = mu_half_period(H_POINTS[0], order)
     for v in H_POINTS[1:]:
         total = total + mu_half_period(v, order)
-    h = total.scale(-8).assert_real()
+    h = total.scale(-8)
     for e in h.support():
-        if h.coefficient(e).re.denominator != 1:
+        if h.coefficient(e).denominator != 1:
             raise QSeriesError(f"H(tau) coefficient at lattice {e} is not an integer")
     return MockSeries(h, "mu_sum")
 
@@ -140,7 +132,7 @@ def a_coefficients(order):
     out = {}
     for n in range(1, order + 1):
         c = h.coefficient(-3 + 24 * n)
-        out[n] = int(c.re / 2)
+        out[n] = int(c / 2)
     return out
 
 
@@ -183,7 +175,7 @@ def q_plus(order):
         + modular_b(work).scale(Fraction(-1, 2))
         + mock_theta_m(work).scale(4)
     )
-    return MockSeries(s.truncate(prec).assert_real(), "qplus_assembly")
+    return MockSeries(s.truncate(prec), "qplus_assembly")
 
 
 def q_plus_rescaled(order):
@@ -216,9 +208,10 @@ def elliptic_genus_theta(v, order):
     for j, (a, b) in chars.items():
         # (num/den)^2 with val num >= lo and val den = theta_j(0|tau)'s, exact
         lo, v_den = theta_char_val(a, v), theta_char_val(a, V_ZERO)
-        num = theta_char(a, b, v, q_order(prec - lo + 2 * v_den))
+        p, num = theta_char(a, b, v, q_order(prec - lo + 2 * v_den))
         den = theta_nullwert(j, q_order(prec - 2 * lo + 3 * v_den))
-        total = total + (num * den.invert()).pow_int(2)
+        square = (num * den.invert()).pow_int(2)
+        total = total + (-square if p % 2 else square)  # (i^p)^2 = (-1)^p
     return total.scale(8)
 
 
@@ -234,9 +227,10 @@ def elliptic_genus_mock(v, order):
     s_order = q_order(prec - 2 * v_t1 + 3)
     s = mu_half_period(v, s_order).scale(24) + h_series(s_order).series
     v_s = s.prec if s.is_zero() else s.val()
-    t1 = theta_char(1, 1, v, q_order(prec - v_t1 + 3 - v_s))
+    p, t1 = theta_char(1, 1, v, q_order(prec - v_t1 + 3 - v_s))
     eta3 = eta(1, q_order(prec - 2 * v_t1 + 4 - v_s)).pow_int(3)
-    return (t1.pow_int(2) * eta3.invert() * s).truncate(prec)
+    t1_square = -t1.pow_int(2) if p % 2 else t1.pow_int(2)  # (i^p)^2 = (-1)^p
+    return (t1_square * eta3.invert() * s).truncate(prec)
 
 
 def elliptic_genus_check(v, order):

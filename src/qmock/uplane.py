@@ -130,16 +130,9 @@ def functional_vector(mplus, t, k_max):
     for _ in range(t):
         factors.append(factors[-1] * s)
     return tuple(
-        _real_constant_term(factors[t - k] * bracket, "A")
+        (factors[t - k] * bracket).constant_term()
         for k, bracket in enumerate(bracket_ladder(series, k_max))
     )
-
-
-def _real_constant_term(series, route):
-    ct = series.constant_term()
-    if ct.im:
-        raise QSeriesError(f"route {route} constant term has imaginary part {ct.im}")
-    return ct.re
 
 
 def _alternating_sum(vector, n):
@@ -224,7 +217,7 @@ def vector_b(t):
         chain.append(chain[-1] * z0)
     h8 = h_series(q_order(Fraction(rel - 24, 8))).series.rescale_exponents(8, 1)
     return tuple(
-        _real_constant_term(chain[t - k] * ehat, "B")
+        (chain[t - k] * ehat).constant_term()
         for k, ehat in enumerate(bracket_hat_ladder(h8, t))
     )
 
@@ -397,15 +390,11 @@ def z0_reduce(f, max_degree):
         if v < 0:
             d = (-v) // (2 * LATTICE_DEN)
             c = g.coefficient(v)
-            if c.im:
-                raise NotPolynomialInZ0(f"non-real leading coefficient {c}")
-            coeffs[d] += c.re
+            coeffs[d] += c
             g = (g - z0.pow_int(d).scale(c)).truncate(g.prec)
         else:
             c0 = g.constant_term()
-            if c0.im:
-                raise NotPolynomialInZ0(f"non-real constant term {c0}")
-            coeffs[0] += c0.re
+            coeffs[0] += c0
             g = (g - Series.monomial(0, c0, prec=g.prec)).truncate(g.prec)
             if not g.is_zero():
                 raise NotPolynomialInZ0(

@@ -14,7 +14,7 @@ the measured constant.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qseries import LATTICE_DEN, GaussRat, Series, q_order
+from .qseries import LATTICE_DEN, Series, q_order
 from .forms import (
     V_HALF,
     V_ONE_PLUS_TAU_HALF,
@@ -148,7 +148,7 @@ def check_mock_coefficients():
 def check_qplus_expansion():
     s = q_plus_rescaled(4).series
     got = tuple(s.coefficient(-3 + 12 * k) for k in range(5))
-    ok = all(g == GaussRat(w) for g, w in zip(got, QPLUS_HEAD))
+    ok = got == QPLUS_HEAD
     return _result(
         "qplus-expansion",
         ok,
@@ -245,7 +245,7 @@ def check_jacobi_eta_cube(prec24=200):
     pairs = []
     n = 0
     while 12 * n * (n + 1) + 3 < prec24:
-        pairs.append((12 * n * (n + 1) + 3, GaussRat((-1) ** n * (2 * n + 1))))
+        pairs.append((12 * n * (n + 1) + 3, (-1) ** n * (2 * n + 1)))
         n += 1
     rhs = Series.from_pairs(pairs, prec=prec24)
     ok = _agree_to(prec24, lhs, rhs)

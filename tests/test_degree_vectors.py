@@ -22,7 +22,7 @@ from qmock.brackets import (
 )
 from qmock.forms import eisenstein_e2, eta, theta_big, theta_nullwert, z0_hat
 from qmock.mock import h_series, mock_from_coefficients, q_plus_rescaled
-from qmock.qseries import GaussRat, Series, q_order
+from qmock.qseries import Series, q_order
 from qmock.uplane import (
     kernel_check,
     kernel_vector,
@@ -88,7 +88,7 @@ def reference_u_plane_coefficient(series, m, n):
     a = 2 * m + 2 * n + 3
     v = series.val()
     theta_order = q_order(1 - (series.prec if v is None else v) + 3 * a + 3)
-    total = GaussRat(0)
+    total = Fraction(0)
     for k in range(n + 1):
         scalar = (
             Fraction((-1) ** (k + 1))
@@ -97,9 +97,8 @@ def reference_u_plane_coefficient(series, m, n):
         )
         factor = reference_theta_factor(m, n, k, theta_order)
         term = factor * reference_cohen_bracket(series, k)
-        total = total + term.constant_term() * scalar
-    assert not total.im
-    return total.re
+        total += term.constant_term() * scalar
+    return total
 
 
 def reference_phi_route_b(m, n):
@@ -112,9 +111,7 @@ def reference_phi_route_b(m, n):
         term = tq * reference_bracket_hat(h8, k)
         if m + n - k:
             term = term * z0.pow_int(m + n - k)
-        ct = term.constant_term()
-        assert not ct.im
-        total += Fraction((-1) ** k * math.comb(n, k)) * ct.re
+        total += Fraction((-1) ** k * math.comb(n, k)) * term.constant_term()
     scalar = -Fraction(
         math.factorial(2 * n),
         math.factorial(n) * 2 ** (2 * m + 3 * n + 4) * 3 ** (n + 1),

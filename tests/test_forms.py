@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmock.qseries import GR_I, Series
+from qmock.qseries import Series
 from qmock.forms import (
     EtaQuotientSpec,
     HalfPeriodPoint,
@@ -12,7 +12,6 @@ from qmock.forms import (
     SPEC_A,
     SPEC_B,
     V_HALF,
-    V_TAU_HALF,
     V_ZERO,
     eisenstein_e2,
     e_star,
@@ -98,11 +97,11 @@ def test_theta_nullwert_heads():
 
 
 def test_theta_big_heads():
-    assert [int(q_coeff(theta_big(2, 30), e).re) for e in (1, 9, 25)] == [1, 1, 1]
+    assert [q_coeff(theta_big(2, 30), e) for e in (1, 9, 25)] == [1, 1, 1]
     t3 = theta_big(3, 20)
-    assert [int(q_coeff(t3, e).re) for e in (0, 4, 16)] == [1, 2, 2]
+    assert [q_coeff(t3, e) for e in (0, 4, 16)] == [1, 2, 2]
     t4 = theta_big(4, 20)
-    assert [int(q_coeff(t4, e).re) for e in (0, 4, 16)] == [1, -2, 2]
+    assert [q_coeff(t4, e) for e in (0, 4, 16)] == [1, -2, 2]
 
 
 def test_theta_big_quotient_equals_direct_sum():
@@ -111,32 +110,41 @@ def test_theta_big_quotient_equals_direct_sum():
 
 
 def test_theta_char_at_half_is_minus_theta2():
-    got = theta_char(1, 1, V_HALF, 6)
-    assert got.agrees_with(-theta_nullwert(2, 6))
+    p, got = theta_char(1, 1, V_HALF, 6)
+    assert p == 2  # i^2 * theta2
+    assert got.agrees_with(theta_nullwert(2, 6))
 
 
 def test_theta_char_origin_is_theta3():
-    got = theta_char(0, 0, V_ZERO, 6)
+    p, got = theta_char(0, 0, V_ZERO, 6)
+    assert p == 0
     assert got.agrees_with(theta_nullwert(3, 6))
 
 
-def test_theta_char_tau_half_leading_term():
-    # oracle: termwise, exponent ((2n+2)^2 - 1)/8 minimised at n = -1,
-    # phase i * (-1)^n there
-    oracle = {}
-    for n in range(-6, 6):
-        e24 = 3 * (2 * n + 1) ** 2 + 6 * (2 * n + 1)
-        ph = (GR_I if n % 2 == 0 else -GR_I)
-        if e24 in oracle:
-            oracle[e24] = oracle[e24] + ph
-        else:
-            oracle[e24] = ph
-    got = theta_char(1, 1, V_TAU_HALF, 4)
-    assert got.val() == -3
-    assert got.coefficient(-3) == -GR_I
-    for e, c in oracle.items():
-        if e < got.prec:
-            assert got.coefficient(e) == c
+def test_theta_char_termwise_phase_oracle():
+    # term n of theta_(a,b)(r + s*tau) is i^((2n+a)(2r+b)) q^(e/24) with
+    # e = 3(2n+a)^2 + 6(2n+a)*2s; its phase is a turn count mod 4, and the
+    # terms of one exponent sum to a Gaussian integer (re, im)
+    units = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^t, t mod 4
+    order = 4
+    for a in (0, 1):
+        for b in (0, 1):
+            for r2 in range(-2, 3):
+                for s2 in range(-3, 4):
+                    p, got = theta_char(a, b, (Fraction(r2, 2), Fraction(s2, 2)), order)
+                    assert p == a * (r2 + b) % 4
+                    assert got.prec == 24 * order
+                    want = {}
+                    for n in range(-30, 30):
+                        m = 2 * n + a
+                        e = 3 * m * m + 6 * s2 * m
+                        if e < got.prec:
+                            re, im = units[m * (r2 + b) % 4]
+                            want_re, want_im = want.get(e, (0, 0))
+                            want[e] = (want_re + re, want_im + im)
+                    for e in set(want) | set(got.support()):
+                        c = got.coefficient(e)
+                        assert want.get(e, (0, 0)) == (units[p][0] * c, units[p][1] * c)
 
 
 def test_theta_char_rejects_deep_denominators():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmock.qseries import GaussRat, Series
+from qmock.qseries import Series
 from qmock.forms import (
     NAMED_FORMS,
     HalfPeriodPoint,
@@ -41,7 +41,7 @@ def test_mu_half_hand_expansion():
     expected = {-3: Fraction(1, 4), 21: Fraction(3, 4),
                 45: Fraction(-7, 4), 69: Fraction(7, 2)}
     for e, c in expected.items():
-        assert mu.coefficient(e) == GaussRat(c)
+        assert mu.coefficient(e) == c
     assert set(mu.support()) <= {-3 + 24 * k for k in range(8)}
 
 
@@ -49,13 +49,7 @@ def test_mu_n0_term_is_half():
     # the n = 0 geometric factor at v = 1/2 is 1/(1+1) = 1/2, visible in
     # the constant of the hand expansion above times the theta inverse
     mu = mu_half_period(V_HALF, 1)
-    assert mu.coefficient(-3) == GaussRat(Fraction(1, 4))
-
-
-def test_mu_specialisations_are_real():
-    for v in (V_HALF, V_ONE_PLUS_TAU_HALF, V_TAU_HALF):
-        mu = mu_half_period(v, 6)
-        mu.assert_real()
+    assert mu.coefficient(-3) == Fraction(1, 4)
 
 
 def test_mu_pole_at_origin():
@@ -80,16 +74,14 @@ def test_h_leading_and_odd_coefficients():
 
 
 def test_h_is_real_integral_positive():
-    h = h_series(8).series
-    assert h.is_real()
     a = a_coefficients(8)
     assert all(isinstance(v, int) and v > 0 for v in a.values())
 
 
 def test_h_over_12_leading_coefficient():
     h12 = h_series(6).series.scale(Fraction(1, 12))
-    assert h12.coefficient(-3) == GaussRat(Fraction(-1, 6))
-    assert h12.coefficient(21) == GaussRat(Fraction(45, 6))
+    assert h12.coefficient(-3) == Fraction(-1, 6)
+    assert h12.coefficient(21) == Fraction(45, 6)
 
 
 def test_h_construction_tag():
@@ -179,7 +171,11 @@ def test_named_series_certify_only_true_coefficients(name, order, unmemoised):
 
 
 @pytest.mark.parametrize("order", range(1, 17))
-@pytest.mark.parametrize("v", [V_HALF, V_ONE_PLUS_TAU_HALF], ids=["half", "onetauhalf"])
+@pytest.mark.parametrize(
+    "v",
+    [V_HALF, V_ONE_PLUS_TAU_HALF, V_TAU_HALF, HalfPeriodPoint(Fraction(1), Fraction(-1, 2))],
+    ids=["half", "onetauhalf", "tauhalf", "one-minustauhalf"],
+)
 def test_elliptic_genus_check_is_zero_to_the_full_order(v, order, unmemoised):
     diff = elliptic_genus_check(v, order)
     assert diff.prec == 24 * order
@@ -188,9 +184,8 @@ def test_elliptic_genus_check_is_zero_to_the_full_order(v, order, unmemoised):
 
 def test_q_plus_minus_h12_denominators_divide_6():
     diff = q_plus_rescaled(6).series - h_series(6).series.scale(Fraction(1, 12))
-    for _, c in zip(diff.support(), (diff.coefficient(e) for e in diff.support())):
-        assert c.im == 0
-        assert 6 % c.re.denominator == 0
+    for e in diff.support():
+        assert 6 % diff.coefficient(e).denominator == 0
 
 
 # ------------------------------------------------------- explicit mock parts
@@ -227,7 +222,7 @@ def test_mock_from_coefficients_linear():
 def test_mock_series_grading_accessor():
     mk = mock_from_coefficients([5, 0, Fraction(2, 3)], 4)
     assert mk.h_coefficient(0) == 5
-    assert mk.h_coefficient(2) == GaussRat(Fraction(2, 3))
+    assert mk.h_coefficient(2) == Fraction(2, 3)
 
 
 # ------------------------------------------------------------ elliptic genus

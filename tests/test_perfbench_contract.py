@@ -1,5 +1,6 @@
-"""The names the benchmark tracer wraps must exist in qmock, and the
-calls the benchmark taps must still be made.
+"""The names the benchmark tracer wraps must exist in qmock, the dense
+view it counts through must keep its shape, and the calls the benchmark
+taps must still be made.
 
 ``perfbench/tracer.py`` rebinds each listed layer function by name, so
 a rename in qmock would only show up as a crash of a traced benchmark
@@ -8,9 +9,11 @@ namespace, so nothing is imported from, or written to, ``perfbench/``.
 """
 
 import importlib
+from fractions import Fraction
 from pathlib import Path
 
 from qmock import uplane
+from qmock.mock import h_series
 from qmock.qseries import Series
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -37,6 +40,23 @@ def test_tracer_series_methods_resolve():
     for attr in tracer["SERIES_METHODS"].values():
         assert attr in Series.__dict__, f"Series.{attr}"
     assert importlib.import_module("qmock.verify").SUITES
+
+
+def test_tracer_counts_through_the_dense_view_match_the_sparse_store():
+    # the tracer reads .re, .im and the truthiness of each entry of the
+    # dense view Series.coeffs
+    tracer = load_tracer()
+    big = Series.monomial(-3, Fraction(-3, 10**40 + 1), prec=24)
+    for s in (Series.zero(48), big, h_series(8).series):
+        support = s.support()
+        coeffs = [s.coefficient(e) for e in support]
+        bits = max(
+            (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs),
+            default=0,
+        )
+        assert tracer["_nnz"](s) == len(support)
+        assert tracer["_nnz_bits"](s) == (len(support), bits)
+    assert tracer["_nnz_bits"](big) == (1, 133)  # 10^40 needs 133 bits
 
 
 def test_generating_function_calls_each_route_once_per_pair(monkeypatch):

@@ -3,50 +3,22 @@
 import json
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmock.qseries import (
-    GR_I,
-    GR_ONE,
-    GR_ZERO,
-    GaussRat,
     InsufficientPrecision,
     LatticeError,
-    NonRealCoefficient,
     NotInvertible,
+    QSeriesError,
     Series,
 )
 
 
 def S(pairs, prec):
     return Series.from_pairs(pairs, prec=prec)
-
-
-# ----------------------------------------------------------------- GaussRat
-
-
-def test_gaussrat_field_ops():
-    a = GaussRat(Fraction(1, 2), Fraction(3, 4))
-    b = GaussRat(Fraction(-2, 3), Fraction(1, 6))
-    assert a + b == GaussRat(Fraction(-1, 6), Fraction(11, 12))
-    assert a * b == GaussRat(Fraction(1, 2) * Fraction(-2, 3) - Fraction(3, 4) * Fraction(1, 6),
-                             Fraction(1, 2) * Fraction(1, 6) + Fraction(3, 4) * Fraction(-2, 3))
-    assert (a / b) * b == a
-    assert GR_I * GR_I == GaussRat(-1)
-
-
-def test_gaussrat_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        GR_ONE / GR_ZERO
-
-
-def test_gaussrat_lowest_terms():
-    x = GaussRat(Fraction(2, 4), Fraction(6, 8))
-    assert x.re == Fraction(1, 2) and x.im == Fraction(3, 4)
 
 
 # ---------------------------------------------------------------- add / mul
@@ -130,7 +102,7 @@ def test_invert_with_prefactor():
     inv = s.invert()
     assert inv.val() == -3
     for k in range(5):
-        assert inv.coefficient(-3 + 24 * k) == GaussRat(Fraction((-1) ** k, 2))
+        assert inv.coefficient(-3 + 24 * k) == Fraction((-1) ** k, 2)
 
 
 def test_invert_rejects_zero():
@@ -184,7 +156,7 @@ def test_pow_negative_requires_invertible():
 def test_q_derive_monomial():
     m = Series.monomial(-3, 1, prec=24)
     d = m.q_derive()
-    assert d.coefficient(-3) == GaussRat(Fraction(-1, 8))
+    assert d.coefficient(-3) == Fraction(-1, 8)
     assert Series.monomial(0, 5, prec=24).q_derive().is_zero()
 
 
@@ -218,7 +190,7 @@ def test_rescale_roundtrip():
         pairs = [(24 * rng.randint(-2, 4), rng.randint(-5, 5)) for _ in range(4)]
         s = Series.from_pairs(pairs, prec=24 * 6)
         back = s.rescale_exponents(k, 1).rescale_exponents(1, k)
-        assert back == s.normalized()
+        assert back == s
 
 
 def test_sieve():
@@ -247,14 +219,6 @@ def test_coefficient_bounds():
     assert exc.value.needed == 49
 
 
-def test_assert_real():
-    s = S([(0, 1), (24, 2)], 48)
-    r = s.assert_real()
-    assert r.coeffs == s.coeffs
-    with pytest.raises(NonRealCoefficient):
-        Series.monomial(24, GR_I, prec=48).assert_real()
-
-
 # ---------------------------------------------------------------- ring laws
 
 
@@ -262,11 +226,10 @@ def test_assert_real():
 def small_series(draw):
     min_exp = draw(st.integers(-4, 4)) * 12
     length = draw(st.integers(1, 6))
-    coeffs = []
-    for _ in range(length):
-        re = Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2, 3])))
-        im = Fraction(draw(st.integers(-2, 2)), 1) if draw(st.booleans()) else Fraction(0)
-        coeffs.append(GaussRat(re, im))
+    coeffs = [
+        Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2, 3])))
+        for _ in range(length)
+    ]
     return Series(min_exp, coeffs, min_exp + length)
 
 
@@ -310,14 +273,14 @@ def test_no_coefficient_beyond_prec(s):
 
 def test_canonical_zero_equality():
     assert S([], 48) == Series.zero(48)
-    assert Series(0, (GR_ZERO,) * 48, 48) == Series(-24, (GR_ZERO,) * 72, 48)
+    assert Series(0, (0,) * 48, 48) == Series(-24, (0,) * 72, 48)
 
 
 # -------------------------------------------------------------- wire format
 
 
 def test_json_roundtrip_bit_faithful():
-    s = S([(-3, Fraction(1, 2)), (21, GaussRat(Fraction(-7, 3), Fraction(2, 5)))], 45)
+    s = S([(-3, Fraction(1, 2)), (21, Fraction(-7, 3))], 45)
     text = json.dumps(s.to_json_obj())
     back = Series.from_json_obj(json.loads(text))
     assert back.min_exp == s.min_exp
@@ -332,21 +295,29 @@ def test_json_rejects_wrong_lattice():
         Series.from_json_obj(obj)
 
 
+def test_json_rejects_nonzero_imaginary_part():
+    obj = Series.monomial(-3, 5, prec=24).to_json_obj()
+    assert obj["coeffs"][0] == ["5", "1", "0", "1"]
+    obj["coeffs"][0] = ["5", "1", "-2", "3"]
+    with pytest.raises(QSeriesError, match=r"entry 0 \(lattice exponent -3\).*-2/3"):
+        Series.from_json_obj(obj)
+
+
 def test_json_strings_survive_big_integers():
     big = 10**40 + 7
     s = Series.monomial(0, Fraction(big, big + 2), prec=24)
     back = Series.from_json_obj(json.loads(json.dumps(s.to_json_obj())))
-    assert back.coefficient(0).re == Fraction(big, big + 2)
+    assert back.coefficient(0) == Fraction(big, big + 2)
 
 
 # ------------------------------------------------- dense reference kernel
 #
-# The dense GaussRat multiply and inverse that the sparse integer kernel
+# The dense Fraction multiply and inverse that the sparse integer kernel
 # replaced, kept over the dense view ``coeffs`` as a differential oracle.
 
 
 def _dense_nonzero(s):
-    return [(s.min_exp + k, c) for k, c in enumerate(s.coeffs) if c]
+    return [(s.min_exp + k, c.re) for k, c in enumerate(s.coeffs) if c]
 
 
 def _dense_val(s):
@@ -365,31 +336,13 @@ def dense_mul(a, b):
     n = prec - lo
     az = _dense_nonzero(a)
     bz = _dense_nonzero(b)
-    if len(az) > len(bz):
-        az, bz = bz, az
-    bz_parts = [(e, c.re, c.im) for e, c in bz]
-    re_acc = [Fraction(0)] * n
-    im_acc = [Fraction(0)] * n
+    acc = [Fraction(0)] * n
     for ea_, ca in az:
-        base = ea_ - lo
-        car, cai = ca.re, ca.im
-        if cai:
-            for eb_, cbr, cbi in bz_parts:
-                k = base + eb_
-                if k >= n:
-                    break
-                re_acc[k] += car * cbr - cai * cbi
-                im_acc[k] += car * cbi + cai * cbr
-        else:
-            for eb_, cbr, cbi in bz_parts:
-                k = base + eb_
-                if k >= n:
-                    break
-                if cbr:
-                    re_acc[k] += car * cbr
-                if cbi:
-                    im_acc[k] += car * cbi
-    return Series(lo, tuple(GaussRat(r, i) for r, i in zip(re_acc, im_acc)), prec)
+        for eb_, cb in bz:
+            k = ea_ + eb_ - lo
+            if k < n:
+                acc[k] += ca * cb
+    return Series(lo, acc, prec)
 
 
 def dense_invert(s):
@@ -397,50 +350,28 @@ def dense_invert(s):
     if not nz:
         raise NotInvertible("series has no determined nonzero coefficient")
     v, lead = nz[0]
-    rel = [(e - v, c) for e, c in nz]
     length = s.prec - v
-    lead_inv = GR_ONE / lead
-    if len(rel) == 1:
-        return Series.monomial(-v, lead_inv, prec=s.prec - 2 * v)
-    g = 0
-    for e, _ in rel[1:]:
-        g = gcd(g, e)
-    tail = rel[1:]
-    b = {0: lead_inv}
-    for k in range(g, length, g):
-        acc = None
-        for e, c in tail:
-            if e > k:
-                break
-            prev = b.get(k - e)
-            if prev is not None:
-                term = c * prev
-                acc = term if acc is None else acc + term
-        if acc is not None and acc:
-            b[k] = -lead_inv * acc if lead_inv != GR_ONE else -acc
-    coeffs = [GR_ZERO] * length
-    for k, c in b.items():
-        coeffs[k] = c
-    return Series(-v, coeffs, s.prec - 2 * v)
+    tail = [(e - v, c) for e, c in nz[1:]]
+    b = [Fraction(0)] * length
+    b[0] = 1 / lead
+    for k in range(1, length):
+        b[k] = -sum((c * b[k - e] for e, c in tail if e <= k), Fraction(0)) / lead
+    return Series(-v, b, s.prec - 2 * v)
 
 
 @st.composite
 def oracle_series(draw):
-    """Dense series with Gaussian-rational coefficients over denominators
-    1, 2 and 3, leading zeros, nonzero terms on a progression (so that
+    """Dense series with rational coefficients over denominators 1, 2
+    and 3, leading zeros, nonzero terms on a progression (so that
     inversion runs on a coarser step), and the zero series."""
     min_exp = draw(st.integers(-30, 30))
     lead_zeros = draw(st.integers(0, 3))
     length = draw(st.integers(0, 14))
     step = draw(st.sampled_from([1, 2, 3, 8]))
-    imaginary = draw(st.booleans())
     part = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
-    coeffs = [GR_ZERO] * lead_zeros
+    coeffs = [Fraction(0)] * lead_zeros
     for k in range(length):
-        if k % step:
-            coeffs.append(GR_ZERO)
-        else:
-            coeffs.append(GaussRat(draw(part), draw(part) if imaginary else 0))
+        coeffs.append(draw(part) if k % step == 0 else Fraction(0))
     return Series(min_exp, coeffs, min_exp + len(coeffs))
 
 
