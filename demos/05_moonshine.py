@@ -3,8 +3,8 @@
 The first five coefficients are themselves dimensions of irreducible
 representations of the Mathieu group M24; the next two are small sums
 of dimensions.  The search machinery is exact and deterministic:
-subset witnesses come from a meet-in-the-middle scan, counts from a
-bounded-multiplicity dynamic program.
+subset witnesses come from a meet-in-the-middle scan of two integer
+subset-sum tables, counts from a bounded-multiplicity dynamic program.
 """
 
 from qmock import M24_DIMENSIONS, a_coefficients, decompose_bounded, decompose_distinct

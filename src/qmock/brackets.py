@@ -14,10 +14,13 @@ progression.
 Every bracket comes from one ladder.  With U_j = scale^(-j) (q d/dq)^j M
 * E2^(-j), the bracket is E^k[M] = E2^k * sum_j c_{k,j} U_j, so all
 brackets of orders 0..K cost O(K) products (E2^(-j), U_j and E2^k, each
-one product up from the last) plus cheap scalar sums, where bracketing
-each k on its own costs O(K^2).  ``bracket_hat``'s prefactor climbs the
-same way, by one (Theta2 Theta3)^(-2) per k.  ``cohen_bracket`` and
-``bracket_hat`` are the top rung of a ladder.
+one product up from the last), where bracketing each k on its own costs
+O(K^2).  Each rung's sum is one integer linear combination
+(``Series.combine``): over the ladder's common denominator
+L = (2K-1)!!, c_{k,j} = (-1)^j C(k,j) N_j / L with integers N_j = a_j L
+from a_j = a_(j-1) * 24/(2j-1), a_0 = 1.  ``bracket_hat``'s prefactor
+climbs the same way as E2^k, by one (Theta2 Theta3)^(-2) per k.
+``cohen_bracket`` and ``bracket_hat`` are the top rung of a ladder.
 
 Precision follows the rules in ``qseries``: E2 is built to the operand's
 prec - val and has valuation 0, so E2^(-1) is certified as far as E2 and
@@ -29,7 +32,7 @@ from collections import deque
 from fractions import Fraction
 from math import comb
 
-from .qseries import q_order
+from .qseries import Series, q_order
 from .forms import eisenstein_e2, eta, theta_big
 
 
@@ -42,16 +45,28 @@ def double_factorial(m):
     return out
 
 
+def _gamma_weights(k_max):
+    """Integers N_0..N_k_max and L = (2 k_max - 1)!! with a_j = N_j / L,
+    where a_j = (Gamma(1/2)/Gamma(1/2+j)) 12^j = 24^j/(2j-1)!! climbs by
+    a_j = a_(j-1) * 24/(2j-1) from a_0 = 1."""
+    big = double_factorial(2 * k_max - 1)
+    weights = [big]
+    for j in range(1, k_max + 1):
+        weights.append(weights[-1] * 24 // (2 * j - 1))  # exact: 2j-1 divides L/(2j-3)!!
+    return weights, big
+
+
+def _row(k, weights):
+    """(-1)^j C(k,j) N_j for j = 0..k: row k of the bracket over L."""
+    return [(-1) ** j * comb(k, j) * weights[j] for j in range(k + 1)]
+
+
 def bracket_coefficients(k):
     """The exact rationals c_{k,j} = (-1)^j C(k,j) (2^j/(2j-1)!!) 4^j 3^j."""
     if k < 0:
         raise ValueError("bracket order k must be nonnegative")
-    terms = []
-    for j in range(k + 1):
-        gamma_ratio = Fraction(2**j, double_factorial(2 * j - 1))
-        c = Fraction((-1) ** j * comb(k, j)) * gamma_ratio * 4**j * 3**j
-        terms.append((j, c))
-    return tuple(terms)
+    weights, big = _gamma_weights(k)
+    return tuple((j, Fraction(c, big)) for j, c in enumerate(_row(k, weights)))
 
 
 def bracket_ladder(m_series, k_max, scale=1):
@@ -77,15 +92,13 @@ def bracket_ladder(m_series, k_max, scale=1):
         deriv = deriv.q_derive().scale(inv_scale)
         e2_inv_j = e2_inv if j == 1 else e2_inv_j * e2_inv
         u.append(deriv * e2_inv_j)
-    for k in range(k_max + 1):
-        total = None
-        for j, c in bracket_coefficients(k):
-            term = u[j].scale(c)
-            total = term if total is None else total + term
-        if k:
-            e2_k = e2 if k == 1 else e2_k * e2
-            total = e2_k * total
-        yield total
+    yield m_series
+    weights, big = _gamma_weights(k_max)
+    e2_k = e2
+    for k in range(1, k_max + 1):
+        if k > 1:
+            e2_k = e2_k * e2
+        yield e2_k * Series.combine(zip(_row(k, weights), u), big)
 
 
 def bracket_hat_ladder(m8, k_max):

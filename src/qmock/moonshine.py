@@ -6,6 +6,13 @@ scope.  Witnesses are multiplicity vectors over the 26 dimensions in
 nondecreasing order (repeated dimensions are distinct slots), and ties
 are broken by the lexicographically smallest vector, which makes every
 output deterministic.
+
+Subset witnesses come from a meet-in-the-middle search (Horowitz-Sahni)
+over the subset-sum tables of the two halves of the dimension list: plain
+integer lists built by doubling, indexed by subset mask, so only the
+winning pair of masks is turned into a multiplicity vector.  Counts come
+from a bounded-multiplicity dynamic program that drops every state whose
+remaining target exceeds what the remaining slots can reach.
 """
 
 from dataclasses import dataclass
@@ -37,36 +44,39 @@ class DecompositionWitness:
         return sum(m * d for m, d in zip(self.multiplicities, dimensions))
 
 
-def _half_subsets(dims):
-    """All subsets of one half as (lex-ordered multiplicity tuple, sum)."""
-    n = len(dims)
-    out = []
-    for mask in range(1 << n):
-        # bit i (from the most significant) is the multiplicity of dims[i],
-        # so ascending mask order is ascending lexicographic order
-        vec = tuple((mask >> (n - 1 - i)) & 1 for i in range(n))
-        out.append((vec, sum(v * d for v, d in zip(vec, dims))))
-    return out
+def _subset_sums(dims):
+    """Subset sums of ``dims`` by doubling: ``sums[mask]`` is the sum of the
+    subset whose bit i, counted from the most significant of len(dims)
+    bits, selects dims[i], so ascending masks are ascending lex order."""
+    sums = [0]
+    for d in reversed(dims):
+        sums += [s + d for s in sums]
+    return sums
+
+
+def _bits(mask, width):
+    """The multiplicity tuple of a subset mask, most significant bit first."""
+    return tuple((mask >> (width - 1 - i)) & 1 for i in range(width))
 
 
 def decompose_distinct(target, dimensions=M24_DIMENSIONS):
     """A subset of the dimensions summing to ``target``, or None.
 
-    Meet-in-the-middle over the two 13-element halves; among all
-    witnesses the lexicographically smallest multiplicity vector is
-    returned (zeros preferred in early slots, i.e. larger parts win).
+    Meet-in-the-middle (Horowitz-Sahni) over the subset-sum tables of the
+    two 13-element halves; among all witnesses the lexicographically
+    smallest multiplicity vector is returned (zeros preferred in early
+    slots, i.e. larger parts win).
     """
     half = len(dimensions) // 2
-    left = dimensions[:half]
-    right = dimensions[half:]
-    best_right = {}
-    for vec, s in _half_subsets(right):  # ascending lex: first seen is smallest
-        if s not in best_right:
-            best_right[s] = vec
-    for vec, s in _half_subsets(left):
+    width = len(dimensions) - half
+    left = _subset_sums(dimensions[:half])
+    right = _subset_sums(dimensions[half:])
+    # inserting masks in descending order leaves each sum's smallest mask
+    best_right = dict(zip(reversed(right), reversed(range(len(right)))))
+    for mask, s in enumerate(left):
         rest = best_right.get(target - s)
         if rest is not None:
-            return DecompositionWitness(vec + rest)
+            return DecompositionWitness(_bits(mask, half) + _bits(rest, width))
     return None
 
 
@@ -77,12 +87,15 @@ def decompose_bounded(target, multiplicity_cap, max_witnesses=4,
     if target < 0:
         return 0, []
     n = len(dimensions)
+    reach = [0] * (n + 1)  # reach[i]: the most that slots i.. can add up to
+    for i in range(n - 1, -1, -1):
+        reach[i] = reach[i + 1] + multiplicity_cap * dimensions[i]
 
     @lru_cache(maxsize=None)
     def ways(i, remaining):
         if remaining == 0 and i == n:
             return 1
-        if i == n or remaining < 0:
+        if i == n or remaining < 0 or remaining > reach[i]:
             return 0
         d = dimensions[i]
         return sum(

@@ -329,6 +329,31 @@ class Series:
             self._den * c.denominator,
         )
 
+    @staticmethod
+    def combine(pairs, den=1):
+        """(sum_i c_i * s_i) / den over (integer c_i, Series s_i) pairs, in
+        one pass over the numerators with one common denominator.
+
+        Equal to chaining ``scale`` and ``__add__``: certified below the
+        smallest prec, and starting at the smallest min_exp among the
+        nonzero weights (capped at that prec).
+        """
+        if den < 1:
+            raise ValueError("the common denominator must be a positive integer")
+        pairs = list(pairs)
+        prec = min(s.prec for _, s in pairs)
+        live = [(c, s) for c, s in pairs if c]
+        lo = min([prec] + [s.min_exp for _, s in live])
+        common = lcm(*(s._den for _, s in live))
+        acc = {}
+        get = acc.get
+        for c, s in live:
+            f = c * (common // s._den)
+            for e, x in zip(s._exps[: bisect_left(s._exps, prec)], s._nums):
+                acc[e] = get(e, 0) + x * f
+        exps = sorted(acc)
+        return _pack(lo, prec, exps, [acc[e] for e in exps], common * den)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)

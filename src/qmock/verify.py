@@ -18,6 +18,7 @@ from .qseries import LATTICE_DEN, Series, q_order
 from .forms import (
     V_HALF,
     V_ONE_PLUS_TAU_HALF,
+    V_TAU_HALF,
     V_ZERO,
     eta,
     theta_big,
@@ -335,7 +336,14 @@ def check_hk_reduction(k_max=4, order=32):
 def check_genus(order=64):
     prec = LATTICE_DEN * order
     bad = []
-    for v, label in ((V_HALF, "z=1/2"), (V_ONE_PLUS_TAU_HALF, "z=(1+tau)/2")):
+    # tau/2 is the half-period where theta_1's quarter-turn count is odd,
+    # so it is the one that sees the sign (i^p)^2 = (-1)^p on theta_1^2
+    points = (
+        (V_HALF, "z=1/2"),
+        (V_TAU_HALF, "z=tau/2"),
+        (V_ONE_PLUS_TAU_HALF, "z=(1+tau)/2"),
+    )
+    for v, label in points:
         if not _agree_to(prec, elliptic_genus_check(v, order), Series.zero(prec)):
             bad.append(label)
     z0 = elliptic_genus_theta(V_ZERO, order)

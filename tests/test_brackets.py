@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from qmock.qseries import Series
 from qmock.forms import eisenstein_e2
@@ -32,6 +33,19 @@ def test_coefficients_small_k():
         (1, Fraction(-48)),
         (2, Fraction(192)),
     )
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_rows_match_gamma_function(k):
+    # (-1)^j C(k,j) Gamma(1/2)/Gamma(1/2+j) 12^j with the Gamma ratio
+    # evaluated exactly by sympy, independently of the weight recurrence
+    half = sympy.Rational(1, 2)
+    row = bracket_coefficients(k)
+    assert [j for j, _ in row] == list(range(k + 1))
+    for j, c in row:
+        want = (-1) ** j * sympy.binomial(k, j) * sympy.gamma(half) / sympy.gamma(half + j) * 12**j
+        assert want.is_Rational
+        assert c == Fraction(int(want.p), int(want.q))
 
 
 def test_gamma_ratio_matches_recurrence():

@@ -2,6 +2,9 @@
 
 from itertools import combinations
 
+import pytest
+
+from qmock.mock import a_coefficients
 from qmock.moonshine import (
     A6_PARTS,
     A7_PARTS,
@@ -38,22 +41,62 @@ def test_small_targets():
     assert decompose_distinct(0).dims() == ()
 
 
-def test_witness_is_lexicographically_smallest():
-    # brute force over a 12-dimension prefix, where 2^12 subsets are cheap
-    dims = M24_DIMENSIONS[:12]
-    for target in (24, 276, 1035, 700):
+def brute_force_lex_smallest(target, dims):
+    best = None
+    for r in range(len(dims) + 1):
+        for combo in combinations(range(len(dims)), r):
+            if sum(dims[i] for i in combo) == target:
+                vec = tuple(1 if i in combo else 0 for i in range(len(dims)))
+                if best is None or vec < best:
+                    best = vec
+    return best
+
+
+def assert_lex_smallest(dims, targets):
+    for target in targets:
         got = decompose_distinct(target, dims)
-        best = None
-        for r in range(len(dims) + 1):
-            for combo in combinations(range(len(dims)), r):
-                if sum(dims[i] for i in combo) == target:
-                    vec = tuple(1 if i in combo else 0 for i in range(len(dims)))
-                    if best is None or vec < best:
-                        best = vec
+        best = brute_force_lex_smallest(target, dims)
         if best is None:
             assert got is None
         else:
             assert got is not None and got.multiplicities == best
+
+
+def test_witness_is_lexicographically_smallest():
+    # brute force over a 12-dimension prefix, where 2^12 subsets are cheap
+    assert_lex_smallest(M24_DIMENSIONS[:12], (24, 276, 1035, 700))
+
+
+def test_witness_is_lexicographically_smallest_unequal_halves():
+    # a 13-dimension prefix splits into halves of widths 6 and 7
+    assert_lex_smallest(M24_DIMENSIONS[:13], (24, 276, 1035, 700, 2070, 4000, 5000))
+
+
+def test_empty_dimension_tuple():
+    assert decompose_distinct(0, ()).multiplicities == ()
+    assert decompose_distinct(1, ()) is None
+
+
+def _first_bounded_witness(target):
+    _, witnesses = decompose_bounded(target, 1, max_witnesses=1)
+    return witnesses[0].multiplicities if witnesses else ()
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [
+        [a for n, a in sorted(a_coefficients(10).items()) if 1 <= n <= 10],
+        [sum(M24_DIMENSIONS) + d for d in (-1, 0, 1)],
+        list(range(0, 1201, 37)),
+    ],
+    ids=["A1-A10", "total-dimension", "stride-0-1200"],
+)
+def test_distinct_matches_first_bounded_witness(targets):
+    # the subset-sum search against the exhaustive cap-1 walk, which
+    # yields witnesses in lex order: both give the lex-smallest subset
+    for target in targets:
+        got = decompose_distinct(target)
+        assert (got.multiplicities if got else ()) == _first_bounded_witness(target)
 
 
 def test_bounded_count_and_witnesses():

@@ -276,6 +276,58 @@ def test_canonical_zero_equality():
     assert Series(0, (0,) * 48, 48) == Series(-24, (0,) * 72, 48)
 
 
+# ------------------------------------------------------------------ combine
+
+
+def chained_combination(pairs, den):
+    total = None
+    for c, s in pairs:
+        term = s.scale(Fraction(c, den))
+        total = term if total is None else total + term
+    return total
+
+
+def assert_same_combination(pairs, den):
+    got = Series.combine(pairs, den)
+    want = chained_combination(pairs, den)
+    assert got.to_json_obj() == want.to_json_obj()
+    assert (got.prec, got.min_exp) == (want.prec, want.min_exp)
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-6, 6), small_series()), min_size=1, max_size=5),
+    st.integers(1, 12),
+)
+def test_combine_matches_chained_scale_and_add(pairs, den):
+    assert_same_combination(pairs, den)
+
+
+def test_combine_edge_cases():
+    a = S([(-24, Fraction(1, 3)), (0, 2), (48, Fraction(-5, 2))], 96)
+    b = S([(-48, 7), (24, Fraction(1, 5))], 48)  # shorter prec, lower min_exp
+    z = Series.zero(72)
+    cases = [
+        ([(3, a)], 1),
+        ([(1, a)], 1),  # a unit weight leaves the prec untouched
+        ([(0, a)], 4),  # a lone zero weight is zero at a's prec
+        ([(2, a), (-5, b)], 3),  # unequal prec: b's bounds the sum
+        ([(0, b), (2, a)], 7),  # a zero weight still caps the prec ...
+        ([(0, b), (0, z)], 1),  # ... and nothing but the prec survives
+        ([(4, z), (1, a)], 2),  # the zero series with a nonzero weight
+        ([(3, a), (-3, a)], 5),  # cancellation to zero
+    ]
+    for pairs, den in cases:
+        assert_same_combination(pairs, den)
+    assert Series.combine([(0, b), (2, a)], 7).min_exp == -24
+
+
+def test_combine_rejects_nonpositive_denominator():
+    with pytest.raises(ValueError):
+        Series.combine([(1, Series.one(24))], 0)
+
+
 # -------------------------------------------------------------- wire format
 
 
