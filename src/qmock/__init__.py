@@ -6,7 +6,7 @@ The public surface, by layer:
 * qseries  - Series: the exact Laurent-series ring over the rationals
 * forms    - eta quotients, theta functions (phases as quarter-turn
              counts), E2, E*, Z0hat
-* mock     - Appell-Lerch mu, H(tau), the Q+ series, elliptic genus
+* mock     - Appell-Lerch mu, H(tau), Q+ (all plain Series), elliptic genus
 * brackets - the E2-corrected weight-raising derivative
 * uplane   - the constant-term functional and the invariant tables
 * moonshine- M24 dimension decompositions of the H coefficients
@@ -33,7 +33,6 @@ from .forms import (
     z0_hat,
 )
 from .mock import (
-    MockSeries,
     PoleAtArgument,
     a_coefficients,
     elliptic_genus_check,

@@ -5,10 +5,10 @@ at the three half-periods 1/2, (1+tau)/2, tau/2; its coefficient table
 is never used as an input, only as a test oracle.  The companion series
 Q+(tau) is assembled from sieved eta quotients and a mock theta sum, and
 Q+(tau/8) - H(tau)/12 spans the kernel of the constant-term functional
-in the invariant layer.
+in the invariant layer.  Every mock here, H, Q+ and the explicit mocks
+that probe the functional, is a plain ``Series``.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .qseries import LATTICE_DEN, QSeriesError, Series, order_memo, q_order
@@ -29,22 +29,6 @@ from .forms import (
 
 class PoleAtArgument(QSeriesError):
     """mu(z; tau) or 1/theta_1(z|tau) evaluated at a lattice point z."""
-
-
-@dataclass(frozen=True)
-class MockSeries:
-    """A mock-modular holomorphic part together with how it was built."""
-
-    series: Series
-    construction: str  # "mu_sum" | "qplus_assembly" | "explicit"
-
-    def h_coefficient(self, k):
-        """Coefficient of q^(-1/8 + k/2), the k-th graded coefficient."""
-        return self.series.coefficient(-3 + 12 * k)
-
-    def truncate(self, prec):
-        """The same mock certified only below ``prec`` lattice units."""
-        return MockSeries(self.series.truncate(prec), self.construction)
 
 
 @order_memo
@@ -123,12 +107,12 @@ def h_series(order):
     for e in h.support():
         if h.coefficient(e).denominator != 1:
             raise QSeriesError(f"H(tau) coefficient at lattice {e} is not an integer")
-    return MockSeries(h, "mu_sum")
+    return h
 
 
 def a_coefficients(order):
     """The integers A_n with H = 2 q^(-1/8) (-1 + sum A_n q^n), n <= order."""
-    h = h_series(order).series
+    h = h_series(order)
     out = {}
     for n in range(1, order + 1):
         c = h.coefficient(-3 + 24 * n)
@@ -175,13 +159,12 @@ def q_plus(order):
         + modular_b(work).scale(Fraction(-1, 2))
         + mock_theta_m(work).scale(4)
     )
-    return MockSeries(s.truncate(prec), "qplus_assembly")
+    return s.truncate(prec)
 
 
 def q_plus_rescaled(order):
     """Q+(tau/8) = q^(-1/8)(1 + 28 q^(1/2) + 39 q + ...)."""
-    base = q_plus(8 * order)
-    return MockSeries(base.series.rescale_exponents(1, 8), "qplus_assembly")
+    return q_plus(8 * order).rescale_exponents(1, 8)
 
 
 def mock_from_coefficients(h_values, order):
@@ -191,7 +174,7 @@ def mock_from_coefficients(h_values, order):
     by column; the construction is linear in h_values.
     """
     pairs = [(-3 + 12 * k, Fraction(hk)) for k, hk in enumerate(h_values)]
-    return MockSeries(Series.from_pairs(pairs, prec=LATTICE_DEN * order), "explicit")
+    return Series.from_pairs(pairs, prec=LATTICE_DEN * order)
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +208,7 @@ def elliptic_genus_mock(v, order):
     # theta_1^2 / eta^3 has valuation 2*v_t1 - 3, exactly
     v_t1 = theta_char_val(1, v)
     s_order = q_order(prec - 2 * v_t1 + 3)
-    s = mu_half_period(v, s_order).scale(24) + h_series(s_order).series
+    s = mu_half_period(v, s_order).scale(24) + h_series(s_order)
     v_s = s.prec if s.is_zero() else s.val()
     p, t1 = theta_char(1, 1, v, q_order(prec - v_t1 + 3 - v_s))
     eta3 = eta(1, q_order(prec - 2 * v_t1 + 4 - v_s)).pow_int(3)
@@ -239,9 +222,9 @@ def elliptic_genus_check(v, order):
 
 
 NAMED_MOCKS = {
-    "H": lambda order: h_series(order).series,
-    "Qplus": lambda order: q_plus(order).series,
-    "QplusTau8": lambda order: q_plus_rescaled(order).series,
+    "H": h_series,
+    "Qplus": q_plus,
+    "QplusTau8": q_plus_rescaled,
     "mu:half": lambda order: mu_half_period(V_HALF, order),
     "mu:tauhalf": lambda order: mu_half_period(V_TAU_HALF, order),
     "mu:onetauhalf": lambda order: mu_half_period(V_ONE_PLUS_TAU_HALF, order),

@@ -283,28 +283,14 @@ class Series:
     # ring operations
 
     def __neg__(self):
-        return _series(
-            self.min_exp, self.prec, self._exps, [-x for x in self._nums], self._den
-        )
+        return Series.combine([(-1, self)])
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Series.monomial(0, other, prec=self.prec)
         if not isinstance(other, Series):
             return NotImplemented
-        prec = min(self.prec, other.prec)
-        lo = min(self.min_exp, other.min_exp, prec)
-        den = lcm(self._den, other._den)
-        na = bisect_left(self._exps, prec)
-        nb = bisect_left(other._exps, prec)
-        exps = sorted(set(self._exps[:na]).union(other._exps[:nb]))
-        slot = {e: k for k, e in enumerate(exps)}
-        nums = [0] * len(exps)
-        for s, n in ((self, na), (other, nb)):
-            f = den // s._den
-            for e, x in zip(s._exps[:n], s._nums):
-                nums[slot[e]] += x * f
-        return _pack(lo, prec, exps, nums, den)
+        return Series.combine([(1, self), (1, other)])
 
     __radd__ = __add__
 
@@ -317,26 +303,17 @@ class Series:
     def scale(self, c):
         """Multiply every coefficient by the scalar c."""
         c = _rational(c)
-        if not c:
-            return Series.zero(self.prec)
-        if c == 1:
-            return self
-        return _pack(
-            self.min_exp,
-            self.prec,
-            self._exps,
-            [x * c.numerator for x in self._nums],
-            self._den * c.denominator,
-        )
+        return self if c == 1 else Series.combine([(c.numerator, self)], c.denominator)
 
     @staticmethod
     def combine(pairs, den=1):
         """(sum_i c_i * s_i) / den over (integer c_i, Series s_i) pairs, in
         one pass over the numerators with one common denominator.
 
-        Equal to chaining ``scale`` and ``__add__``: certified below the
-        smallest prec, and starting at the smallest min_exp among the
-        nonzero weights (capped at that prec).
+        The one linear-combination kernel: ``+``, ``-`` and ``scale`` are
+        thin calls to it.  The result is certified below the smallest
+        prec, and starts at the smallest min_exp among the nonzero
+        weights (capped at that prec).
         """
         if den < 1:
             raise ValueError("the common denominator must be a positive integer")
@@ -601,12 +578,13 @@ def order_memo(fn):
     """Memoise ``fn(*key, order)`` by the largest order computed so far.
 
     ``order`` (in q-units) is the last positional argument and the key
-    is everything before it.  Each key keeps only its largest-order
-    result, which must have a ``truncate``; a smaller positive order is
-    served as ``stored.truncate(LATTICE_DEN * order)``, the certified
-    prefix it asks for.  An entry is replaced only by a larger order, so
-    concurrent callers can at worst compute the same result twice.
-    Orders <= 0 bypass the memo, so their error and pole paths still run.
+    is everything before it, and the result is always a ``Series``.
+    Each key keeps only its largest-order result; a smaller positive
+    order is served as ``stored.truncate(LATTICE_DEN * order)``, the
+    certified prefix it asks for.  An entry is replaced only by a
+    larger order, so concurrent callers can at worst compute the same
+    result twice.  Orders <= 0 bypass the memo, so their error and pole
+    paths still run.
     """
     best = {}  # key -> (order, result)
     store = Lock()  # held only to compare and replace, never around fn

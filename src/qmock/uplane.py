@@ -4,7 +4,8 @@ Two independent evaluation routes are first-class.  In both, term k of
 Phi_{m,2n} is a constant term whose series depends only on the degree
 t = m+n and on k; only the scalar weights depend on (m, n):
 
-* route A works in the tau variable: c^A_{t,k} is the constant term of
+* route A works in the tau variable on a mock M+ (a plain Series):
+  c^A_{t,k} is the constant term of
   theta4^9 (theta2^4+theta3^4)^(t-k) (theta2 theta3)^(-(2t+3)) * E^k[M+],
   and the functional D_{m,2n}[M+] = -2 (2n)!/(n! 6^n) sum_k (-1)^k C(n,k) c^A_{t,k};
 
@@ -15,7 +16,8 @@ t = m+n and on k; only the scalar weights depend on (m, n):
   (T equals -1/2 * q d/dq Z0hat; the two routes balance with T as the factor.)
 
 So each route builds its vector c_t = (c_{t,0}, ..., c_{t,t}) once per
-degree, with the prefactor powers and the brackets climbing one product
+degree (``vector_a`` and ``vector_b`` each cache the degree asked for
+last), with the prefactor powers and the brackets climbing one product
 per k (``brackets.bracket_ladder``), and every Phi of degree t is a
 weighted sum of its first n+1 entries.  The routes' weights differ by
 3 * 2^(2t+5), so they agree on every pair of degree t exactly when
@@ -34,6 +36,7 @@ R = 48(t+2) + 1, T and Z0hat are built to R - 48 and H(8tau) to R - 24
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .qseries import (
     LATTICE_DEN,
@@ -43,7 +46,7 @@ from .qseries import (
     q_order,
 )
 from .forms import eta, theta_big, theta_nullwert, z0_hat
-from .mock import MockSeries, h_series, mock_from_coefficients, q_plus, q_plus_rescaled
+from .mock import h_series, mock_from_coefficients, q_plus, q_plus_rescaled
 from .brackets import bracket_hat, bracket_hat_ladder, bracket_ladder
 
 ROUTE_QPLUS = "QplusTau8"
@@ -117,12 +120,11 @@ def functional_vector(mplus, t, k_max):
     """Route A's constant terms c_{t,k}[M+], k = 0..k_max, of degree t:
     c_{t,k} = CT[theta4^9 S^(t-k) (theta2 theta3)^(-(2t+3)) E^k[M+]] with
     S = theta2^4 + theta3^4.  M+ must meet ``required_mock_prec``."""
-    series = mplus.series if isinstance(mplus, MockSeries) else mplus
     a = 2 * t + 3
     # the constant term of (theta factor, val -3a) * (bracket, val >= val(M+))
     # needs theta2, of val 3, to 1 - val(M+) + 3a + 3
-    v = series.val()
-    order = q_order(1 - (series.prec if v is None else v) + 3 * a + 3)
+    v = mplus.val()
+    order = q_order(1 - (mplus.prec if v is None else v) + 3 * a + 3)
     t2 = theta_nullwert(2, order)
     t3 = theta_nullwert(3, order)
     s = t2.pow_int(4) + t3.pow_int(4)
@@ -131,7 +133,7 @@ def functional_vector(mplus, t, k_max):
         factors.append(factors[-1] * s)
     return tuple(
         (factors[t - k] * bracket).constant_term()
-        for k, bracket in enumerate(bracket_ladder(series, k_max))
+        for k, bracket in enumerate(bracket_ladder(mplus, k_max))
     )
 
 
@@ -152,15 +154,14 @@ def u_plane_coefficient(mplus, m, n):
     any series work; a mock that is too short raises
     InsufficientPrecision carrying the exact lattice precision needed.
     """
-    series = mplus.series if isinstance(mplus, MockSeries) else mplus
     need = required_mock_prec(m, n)
-    if series.prec < need:
+    if mplus.prec < need:
         raise InsufficientPrecision(
             f"functional ({m},{n}) needs mock precision {need} lattice units, "
-            f"got {series.prec}",
+            f"got {mplus.prec}",
             needed=need,
         )
-    return weigh_a(functional_vector(series, m + n, n), n)
+    return weigh_a(functional_vector(mplus, m + n, n), n)
 
 
 def column_extract(m, n, k_max):
@@ -176,9 +177,10 @@ def column_extract(m, n, k_max):
 
 
 def _h12(t):
-    return h_series(mock_order_for(t, 0)).series.scale(Fraction(1, 12))
+    return h_series(mock_order_for(t, 0)).scale(Fraction(1, 12))
 
 
+@lru_cache(maxsize=1)
 def vector_a(t):
     """Route A's vector of degree t on H/12."""
     return functional_vector(_h12(t), t, t)
@@ -186,7 +188,7 @@ def vector_a(t):
 
 def kernel_vector(t):
     """Route A's vector of degree t on Q+(tau/8) - H(tau)/12; all zero."""
-    qplus = q_plus_rescaled(mock_order_for(t, 0)).series
+    qplus = q_plus_rescaled(mock_order_for(t, 0))
     return functional_vector(qplus - _h12(t), t, t)
 
 
@@ -208,6 +210,7 @@ def theta_quotient_factor(order):
     return t4.pow_int(9) * (t2 * t3 * eta83).invert()
 
 
+@lru_cache(maxsize=1)
 def vector_b(t):
     """Route B's constant terms CT[T Z0hat^(t-k) Ehat^k[H(8tau)]], k = 0..t."""
     rel = 48 * (t + 2) + 1  # T * Z0^j * Ehat^k has val -48(t+2)
@@ -215,7 +218,7 @@ def vector_b(t):
     chain = [theta_quotient_factor(q_order(rel - 48))]  # T Z0hat^j, j = 0..t
     for _ in range(t):
         chain.append(chain[-1] * z0)
-    h8 = h_series(q_order(Fraction(rel - 24, 8))).series.rescale_exponents(8, 1)
+    h8 = h_series(q_order(Fraction(rel - 24, 8))).rescale_exponents(8, 1)
     return tuple(
         (chain[t - k] * ehat).constant_term()
         for k, ehat in enumerate(bracket_hat_ladder(h8, t))
@@ -231,30 +234,14 @@ def weigh_b(vector, m, n):
     return scalar * _alternating_sum(vector, n)
 
 
-# (t, {builder: vector}) of the degree asked for last; each t keeps its
-# own dict, so racing callers can at worst build a vector twice.
-_degree = (None, {})
-
-
-def _vector_of_degree(build, t):
-    global _degree
-    slot_t, vectors = _degree
-    if slot_t != t:
-        vectors = {}
-        _degree = (t, vectors)
-    if build not in vectors:
-        vectors[build] = build(t)
-    return vectors[build]
-
-
 def phi_route_a(m, n):
     """Phi_{m,2n} as the functional on H/12 (equal to that on Q+(tau/8))."""
-    return weigh_a(_vector_of_degree(vector_a, m + n), n)
+    return weigh_a(vector_a(m + n), n)
 
 
 def phi_route_b(m, n):
     """Phi_{m,2n} from the closed 8tau-variable product formula."""
-    return weigh_b(_vector_of_degree(vector_b, m + n), m, n)
+    return weigh_b(vector_b(m + n), m, n)
 
 
 def donaldson_phi(m, n, route):
@@ -340,8 +327,8 @@ def h_k_series(k, order):
     certified to ``order`` q-units; always lands in C((q^2))."""
     prec = LATTICE_DEN * order
     need = prec + 48 * k + 24  # bracket_hat certifies its operand's prec - 48k - 24
-    qp = q_plus(q_order(need)).series
-    h8 = h_series(q_order(Fraction(need, 8))).series.rescale_exponents(8, 1)
+    qp = q_plus(q_order(need))
+    h8 = h_series(q_order(Fraction(need, 8))).rescale_exponents(8, 1)
     diff = qp - h8.scale(Fraction(1, 12))
     out = bracket_hat(diff, k).truncate(prec)
     bad = [e for e in out.support() if e % (2 * LATTICE_DEN)]

@@ -131,7 +131,7 @@ def test_bracket_hat_zero_input():
 @pytest.mark.parametrize("operand", ["H8", "monomial", "zero"])
 def test_bracket_hat_prec_is_operand_prec_minus_48k_minus_24(operand, k, unmemoised):
     m8 = {
-        "H8": lambda: h_series(3).series.rescale_exponents(8, 1),
+        "H8": lambda: h_series(3).rescale_exponents(8, 1),
         "monomial": lambda: Series.monomial(-24, 3, prec=24 * 20),
         "zero": lambda: Series.zero(24 * 12),
     }[operand]()
@@ -143,7 +143,7 @@ def test_bracket_hat_prec_is_operand_prec_minus_48k_minus_24(operand, k, unmemoi
 
 def test_bracket_hat_valuation_k0():
     # eta(8t)^3 = q(...), (Theta2 Theta3)^(-2) = q^(-2)(...), H(8t) = q^(-1)(...)
-    h8 = h_series(3).series.rescale_exponents(8, 1)
+    h8 = h_series(3).rescale_exponents(8, 1)
     out = bracket_hat(h8, 0)
     assert out.val() == -2 * 24
 
@@ -151,8 +151,8 @@ def test_bracket_hat_valuation_k0():
 def test_bracket_hat_even_support_on_kernel_difference():
     order = 12
     need = 24 * order + 48 * 3 + 48
-    qp = q_plus(need // 24 + 1).series
-    h8 = h_series(need // 192 + 1).series.rescale_exponents(8, 1)
+    qp = q_plus(need // 24 + 1)
+    h8 = h_series(need // 192 + 1).rescale_exponents(8, 1)
     diff = qp - h8.scale(Fraction(1, 12))
     for k in (0, 1):
         out = bracket_hat(diff, k).truncate(24 * order)

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from qmock import uplane
 from qmock.brackets import (
     bracket_coefficients,
     bracket_hat,
@@ -105,7 +106,7 @@ def reference_phi_route_b(m, n):
     rel = 48 * (m + n + 2) + 1
     z0 = z0_hat(q_order(rel - 48))
     tq = theta_quotient_factor(q_order(rel - 48))
-    h8 = h_series(q_order(Fraction(rel - 24, 8))).series.rescale_exponents(8, 1)
+    h8 = h_series(q_order(Fraction(rel - 24, 8))).rescale_exponents(8, 1)
     total = Fraction(0)
     for k in range(n + 1):
         term = tq * reference_bracket_hat(h8, k)
@@ -120,7 +121,7 @@ def reference_phi_route_b(m, n):
 
 
 def h12(order):
-    return h_series(order).series.scale(Fraction(1, 12))
+    return h_series(order).scale(Fraction(1, 12))
 
 
 # ------------------------------------------------------------------ routes
@@ -131,7 +132,7 @@ def test_routes_and_kernel_match_the_per_pair_reference(m, n):
     order = mock_order_for(m, n)
     assert phi_route_a(m, n) == reference_u_plane_coefficient(h12(order), m, n)
     assert phi_route_b(m, n) == reference_phi_route_b(m, n)
-    kernel = q_plus_rescaled(order).series - h12(order)
+    kernel = q_plus_rescaled(order) - h12(order)
     assert kernel_check(m, n) == reference_u_plane_coefficient(kernel, m, n) == 0
 
 
@@ -141,8 +142,8 @@ def test_u_plane_coefficient_matches_the_per_pair_reference(mock):
         order = mock_order_for(m, n)
         series = {
             "H12": lambda: h12(order),
-            "QplusTau8": lambda: q_plus_rescaled(order).series,
-            "basis2": lambda: mock_from_coefficients([0, 0, 1], order).series,
+            "QplusTau8": lambda: q_plus_rescaled(order),
+            "basis2": lambda: mock_from_coefficients([0, 0, 1], order),
         }[mock]()
         want = reference_u_plane_coefficient(series, m, n)
         assert u_plane_coefficient(series, m, n) == want, (m, n)
@@ -196,9 +197,25 @@ def test_hat_ladder_equals_bracket_hat_at_exact_prec(operand):
 
 
 def test_per_pair_entry_points_survive_a_degree_change():
-    # the one-entry slot must never serve one degree's vector to another;
+    # the one-degree cache must never serve one degree's vector to another;
     # every call here asks for another degree than the call before it
     for m, n in [(0, 2), (1, 3), (2, 0), (3, 0), (1, 1), (4, 0), (0, 0), (2, 2)]:
         want = PHI_TABLE.get((m, n), 0)
         assert phi_route_a(m, n) == want, (m, n)
         assert phi_route_b(m + 1, n) == PHI_TABLE.get((m + 1, n), 0), (m + 1, n)
+
+
+def test_generating_function_builds_each_vector_once_per_degree(monkeypatch):
+    # vector_a and vector_b each cache the degree asked for last, so the
+    # sweep over degrees 0..4 builds one vector per route and degree
+    calls = dict.fromkeys(("functional_vector", "theta_quotient_factor"), 0)
+    for name in calls:
+        def counting(*args, _fn=getattr(uplane, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(uplane, name, counting)
+    vector_a.cache_clear()
+    vector_b.cache_clear()
+    uplane.generating_function(4)
+    assert calls == {"functional_vector": 5, "theta_quotient_factor": 5}

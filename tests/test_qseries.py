@@ -279,19 +279,9 @@ def test_canonical_zero_equality():
 # ------------------------------------------------------------------ combine
 
 
-def chained_combination(pairs, den):
-    total = None
-    for c, s in pairs:
-        term = s.scale(Fraction(c, den))
-        total = term if total is None else total + term
-    return total
-
-
-def assert_same_combination(pairs, den):
-    got = Series.combine(pairs, den)
-    want = chained_combination(pairs, den)
+def assert_same_combination(got, want):
+    assert (got.min_exp, got.prec) == (want.min_exp, want.prec)
     assert got.to_json_obj() == want.to_json_obj()
-    assert (got.prec, got.min_exp) == (want.prec, want.min_exp)
     assert got == want
 
 
@@ -300,8 +290,8 @@ def assert_same_combination(pairs, den):
     st.lists(st.tuples(st.integers(-6, 6), small_series()), min_size=1, max_size=5),
     st.integers(1, 12),
 )
-def test_combine_matches_chained_scale_and_add(pairs, den):
-    assert_same_combination(pairs, den)
+def test_combine_matches_dense_reference(pairs, den):
+    assert_same_combination(Series.combine(pairs, den), dense_combine(pairs, den))
 
 
 def test_combine_edge_cases():
@@ -319,7 +309,7 @@ def test_combine_edge_cases():
         ([(3, a), (-3, a)], 5),  # cancellation to zero
     ]
     for pairs, den in cases:
-        assert_same_combination(pairs, den)
+        assert_same_combination(Series.combine(pairs, den), dense_combine(pairs, den))
     assert Series.combine([(0, b), (2, a)], 7).min_exp == -24
 
 
@@ -364,8 +354,9 @@ def test_json_strings_survive_big_integers():
 
 # ------------------------------------------------- dense reference kernel
 #
-# The dense Fraction multiply and inverse that the sparse integer kernel
-# replaced, kept over the dense view ``coeffs`` as a differential oracle.
+# The dense Fraction multiply, inverse and linear combination that the
+# sparse integer kernel replaced, kept over the dense view ``coeffs`` as a
+# differential oracle.
 
 
 def _dense_nonzero(s):
@@ -411,6 +402,21 @@ def dense_invert(s):
     return Series(-v, b, s.prec - 2 * v)
 
 
+def dense_combine(pairs, den=1):
+    """(sum_i c_i * s_i) / den for rational c_i: certified below the
+    smallest prec, starting at the smallest min_exp among the nonzero
+    weights (capped at that prec)."""
+    prec = min(s.prec for _, s in pairs)
+    lo = min([prec] + [s.min_exp for c, s in pairs if c])
+    acc = [Fraction(0)] * (prec - lo)
+    for c, s in pairs:
+        if c:
+            for e, x in _dense_nonzero(s):
+                if e < prec:
+                    acc[e - lo] += Fraction(c, den) * x
+    return Series(lo, acc, prec)
+
+
 @st.composite
 def oracle_series(draw):
     """Dense series with rational coefficients over denominators 1, 2
@@ -449,6 +455,23 @@ def test_invert_matches_dense_reference(s):
             s.invert()
         return
     assert_same_series(s.invert(), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_series(), oracle_series(), st.sampled_from([0, 1, -1, Fraction(7, 3)]))
+def test_linear_operations_match_dense_reference(a, b, c):
+    const = Series.monomial(0, c, prec=a.prec)  # the scalar c as a series
+    cases = [
+        (a + b, [(1, a), (1, b)]),
+        (a - b, [(1, a), (-1, b)]),
+        (-a, [(-1, a)]),
+        (a.scale(c), [(c, a)]),
+        (a + c, [(1, a), (1, const)]),
+        (a - c, [(1, a), (-1, const)]),
+        (c - a, [(-1, a), (1, const)]),
+    ]
+    for got, pairs in cases:
+        assert_same_combination(got, dense_combine(pairs))
 
 
 def test_storage_is_sparse():

@@ -254,6 +254,6 @@ def test_h_k_zero_difference_gives_zero():
     from qmock.brackets import bracket_hat
     from qmock.mock import q_plus
 
-    qp = q_plus(20).series
+    qp = q_plus(20)
     zero = qp - qp
     assert bracket_hat(zero, 2).is_zero()
