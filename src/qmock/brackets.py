@@ -2,24 +2,19 @@
 
 The operator is sum_j (-1)^j C(k,j) * (Gamma(1/2)/Gamma(1/2+j)) * 2^(2j) 3^j
 * E2^(k-j) * (q d/dq)^j, purely formal on series; Gamma(1/2)/Gamma(1/2+j)
-is the exact rational 2^j / (2j-1)!!.
+is the exact rational 2^j / (2j-1)!!.  There is one operator: the
+bracket of an operand in the 8tau variable is, exactly, the q -> q^8
+rescale of the plain bracket of that operand taken back to tau.
 
-When the operand lives in a rescaled variable (q standing for the old
-q^scale), the operator must be conjugated along: E2 becomes the series
-in q^scale and each derivative picks up a factor 1/scale.  Applying the
-unit-variable operator verbatim to a rescaled operand would neither
-reproduce the rescale of the bracket nor preserve the operand's support
-progression.
-
-Every bracket comes from one ladder.  With U_j = scale^(-j) (q d/dq)^j M
-* E2^(-j), the bracket is E^k[M] = E2^k * sum_j c_{k,j} U_j, so all
-brackets of orders 0..K cost O(K) products (E2^(-j), U_j and E2^k, each
-one product up from the last), where bracketing each k on its own costs
-O(K^2).  Each rung's sum is one integer linear combination
-(``Series.combine``): over the ladder's common denominator
-L = (2K-1)!!, c_{k,j} = (-1)^j C(k,j) N_j / L with integers N_j = a_j L
-from a_j = a_(j-1) * 24/(2j-1), a_0 = 1.  ``bracket_hat``'s prefactor
-climbs the same way as E2^k, by one (Theta2 Theta3)^(-2) per k.
+Every bracket comes from one ladder.  With U_j = (q d/dq)^j M * E2^(-j),
+the bracket is E^k[M] = E2^k * sum_j c_{k,j} U_j, so all brackets of
+orders 0..K cost O(K) products (E2^(-j), U_j and E2^k, each one product
+up from the last), where bracketing each k on its own costs O(K^2).
+Each rung's sum is one integer linear combination (``Series.combine``):
+over the ladder's common denominator L = (2K-1)!!,
+c_{k,j} = (-1)^j C(k,j) N_j / L with integers N_j = a_j L from
+a_j = a_(j-1) * 24/(2j-1), a_0 = 1.  ``bracket_hat``'s prefactor climbs
+the same way as E2^k, by one (Theta2 Theta3)^(-2) per k.
 ``cohen_bracket`` and ``bracket_hat`` are the top rung of a ladder.
 
 Precision follows the rules in ``qseries``: E2 is built to the operand's
@@ -69,27 +64,18 @@ def bracket_coefficients(k):
     return tuple((j, Fraction(c, big)) for j, c in enumerate(_row(k, weights)))
 
 
-def bracket_ladder(m_series, k_max, scale=1):
-    """Yield E^0[M], ..., E^k_max[M] in the scale*tau variable, in order.
-
-    ``scale`` = 1 is the plain operator; ``scale`` = N evaluates the
-    operator on an operand given in the N*tau variable, i.e. E^k equals
-    the q -> q^N rescale of the plain bracket of the unrescaled operand.
-    E^0[M] is M itself.
-    """
+def bracket_ladder(m_series, k_max):
+    """Yield E^0[M], ..., E^k_max[M] in order; E^0[M] is M itself."""
     if k_max < 0:
         raise ValueError("bracket order k must be nonnegative")
     v = m_series.val()
-    rel = 0 if v is None else m_series.prec - v  # E2(scale*tau) needs this
-    e2 = eisenstein_e2(q_order(Fraction(rel, scale)))
-    if scale != 1:
-        e2 = e2.rescale_exponents(scale, 1)
+    rel = 0 if v is None else m_series.prec - v  # E2 needs this
+    e2 = eisenstein_e2(q_order(rel))
     u = [m_series]
     deriv = m_series
-    inv_scale = Fraction(1, scale)
     e2_inv = e2.invert() if k_max else None
     for j in range(1, k_max + 1):
-        deriv = deriv.q_derive().scale(inv_scale)
+        deriv = deriv.q_derive()
         e2_inv_j = e2_inv if j == 1 else e2_inv_j * e2_inv
         u.append(deriv * e2_inv_j)
     yield m_series
@@ -103,28 +89,31 @@ def bracket_ladder(m_series, k_max, scale=1):
 
 def bracket_hat_ladder(m8, k_max):
     """Yield eta(8tau)^3 / (Theta2*Theta3)^(2k+2) * E^k[m8] for k = 0..k_max,
-    the bracket taken in the 8tau variable; the building blocks of the
-    kernel mechanism and of route B."""
+    the bracket taken in the 8tau variable as the plain bracket of
+    m8(tau/8) rescaled by 8 and cut back to m8's prec (m8 must be a series
+    in q^8, LatticeError otherwise); the building blocks of the kernel
+    mechanism and of route B."""
+    m = m8.rescale_exponents(1, 8)
     v = m8.val()
     rel = 1 if v is None else m8.prec - v  # 1 keeps Theta2 invertible for a zero m8
     eta8_cubed = eta(8, q_order(rel + 8)).pow_int(3)
     t23 = theta_big(2, q_order(rel + 24)) * theta_big(3, q_order(rel))
     step = t23.pow_int(-2)
     prefactor = eta8_cubed * step
-    for k, bracket in enumerate(bracket_ladder(m8, k_max, scale=8)):
+    for k, bracket in enumerate(bracket_ladder(m, k_max)):
         if k:
             prefactor = prefactor * step
-        yield prefactor * bracket
+        yield prefactor * bracket.rescale_exponents(8, 1).truncate(m8.prec)
 
 
 def _top(ladder):
     return deque(ladder, maxlen=1)[0]
 
 
-def cohen_bracket(m_series, k, scale=1):
-    """E^k[M]: sum_j c_{k,j} * scale^(-j) * E2(scale*tau)^(k-j) * (q d/dq)^j M,
-    the top rung of ``bracket_ladder``."""
-    return _top(bracket_ladder(m_series, k, scale))
+def cohen_bracket(m_series, k):
+    """E^k[M]: sum_j c_{k,j} * E2^(k-j) * (q d/dq)^j M, the top rung of
+    ``bracket_ladder``."""
+    return _top(bracket_ladder(m_series, k))
 
 
 def bracket_hat(m8, k):

@@ -1,9 +1,9 @@
 """Classical modular objects: eta quotients, theta functions, E2, E*, Z0hat.
 
 Two independent construction routes are kept on purpose: the small theta
-functions theta2/3/4 come from their defining sums, while the rescaled
-Theta2/3/4 come from eta quotients (with the direct sums available for
-cross-checking).  Transcription errors in either route are caught by the
+functions theta2/3/4 are ``theta_char``'s defining sums at the origin,
+while the rescaled Theta2/3/4 come from eta quotients (with the direct
+sums available for cross-checking).  Transcription errors in either route are caught by the
 identities theta_j(tau) = (2 if j==2 else 1) * Theta_j(tau/8).
 """
 
@@ -161,26 +161,16 @@ def theta_char_val(a, v):
     return 3 * ((a + v.s2) % 2 - v.s2**2)
 
 
+# the characteristics (a, b) of theta_j(z|tau) = theta_char(a, b, z) for j = 2, 3, 4
+THETA_CHARS = {2: (1, 0), 3: (0, 0), 4: (0, 1)}
+
+
 @order_memo
 def theta_nullwert(j, order):
-    """theta_j(0|tau) for j = 2, 3, 4, from the defining sums."""
-    prec = LATTICE_DEN * order
-    pairs = []
-    if j == 2:
-        n = 0
-        while 3 * (2 * n + 1) ** 2 < prec:
-            pairs.append((3 * (2 * n + 1) ** 2, 2))
-            n += 1
-    elif j in (3, 4):
-        pairs.append((0, 1))
-        n = 1
-        while 12 * n * n < prec:
-            c = 2 if (j == 3 or n % 2 == 0) else -2
-            pairs.append((12 * n * n, c))
-            n += 1
-    else:
+    """theta_j(0|tau) for j = 2, 3, 4: theta_char at the origin (phase 1)."""
+    if j not in THETA_CHARS:
         raise ValueError("theta index must be 2, 3 or 4")
-    return Series.from_pairs(pairs, prec=prec)
+    return theta_char(*THETA_CHARS[j], V_ZERO, order)[1]
 
 
 THETA_BIG_SPECS = {

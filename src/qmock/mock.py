@@ -14,6 +14,7 @@ from fractions import Fraction
 from .qseries import LATTICE_DEN, QSeriesError, Series, order_memo, q_order
 from .forms import (
     HalfPeriodPoint,
+    THETA_CHARS,
     V_HALF,
     V_ONE_PLUS_TAU_HALF,
     V_TAU_HALF,
@@ -186,9 +187,8 @@ def elliptic_genus_theta(v, order):
     if not isinstance(v, HalfPeriodPoint):
         v = HalfPeriodPoint(*v)
     prec = LATTICE_DEN * order
-    chars = {2: (1, 0), 3: (0, 0), 4: (0, 1)}
     total = Series.zero(prec)
-    for j, (a, b) in chars.items():
+    for j, (a, b) in THETA_CHARS.items():
         # (num/den)^2 with val num >= lo and val den = theta_j(0|tau)'s, exact
         lo, v_den = theta_char_val(a, v), theta_char_val(a, V_ZERO)
         p, num = theta_char(a, b, v, q_order(prec - lo + 2 * v_den))

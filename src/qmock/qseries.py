@@ -444,7 +444,10 @@ class Series:
         """Substitute q -> q^(num/den); exponents scale by num/den.
 
         Every nonzero exponent must land back on the lattice, otherwise
-        LatticeError is raised.  Precision rescales the same way.
+        LatticeError is raised.  Precision rescales the same way, rounded
+        up when ``den`` does not divide it, so a 1/8-then-8 round trip can
+        claim up to 7 more lattice units than its input.  That is true
+        only for a series in q^8, so callers truncate back.
         """
         if num < 1 or den < 1:
             raise ValueError("rescale factors must be positive integers")

@@ -17,8 +17,8 @@ t = m+n and on k; only the scalar weights depend on (m, n):
 
 So each route builds its vector c_t = (c_{t,0}, ..., c_{t,t}) once per
 degree (``vector_a`` and ``vector_b`` each cache the degree asked for
-last), with the prefactor powers and the brackets climbing one product
-per k (``brackets.bracket_ladder``), and every Phi of degree t is a
+last) in one loop, ``_constant_terms``, where the prefactor powers and
+the brackets climb one product per k, and every Phi of degree t is a
 weighted sum of its first n+1 entries.  The routes' weights differ by
 3 * 2^(2t+5), so they agree on every pair of degree t exactly when
 c^B_t = 3 * 2^(2t+5) * c^A_t.  The weights are triangular in (n, k) with
@@ -116,6 +116,15 @@ def mock_order_for(m, n):
     return q_order(required_mock_prec(m, n))
 
 
+def _constant_terms(base, step, rungs, t):
+    """The tuple of CT[base * step^(t-k) * rung_k] over the rungs k = 0, 1, ...
+    (at most t + 1 of them), the powers climbing one product per k."""
+    chain = [base]  # base * step^j, j = 0..t
+    for _ in range(t):
+        chain.append(chain[-1] * step)
+    return tuple((chain[t - k] * rung).constant_term() for k, rung in enumerate(rungs))
+
+
 def functional_vector(mplus, t, k_max):
     """Route A's constant terms c_{t,k}[M+], k = 0..k_max, of degree t:
     c_{t,k} = CT[theta4^9 S^(t-k) (theta2 theta3)^(-(2t+3)) E^k[M+]] with
@@ -128,13 +137,8 @@ def functional_vector(mplus, t, k_max):
     t2 = theta_nullwert(2, order)
     t3 = theta_nullwert(3, order)
     s = t2.pow_int(4) + t3.pow_int(4)
-    factors = [theta_nullwert(4, order).pow_int(9) * (t2 * t3).pow_int(-a)]
-    for _ in range(t):
-        factors.append(factors[-1] * s)
-    return tuple(
-        (factors[t - k] * bracket).constant_term()
-        for k, bracket in enumerate(bracket_ladder(mplus, k_max))
-    )
+    base = theta_nullwert(4, order).pow_int(9) * (t2 * t3).pow_int(-a)
+    return _constant_terms(base, s, bracket_ladder(mplus, k_max), t)
 
 
 def _alternating_sum(vector, n):
@@ -215,14 +219,9 @@ def vector_b(t):
     """Route B's constant terms CT[T Z0hat^(t-k) Ehat^k[H(8tau)]], k = 0..t."""
     rel = 48 * (t + 2) + 1  # T * Z0^j * Ehat^k has val -48(t+2)
     z0 = z0_hat(q_order(rel - 48))
-    chain = [theta_quotient_factor(q_order(rel - 48))]  # T Z0hat^j, j = 0..t
-    for _ in range(t):
-        chain.append(chain[-1] * z0)
+    tq = theta_quotient_factor(q_order(rel - 48))
     h8 = h_series(q_order(Fraction(rel - 24, 8))).rescale_exponents(8, 1)
-    return tuple(
-        (chain[t - k] * ehat).constant_term()
-        for k, ehat in enumerate(bracket_hat_ladder(h8, t))
-    )
+    return _constant_terms(tq, z0, bracket_hat_ladder(h8, t), t)
 
 
 def weigh_b(vector, m, n):

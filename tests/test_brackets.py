@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from qmock.qseries import Series
+from qmock.qseries import LatticeError, Series
 from qmock.forms import eisenstein_e2
 from qmock.brackets import (
     bracket_coefficients,
@@ -112,33 +112,35 @@ def test_linearity_random():
         assert lhs.agrees_with(rhs)
 
 
-def test_scaled_variable_is_conjugate_of_plain_bracket():
-    # bracket of M(8tau) in the 8tau variable == rescale of bracket of M
-    m = Series.from_pairs([(-24, 1), (24, 3), (72, -5)], prec=24 * 10)
-    for k in (1, 2, 3):
-        lhs = cohen_bracket(m.rescale_exponents(8, 1), k, scale=8)
-        rhs = cohen_bracket(m, k).rescale_exponents(8, 1)
-        assert lhs.prec == rhs.prec == 8 * m.prec
-        assert lhs.agrees_with(rhs)
-
-
 def test_bracket_hat_zero_input():
     z = Series.zero(24 * 12)
     assert bracket_hat(z, 2).is_zero()
 
 
 @pytest.mark.parametrize("k", range(4))
-@pytest.mark.parametrize("operand", ["H8", "monomial", "zero"])
+@pytest.mark.parametrize(
+    "operand", ["H8", "monomial", "monomial+1", "monomial+4", "monomial+7", "zero"]
+)
 def test_bracket_hat_prec_is_operand_prec_minus_48k_minus_24(operand, k, unmemoised):
+    # an operand prec off the q^8 lattice must not certify more after the
+    # round trip through the tau/8 variable
     m8 = {
         "H8": lambda: h_series(3).rescale_exponents(8, 1),
         "monomial": lambda: Series.monomial(-24, 3, prec=24 * 20),
+        "monomial+1": lambda: Series.monomial(-24, 3, prec=24 * 20 + 1),
+        "monomial+4": lambda: Series.monomial(-24, 3, prec=24 * 20 + 4),
+        "monomial+7": lambda: Series.monomial(-24, 3, prec=24 * 20 + 7),
         "zero": lambda: Series.zero(24 * 12),
     }[operand]()
     out = bracket_hat(m8, k)
     assert out.prec == m8.prec - 48 * k - 24
     if operand == "zero":
         assert out.is_zero()
+
+
+def test_bracket_hat_rejects_an_operand_off_the_q8_lattice():
+    with pytest.raises(LatticeError):
+        bracket_hat(Series.monomial(-3, 1, prec=96), 1)
 
 
 def test_bracket_hat_valuation_k0():

@@ -174,14 +174,18 @@ OPERANDS = {
 @pytest.mark.parametrize("scale", [1, 8])
 @pytest.mark.parametrize("operand", sorted(OPERANDS))
 def test_ladder_equals_bracket_at_exact_prec(operand, scale):
+    # the plain operator on M(tau/scale), rescaled back, equals the
+    # reference's operator conjugated into the scale*tau variable on M
     m = OPERANDS[operand](scale)
-    ladder = list(bracket_ladder(m, LADDER_DEPTH, scale))
+    plain = m.rescale_exponents(1, scale)
+    ladder = list(bracket_ladder(plain, LADDER_DEPTH))
     assert len(ladder) == LADDER_DEPTH + 1
     for k, rung in enumerate(ladder):
         want = reference_cohen_bracket(m, k, scale)
-        assert rung == want, k
-        assert rung.prec == want.prec == m.prec
-        assert cohen_bracket(m, k, scale) == want, k
+        got = rung.rescale_exponents(scale, 1)
+        assert got == want, k
+        assert got.prec == want.prec == m.prec
+        assert cohen_bracket(plain, k).rescale_exponents(scale, 1) == want, k
 
 
 @pytest.mark.parametrize("operand", sorted(OPERANDS))

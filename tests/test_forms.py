@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qmock import forms
 from qmock.qseries import Series
 from qmock.forms import (
     EtaQuotientSpec,
@@ -12,7 +13,6 @@ from qmock.forms import (
     SPEC_A,
     SPEC_B,
     V_HALF,
-    V_ZERO,
     eisenstein_e2,
     e_star,
     eta,
@@ -115,10 +115,25 @@ def test_theta_char_at_half_is_minus_theta2():
     assert got.agrees_with(theta_nullwert(2, 6))
 
 
-def test_theta_char_origin_is_theta3():
-    p, got = theta_char(0, 0, V_ZERO, 6)
-    assert p == 0
-    assert got.agrees_with(theta_nullwert(3, 6))
+@pytest.mark.parametrize("order", [0, 1, 7, 64])
+@pytest.mark.parametrize("j", [2, 3, 4])
+def test_theta_nullwert_against_direct_sum_oracle(j, order, unmemoised):
+    # theta2 = sum_n q^((2n+1)^2/8), theta3 = sum_n q^(n^2/2) and
+    # theta4 = sum_n (-1)^n q^(n^2/2) over all integers n, summed into a
+    # plain dict keyed by 24 * exponent, independent of the Series engine
+    prec = 24 * order
+    span = 24
+    assert min(12 * span**2, 3 * (2 * span - 1) ** 2) >= prec  # the sums are complete
+    want = {}
+    for n in range(-span, span + 1):
+        e = 3 * (2 * n + 1) ** 2 if j == 2 else 12 * n * n
+        if e < prec:
+            want[e] = want.get(e, 0) + ((-1) ** n if j == 4 else 1)
+    got = forms.theta_nullwert(j, order)
+    assert got.prec == prec
+    assert {e: got.coefficient(e) for e in got.support()} == {
+        e: c for e, c in want.items() if c
+    }
 
 
 def test_theta_char_termwise_phase_oracle():
