@@ -3,8 +3,9 @@
 Two independent construction routes are kept on purpose: the small theta
 functions theta2/3/4 are ``theta_char``'s defining sums at the origin,
 while the rescaled Theta2/3/4 come from eta quotients (with the direct
-sums available for cross-checking).  Transcription errors in either route are caught by the
-identities theta_j(tau) = (2 if j==2 else 1) * Theta_j(tau/8).
+sums available for cross-checking).  Transcription errors in either
+route are caught by the identities
+theta_j(tau) = (2 if j==2 else 1) * Theta_j(tau/8).
 """
 
 from dataclasses import dataclass
