@@ -108,12 +108,14 @@ def eta_quotient(spec, order):
     """Exact expansion of an eta quotient to ``order`` q-units."""
     prec_target = LATTICE_DEN * order
     rel = prec_target - spec.prefactor_exp24()
-    # eta(k*tau) has val k: it needs rel + k, and k + 1 so an inverse sees its lead
+    # eta(k*tau) has val k: it needs rel + k, and k + 1 so a divisor sees its lead
     result = Series.one(rel)
     for k, e in spec.factors:
-        if e == 0:
-            continue
-        result = result * _eta_lattice(k, max(rel + k, k + 1)).pow_int(e)
+        factor = _eta_lattice(k, max(rel + k, k + 1))
+        if e > 0:
+            result = result * factor.pow_int(e)
+        for _ in range(-e):  # the sparse factor divides; its inverse is dense
+            result = result / factor
     return result.truncate(prec_target)
 
 
@@ -251,7 +253,7 @@ def z0_hat(order):
     # val Z0hat = -48, val Theta2 = 24, val Theta3 = val E* = 0
     t2 = theta_big(2, q_order(prec + 48 + 24))
     t3 = theta_big(3, q_order(prec + 48))
-    z0 = e_star(q_order(prec + 48)) * (t2 * t3).pow_int(2).invert()
+    z0 = e_star(q_order(prec + 48)) / t2 / t2 / t3 / t3
     assert z0.val() == -2 * LATTICE_DEN and z0.coefficient(-2 * LATTICE_DEN) == 1
     return z0
 

@@ -88,7 +88,7 @@ def mu_half_period(v, order):
     v_lerch = lerch.prec if lerch.is_zero() else lerch.val()
     # the prefactor i e^(pi i r) and theta_1's phase i^p are both i^(2r+1)
     _, theta1 = theta_char(1, 1, v, q_order(prec - v_lerch + 2 * v_theta1))
-    return (lerch * theta1.invert()).truncate(prec)
+    return (lerch / theta1).truncate(prec)
 
 
 H_POINTS = (V_HALF, V_ONE_PLUS_TAU_HALF, V_TAU_HALF)
@@ -137,7 +137,7 @@ def mock_theta_m(order):
         den = Series.from_pairs(
             [(0, 1), (LATTICE_DEN * (16 * (n + 1) - 8), 1)], prec=prec
         ).pow_int(2)
-        running = running * den.invert()
+        running = running / den
         lead = Series.monomial(
             LATTICE_DEN * (8 * (n + 1) ** 2 - 1), 1 if n % 2 else -1, prec=prec
         )
@@ -191,9 +191,10 @@ def elliptic_genus_theta(v, order):
     for j, (a, b) in THETA_CHARS.items():
         # (num/den)^2 with val num >= lo and val den = theta_j(0|tau)'s, exact
         lo, v_den = theta_char_val(a, v), theta_char_val(a, V_ZERO)
-        p, num = theta_char(a, b, v, q_order(prec - lo + 2 * v_den))
         den = theta_nullwert(j, q_order(prec - 2 * lo + 3 * v_den))
-        square = (num * den.invert()).pow_int(2)
+        # at the origin the numerator is den itself: theta_j(0|tau), same order
+        p, num = (0, den) if v == V_ZERO else theta_char(a, b, v, q_order(prec - lo + 2 * v_den))
+        square = num / den * num / den  # never a dense square
         total = total + (-square if p % 2 else square)  # (i^p)^2 = (-1)^p
     return total.scale(8)
 
@@ -212,8 +213,8 @@ def elliptic_genus_mock(v, order):
     v_s = s.prec if s.is_zero() else s.val()
     p, t1 = theta_char(1, 1, v, q_order(prec - v_t1 + 3 - v_s))
     eta3 = eta(1, q_order(prec - 2 * v_t1 + 4 - v_s)).pow_int(3)
-    t1_square = -t1.pow_int(2) if p % 2 else t1.pow_int(2)  # (i^p)^2 = (-1)^p
-    return (t1_square * eta3.invert() * s).truncate(prec)
+    genus = s * t1 * t1 / eta3
+    return (-genus if p % 2 else genus).truncate(prec)  # (i^p)^2 = (-1)^p
 
 
 def elliptic_genus_check(v, order):

@@ -22,8 +22,10 @@ rules, with no safety margin:
   series counts its prec as its valuation);
 * an inverse 1/g is certified below g.prec - 2*val(g); it needs g's
   exact valuation, with g.prec >= val(g) + 1 so its leading term is known;
+* a quotient f/g is certified as f * (1/g) is: below
+  min(f.prec - val(g), g.prec - 2*val(g) + val(f));
 * a sum is certified below the smallest prec of its summands.
-So products, powers and inverses all keep prec - val: F = prod f_i^(e_i)
+So products, quotients, powers and inverses all keep prec - val: F = prod f_i^(e_i)
 is certified below P once each f_i has prec >= P - val(F) + val(f_i);
 ``q_order`` rounds that up to q-units.
 
@@ -295,7 +297,9 @@ class Series:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self.__add__(-other if isinstance(other, Series) else -_rational(other))
+        if isinstance(other, Series):
+            return Series.combine([(1, self), (-1, other)])
+        return self.__add__(-_rational(other))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -321,6 +325,10 @@ class Series:
         prec = min(s.prec for _, s in pairs)
         live = [(c, s) for c, s in pairs if c]
         lo = min([prec] + [s.min_exp for _, s in live])
+        if len(live) == 1:  # one series: scale its numerators, no accumulation
+            c, s = live[0]
+            n = bisect_left(s._exps, prec)
+            return _pack(lo, prec, s._exps[:n], [x * c for x in s._nums[:n]], s._den * den)
         common = lcm(*(s._den for _, s in live))
         acc = {}
         get = acc.get
@@ -364,48 +372,55 @@ class Series:
 
     __rmul__ = __mul__
 
-    def invert(self):
-        """Multiplicative inverse, exact to precision prec - 2*val.
-
-        The inverse of q^v * u is q^(-v) / u; the unit part is inverted
-        by the standard convolution recurrence, restricted to the
-        arithmetic progression actually supported by u (the inverse of a
-        series in q^g is again a series in q^g).
-
-        The recurrence runs on integers.  Write u = A / D with A = sum_t
-        A_t q^(t*g) over the integers.  Then 1/A = sum_t C_t q^(t*g) /
-        A_0^(t+1) with C_0 = 1 and C_t = -sum_{s>=1} A_s A_0^(s-1) C_(t-s).
-        """
-        exps = self._exps
-        if not exps:
+    def __truediv__(self, other):
+        """Exact quotient, equal to ``self * other.invert()`` (prec and
+        min_exp too) without the dense inverse.  With self = q^w F / D_f,
+        other = q^v A / D_g and integer series F, A in q^g: F/A = sum_t H_t
+        q^(t*g) / A_0^(t+1), H_t = F_t A_0^t - sum_{s>=1} A_s A_0^(s-1) H_(t-s),
+        so each output slot costs one product per term of A."""
+        if isinstance(other, (int, Fraction)):
+            return self.scale(1 / _rational(other))
+        if not isinstance(other, Series):
+            return NotImplemented
+        if not other._exps:
             raise NotInvertible("series has no determined nonzero coefficient")
-        v = exps[0]
-        length = self.prec - v  # relative certification of the unit part
-        out_prec = self.prec - 2 * v
-        nums = self._nums
-        if len(exps) == 1:
-            return Series.monomial(-v, Fraction(self._den, nums[0]), prec=out_prec)
-        rel = [e - v for e in exps[1:]]
-        g = gcd(*rel)
-        count = (length - 1) // g + 1  # progression slots below the precision
-        lead = nums[0]
-        tail = [(e // g, x * lead ** (e // g - 1)) for e, x in zip(rel, nums[1:])]
-        c = [0] * count
-        c[0] = 1
+        v = other._exps[0]
+        w = self._exps[0] if self._exps else self.prec
+        prec = min(self.prec - v, other.prec - 2 * v + w)
+        lo = w - v
+        if not self._exps or lo >= prec:
+            return Series.zero(prec)
+        depth = prec - lo
+        a_exps = other._exps[1 : bisect_left(other._exps, v + depth)]
+        f_exps = self._exps[: bisect_left(self._exps, w + depth)]
+        g = gcd(*(e - v for e in a_exps), *(e - w for e in f_exps)) or depth
+        count = (depth - 1) // g + 1  # progression slots below the precision
+        lead = other._nums[0]
+        tail = [((e - v) // g, x * lead ** ((e - v) // g - 1))
+                for e, x in zip(a_exps, other._nums[1:])]
+        h = [0] * count
+        for e, x in zip(f_exps, self._nums):
+            t = (e - w) // g
+            h[t] = x * lead**t
         for t in range(1, count):
             acc = 0
             for s, x in tail:
                 if s > t:
                     break
-                acc += x * c[t - s]
-            c[t] = -acc
-        # term t is D * C_t / A_0^(t+1): bring every term over |A_0^count|
+                acc += x * h[t - s]
+            h[t] -= acc
+        # term t is D_g H_t / (D_f A_0^(t+1)): bring every term over |A_0^count|
         den = lead**count
-        lift = self._den if den > 0 else -self._den
+        lift = other._den if den > 0 else -other._den
         for t in range(count - 1, -1, -1):
-            c[t] *= lift
+            h[t] *= lift
             lift *= lead
-        return _pack(-v, out_prec, range(-v, -v + count * g, g), c, abs(den))
+        return _pack(lo, prec, range(lo, lo + count * g, g), h, self._den * abs(den))
+
+    def invert(self):
+        """Multiplicative inverse, exact to precision prec - 2*val: the
+        quotient 1/self (which raises NotInvertible for a zero series)."""
+        return Series.one(self.prec - (self.val() or 0)) / self
 
     def pow_int(self, k):
         """Integer power by binary exponentiation; negative k inverts."""

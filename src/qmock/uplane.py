@@ -142,7 +142,12 @@ def functional_vector(mplus, t, k_max):
 
 
 def _alternating_sum(vector, n):
-    return sum(Fraction((-1) ** k * math.comb(n, k)) * vector[k] for k in range(n + 1))
+    """sum_(k<=n) (-1)^k C(n,k) vector[k], summed as integer numerators
+    over one common denominator."""
+    den = math.lcm(*(vector[k].denominator for k in range(n + 1)))
+    num = sum((-1) ** k * math.comb(n, k) * x.numerator * (den // x.denominator)
+              for k, x in zip(range(n + 1), vector))
+    return Fraction(num, den)
 
 
 def weigh_a(vector, n):
@@ -211,7 +216,7 @@ def theta_quotient_factor(order):
     t2 = theta_big(2, q_order(prec + 48 + 24))
     t3 = theta_big(3, q_order(prec + 48))
     eta83 = eta(8, q_order(prec + 48 + 8)).pow_int(3)
-    return t4.pow_int(9) * (t2 * t3 * eta83).invert()
+    return t4.pow_int(9) / t2 / t3 / eta83
 
 
 @lru_cache(maxsize=1)

@@ -484,3 +484,84 @@ def test_storage_is_sparse():
     inv = s.invert()
     assert inv.coefficient(far // 2) == -3
     assert (s + sq).coefficient(0) == 2
+
+
+# ---------------------------------------------------------------- division
+
+
+def _pattern_series(lo, step, prec, dens=(1,)):
+    """A series with a nonzero term at every lo + j*step below prec, the
+    coefficients cycling through signs and the given denominators."""
+    pairs = [(e, Fraction((-1) ** j * (j % 5 + 1), dens[j % len(dens)]))
+             for j, e in enumerate(range(lo, prec, step))]
+    return Series.from_pairs(pairs, prec=prec)
+
+
+DIVISION_CASES = {
+    # name -> prec (lattice units) -> (f, g)
+    "zero-f": lambda p: (Series.zero(p), _pattern_series(0, 24, p + 24)),
+    "g-positive-val": lambda p: (
+        _pattern_series(-3, 24, p), _pattern_series(3, 48, p + 48)),
+    "g-negative-val": lambda p: (
+        _pattern_series(0, 12, p), _pattern_series(-48, 24, p - 24)),
+    "non-unit-negative-lead": lambda p: (
+        _pattern_series(24, 24, p),
+        Series.from_pairs([(-24, Fraction(-2, 3)), (0, 5), (72, Fraction(1, 4))], prec=p)),
+    "denominators": lambda p: (
+        _pattern_series(-6, 6, p, dens=(2, 3, 5)), _pattern_series(0, 24, p, dens=(7, 1))),
+    "f-off-g-progression": lambda p: (
+        _pattern_series(3, 24, p) + Series.monomial(0, 1, prec=p),
+        _pattern_series(-24, 192, p + 24)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIVISION_CASES))
+def test_division_equals_product_with_inverse(case):
+    for order in range(65):
+        f, g = DIVISION_CASES[case](24 * order)
+        if g.is_zero():
+            with pytest.raises(NotInvertible):
+                f / g
+            continue
+        assert_same_series(f / g, f * g.invert())
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_series(), oracle_series())
+def test_division_matches_dense_reference(f, g):
+    try:
+        want = dense_mul(f, dense_invert(g))
+    except NotInvertible:
+        with pytest.raises(NotInvertible):
+            f / g
+        return
+    assert_same_series(f / g, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_series())
+def test_invert_is_one_over_the_series(g):
+    if g.is_zero():
+        with pytest.raises(NotInvertible):
+            g.invert()
+        return
+    quotient = Series.one(g.prec - g.val()) / g
+    assert_same_series(g.invert(), quotient)
+    assert (g.invert().min_exp, g.invert().prec) == (-g.val(), g.prec - 2 * g.val())
+
+
+def test_division_rejects_a_zero_divisor():
+    f = S([(0, 1), (24, 2)], 96)
+    for zero in (Series.zero(96), S([(0, 0), (24, 0)], 96)):
+        with pytest.raises(NotInvertible):
+            f / zero
+        with pytest.raises(NotInvertible):
+            Series.zero(96) / zero
+
+
+def test_division_by_a_scalar():
+    f = S([(-3, Fraction(1, 2)), (21, Fraction(-7, 3))], 45)
+    assert_same_combination(f / 3, f.scale(Fraction(1, 3)))
+    assert_same_combination(f / Fraction(-2, 5), f.scale(Fraction(-5, 2)))
+    with pytest.raises(ZeroDivisionError):
+        f / 0

@@ -1,5 +1,6 @@
 """The constant-term functional, invariant tables, and the Z0hat mechanism."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from qmock.uplane import (
     ROUTE_QPLUS,
     InvariantRecord,
     NotPolynomialInZ0,
+    _alternating_sum,
     OddExponent,
     Z0Polynomial,
     column_extract,
@@ -257,3 +259,15 @@ def test_h_k_zero_difference_gives_zero():
     qp = q_plus(20)
     zero = qp - qp
     assert bracket_hat(zero, 2).is_zero()
+
+
+def test_alternating_sum_equals_the_fraction_sum():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(0, 9)
+        vector = tuple(
+            Fraction(rng.randint(-10**6, 10**6), rng.choice([1, 3, 2**20, 7 * 5**9]))
+            for _ in range(n + 1 + rng.randint(0, 2))
+        )
+        want = sum(Fraction((-1) ** k * math.comb(n, k)) * vector[k] for k in range(n + 1))
+        assert _alternating_sum(vector, n) == want
