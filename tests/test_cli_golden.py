@@ -43,6 +43,23 @@ def sweep_calls():
         calls.append(["reduce-z0", "--k", str(k)])
     for n in range(1, 9):
         calls.append(["moonshine", "--n", str(n)])
+    # every format of every command that has one
+    for m, n in PAIRS:
+        for via in ("qplus", "h", "both"):
+            for fmt in FORMATS:
+                calls.append(["invariant", "--m", str(m), "--n", str(n),
+                              "--via", via, "--format", fmt])
+        for k_max in ([], ["--k-max", "0"]):
+            for fmt in FORMATS:
+                calls.append(["column", "--m", str(m), "--n", str(n), *k_max,
+                              "--format", fmt])
+    for k in range(5):
+        for fmt in FORMATS:
+            calls.append(["reduce-z0", "--k", str(k), "--format", fmt])
+    for n in (1, 3, 6):
+        for flags in ([], ["--cap", "1"], ["--cap", "1", "--distinct", "--max-witnesses", "2"]):
+            for fmt in ("json", "plain"):
+                calls.append(["moonshine", "--n", str(n), *flags, "--format", fmt])
     return calls
 
 
