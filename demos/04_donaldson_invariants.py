@@ -8,7 +8,8 @@ a third way.
 """
 
 from qmock import column_extract, generating_function, kernel_check
-from qmock.uplane import ROUTE_FINAL, ROUTE_H12, ROUTE_QPLUS, donaldson_phi, records_to_csv
+from qmock.cli import main
+from qmock.uplane import ROUTE_FINAL, ROUTE_H12, ROUTE_QPLUS, donaldson_phi
 
 # One invariant, three routes.
 for route in (ROUTE_QPLUS, ROUTE_H12, ROUTE_FINAL):
@@ -26,8 +27,7 @@ for m, n in ((0, 0), (1, 1), (0, 2)):
 print("kernel values (m+n <= 4):",
       [str(kernel_check(m, t - m)) for t in range(5) for m in range(t + 1)])
 
-# The full table with the route cross-check, and the generating
-# function Z(p,S) assembled from it.
-records, z = generating_function(4)
-print(records_to_csv(records).strip())
-print(z)
+# The full table with the route cross-check, as the CLI prints it, and
+# the generating function Z(p,S) assembled from it.
+main(["table", "--max", "4", "--format", "csv"])
+print(generating_function(4)[1])

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Results go to stdout in the requested format (json | csv | plain),
-diagnostics to stderr.  Exit codes: 0 success / all checks pass,
-1 verification mismatch, 2 usage or precision error.  Identical
+Results go to stdout in the requested format (json | csv | plain; the
+moonshine report has no csv), diagnostics to stderr.  One function,
+``render``, writes every result.  Exit codes: 0 success / all checks
+pass, 1 verification mismatch, 2 usage or precision error.  Identical
 invocations produce byte-identical output.
 """
 
@@ -19,16 +20,18 @@ from .moonshine import report_json_obj
 from .uplane import (
     ROUTE_H12,
     ROUTE_QPLUS,
+    InvariantRecord,
     donaldson_phi,
     column_extract,
     generating_function,
     h_k_series,
-    records_to_csv,
     z0_reduce,
 )
 from .verify import SUITES, run_suite
 
 DEFAULT_ORDER = 64
+SERIES = {**NAMED_FORMS, **NAMED_MOCKS}
+ROUTES = {"qplus": (ROUTE_QPLUS,), "h": (ROUTE_H12,), "both": (ROUTE_QPLUS, ROUTE_H12)}
 
 
 def default_order():
@@ -41,103 +44,73 @@ def default_order():
     return DEFAULT_ORDER
 
 
-def resolve_series(name, order):
-    registry = {**NAMED_FORMS, **NAMED_MOCKS}
-    if name not in registry:
-        raise KeyError(name)
-    return registry[name](order)
+def render(out, fmt, *, to_json, to_plain, to_csv=None):
+    """Write one result in ``fmt`` and return exit code 0.  Only that
+    format's thunk is called: ``to_json`` gives an object (compact JSON),
+    ``to_csv`` a header and rows of cells (comma-joined), ``to_plain``
+    lines.  Every line ends in one newline."""
+    if fmt == "json":
+        lines = [json.dumps(to_json(), separators=(",", ":"))]
+    elif fmt == "csv":
+        header, rows = to_csv()
+        lines = [header, *(",".join(map(str, row)) for row in rows)]
+    else:
+        lines = to_plain()
+    out.write("".join(f"{line}\n" for line in lines))
+    return 0
 
 
-def series_csv(s):
-    lines = ["exp24,exp,re,im"]
-    for e in s.support():
-        lines.append(f"{e},{Fraction(e, LATTICE_DEN)},{s.coefficient(e)},0")
-    return "\n".join(lines) + "\n"
+def records_csv(records):
+    """The Donaldson-record CSV: its header and one row per record."""
+    rows = ((r.m, r.n, r.value.numerator, r.value.denominator, r.route) for r in records)
+    return "m,n,phi_num,phi_den,route", rows
 
 
 def cmd_coeffs(args, out):
     order = args.order if args.order is not None else default_order()
-    try:
-        s = resolve_series(args.series, order)
-    except KeyError:
-        registry = {**NAMED_FORMS, **NAMED_MOCKS}
+    if args.series not in SERIES:
         print(
-            f"unknown series {args.series!r}; known: {', '.join(sorted(registry))}",
+            f"unknown series {args.series!r}; known: {', '.join(sorted(SERIES))}",
             file=sys.stderr,
         )
         return 2
-    if args.format == "json":
-        out.write(json.dumps(s.to_json_obj(), separators=(",", ":")) + "\n")
-    elif args.format == "csv":
-        out.write(series_csv(s))
-    else:
-        out.write(str(s) + "\n")
-    return 0
+    s = SERIES[args.series](order)
+    return render(out, args.format, to_json=s.to_json_obj, to_plain=lambda: [str(s)],
+                  to_csv=lambda: ("exp24,exp,re,im", (
+                      (e, Fraction(e, LATTICE_DEN), s.coefficient(e), 0)
+                      for e in s.support())))
 
 
 def cmd_invariant(args, out):
-    routes = {
-        "qplus": (ROUTE_QPLUS,),
-        "h": (ROUTE_H12,),
-        "both": (ROUTE_QPLUS, ROUTE_H12),
-    }[args.via]
-    values = [(route, donaldson_phi(args.m, args.n, route)) for route in routes]
-    if args.format == "json":
-        obj = {
-            "m": args.m,
-            "n": args.n,
-            "values": {route: str(v) for route, v in values},
-        }
-        out.write(json.dumps(obj, separators=(",", ":")) + "\n")
-    elif args.format == "csv":
-        out.write("m,n,phi_num,phi_den,route\n")
-        for route, v in values:
-            out.write(f"{args.m},{args.n},{v.numerator},{v.denominator},{route}\n")
-    else:
-        for route, v in values:
-            out.write(f"{route}: {v}\n")
-    return 0
+    records = [InvariantRecord(args.m, args.n, donaldson_phi(args.m, args.n, route), route)
+               for route in ROUTES[args.via]]
+    return render(out, args.format,
+                  to_json=lambda: {"m": args.m, "n": args.n,
+                                   "values": {r.route: str(r.value) for r in records}},
+                  to_csv=lambda: records_csv(records),
+                  to_plain=lambda: [f"{r.route}: {r.value}" for r in records])
 
 
 def cmd_table(args, out):
     records, z_string = generating_function(args.max)
-    if args.format == "json":
-        obj = {
-            "records": [
-                {
-                    "m": r.m,
-                    "n": r.n,
-                    "phi": str(r.value),
-                    "route": r.route,
-                }
-                for r in records
-            ],
-            "z": z_string,
-        }
-        out.write(json.dumps(obj, separators=(",", ":")) + "\n")
-    elif args.format == "csv":
-        out.write(records_to_csv(records))
-    else:
-        for r in records:
-            out.write(f"Phi_({r.m},{2 * r.n}) = {r.value}\n")
-        out.write(z_string + "\n")
-    return 0
+    return render(out, args.format,
+                  to_json=lambda: {"records": [
+                      {"m": r.m, "n": r.n, "phi": str(r.value), "route": r.route}
+                      for r in records], "z": z_string},
+                  to_csv=lambda: records_csv(records),
+                  to_plain=lambda: [
+                      *(f"Phi_({r.m},{2 * r.n}) = {r.value}" for r in records), z_string])
 
 
 def cmd_column(args, out):
     k_max = args.k_max if args.k_max is not None else (args.m + args.n) // 2 + 1
     col = column_extract(args.m, args.n, k_max)
-    if args.format == "json":
-        obj = {"m": args.m, "n": args.n, "column": [str(c) for c in col]}
-        out.write(json.dumps(obj, separators=(",", ":")) + "\n")
-    elif args.format == "csv":
-        out.write("k,coeff_num,coeff_den\n")
-        for k, c in enumerate(col):
-            out.write(f"{k},{c.numerator},{c.denominator}\n")
-    else:
-        for k, c in enumerate(col):
-            out.write(f"H_{k}: {c}\n")
-    return 0
+    return render(out, args.format,
+                  to_json=lambda: {"m": args.m, "n": args.n,
+                                   "column": [str(c) for c in col]},
+                  to_csv=lambda: ("k,coeff_num,coeff_den", (
+                      (k, c.numerator, c.denominator) for k, c in enumerate(col))),
+                  to_plain=lambda: [f"H_{k}: {c}" for k, c in enumerate(col)])
 
 
 def cmd_verify(args, out):
@@ -163,40 +136,29 @@ def cmd_moonshine(args, out):
         max_witnesses=args.max_witnesses,
     )
     obj["n"] = args.n
-    if args.format == "json":
-        out.write(json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n")
-    else:
-        out.write(f"A_{args.n} = {target}\n")
+
+    def report():
+        yield f"A_{args.n} = {target}"
         if distinct:
             w = obj["distinct_witness"]
-            out.write(
-                "distinct: " + (" + ".join(map(str, w)) if w else "none") + "\n"
-            )
+            yield "distinct: " + (" + ".join(map(str, w)) if w else "none")
         if args.cap is not None:
-            out.write(f"count (cap {args.cap}): {obj['bounded_count']}\n")
-            for wit in obj["witnesses"]:
-                out.write(f"witness: {wit}\n")
-    return 0
+            yield f"count (cap {args.cap}): {obj['bounded_count']}"
+            yield from (f"witness: {wit}" for wit in obj["witnesses"])
+
+    return render(out, args.format, to_json=lambda: dict(sorted(obj.items())),
+                  to_plain=report)
 
 
 def cmd_reduce_z0(args, out):
-    hk = h_k_series(args.k, args.order)
-    poly = z0_reduce(hk, 2 * args.k + 4)
-    if args.format == "json":
-        obj = {"k": args.k, "coefficients": [str(c) for c in poly.coefficients]}
-        out.write(json.dumps(obj, separators=(",", ":")) + "\n")
-    elif args.format == "csv":
-        out.write("degree,coeff_num,coeff_den\n")
-        for d, c in enumerate(poly.coefficients):
-            out.write(f"{d},{c.numerator},{c.denominator}\n")
-    else:
-        terms = [
-            f"({c})*Z0hat^{d}" if d else f"({c})"
-            for d, c in enumerate(poly.coefficients)
-            if c or d == 0
-        ]
-        out.write(f"H_{args.k} = " + " + ".join(terms) + "\n")
-    return 0
+    coeffs = z0_reduce(h_k_series(args.k, args.order), 2 * args.k + 4).coefficients
+    return render(out, args.format,
+                  to_json=lambda: {"k": args.k, "coefficients": [str(c) for c in coeffs]},
+                  to_csv=lambda: ("degree,coeff_num,coeff_den", (
+                      (d, c.numerator, c.denominator) for d, c in enumerate(coeffs))),
+                  to_plain=lambda: [f"H_{args.k} = " + " + ".join(
+                      f"({c})*Z0hat^{d}" if d else f"({c})"
+                      for d, c in enumerate(coeffs) if c or d == 0)])
 
 
 def nonneg(text):
@@ -214,8 +176,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p, default="plain"):
-        p.add_argument("--format", choices=("json", "csv", "plain"), default=default)
+    def add_format(p, default="plain", choices=("json", "csv", "plain")):
+        p.add_argument("--format", choices=choices, default=default)
 
     p = sub.add_parser("coeffs", help="print the q-expansion of a named series")
     p.add_argument("--series", required=True)
@@ -227,7 +189,7 @@ def build_parser():
     p = sub.add_parser("invariant", help="one Donaldson invariant Phi_{m,2n}")
     p.add_argument("--m", type=nonneg, required=True)
     p.add_argument("--n", type=nonneg, required=True)
-    p.add_argument("--via", choices=("qplus", "h", "both"), default="both")
+    p.add_argument("--via", choices=tuple(ROUTES), default="both")
     add_format(p)
     p.set_defaults(func=cmd_invariant)
 
@@ -254,7 +216,7 @@ def build_parser():
     p.add_argument("--cap", type=nonneg, default=None,
                    help="count multiplicity vectors with entries <= cap")
     p.add_argument("--max-witnesses", type=nonneg, default=4, dest="max_witnesses")
-    add_format(p, default="json")
+    add_format(p, default="json", choices=("json", "plain"))
     p.set_defaults(func=cmd_moonshine)
 
     p = sub.add_parser("reduce-z0", help="reduce H_k to a polynomial in Z0hat")

@@ -34,6 +34,7 @@ functions, so series may be freely shared between threads.
 """
 
 from bisect import bisect_left
+from collections import namedtuple
 from fractions import Fraction
 from functools import wraps
 from itertools import compress
@@ -71,36 +72,11 @@ def _rational(x):
     raise TypeError(f"cannot interpret {x!r} as a rational coefficient")
 
 
-class DenseCoefficient:
-    """One entry of the dense view ``Series.coeffs``: a rational ``re``
-    with the complex-shaped ``im`` (always 0) that readers of the dense
-    view expect.  Read-only, and without arithmetic."""
-
-    __slots__ = ("_re",)
-
-    im = Fraction(0)
-
-    def __init__(self, re):
-        self._re = re
-
-    @property
-    def re(self):
-        return self._re
-
-    def __bool__(self):
-        return bool(self._re)
-
-    def __eq__(self, other):
-        if not isinstance(other, DenseCoefficient):
-            return NotImplemented
-        return self._re == other._re
-
-    def __repr__(self):
-        return f"DenseCoefficient({self._re!r})"
-
+# One nonzero entry of the dense view ``Series.coeffs``: a rational ``re``
+# and the complex-shaped ``im`` (always 0) that readers of the view expect.
+DenseCoefficient = namedtuple("DenseCoefficient", "re im")
 
 _ZERO = Fraction(0)
-_DENSE_ZERO = DenseCoefficient(_ZERO)
 
 
 def _ceil_div(a, b):
@@ -213,8 +189,10 @@ class Series:
 
     @classmethod
     def from_pairs(cls, pairs, *, prec):
-        """Series from (exp24, coefficient) pairs; later pairs accumulate."""
-        live = [(e, c) for e, c in ((e, _rational(c)) for e, c in pairs) if e < prec and c]
+        """Series from (exp24, coefficient) pairs; later pairs accumulate.
+        Plain ints are used as they are, other rationals as Fractions."""
+        exact = ((e, c if type(c) is int else _rational(c)) for e, c in pairs)
+        live = [(e, c) for e, c in exact if e < prec and c]
         if not live:
             return cls.zero(prec)
         return _series(min(e for e, _ in live), prec, *_rational_terms(live))
@@ -226,11 +204,11 @@ class Series:
     def coeffs(self):
         """Dense view, built on demand: the coefficient of
         q^((min_exp + k)/24) for each k < prec - min_exp, as a
-        DenseCoefficient."""
+        DenseCoefficient, or None where it is zero."""
         lo = self.min_exp
-        out = [_DENSE_ZERO] * (self.prec - lo)
+        out = [None] * (self.prec - lo)
         for e, x in zip(self._exps, self._nums):
-            out[e - lo] = DenseCoefficient(Fraction(x, self._den))
+            out[e - lo] = DenseCoefficient(Fraction(x, self._den), _ZERO)
         return tuple(out)
 
     def support(self):

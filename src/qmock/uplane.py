@@ -315,13 +315,6 @@ def format_z(records):
     return out
 
 
-def records_to_csv(records):
-    lines = ["m,n,phi_num,phi_den,route"]
-    for r in records:
-        lines.append(f"{r.m},{r.n},{r.value.numerator},{r.value.denominator},{r.route}")
-    return "\n".join(lines) + "\n"
-
-
 # ----------------------------------------------------------------------
 # the Z0hat polynomial mechanism
 

@@ -185,12 +185,29 @@ def test_reduce_z0_order_zero_is_insufficient_precision(capsys):
     ("reduce-z0", "--k", "1", "--order", "-1"),
     ("moonshine", "--n", "6", "--cap", "-1"),
     ("moonshine", "--n", "6", "--max-witnesses", "-2"),
+    ("moonshine", "--n", "6", "--format", "csv"),  # the report has no csv
 ])
 def test_negative_order_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert "must be nonnegative" in capsys.readouterr().err
+    want = "invalid choice" if "--format" in argv else "must be nonnegative"
+    assert want in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt, calls", [("json", 1), ("csv", 0), ("plain", 0)])
+def test_coeffs_builds_only_the_requested_format(capsys, monkeypatch, fmt, calls):
+    seen = []
+    to_json_obj = Series.to_json_obj
+
+    def counting(self):
+        seen.append(self)
+        return to_json_obj(self)
+
+    monkeypatch.setattr(Series, "to_json_obj", counting)
+    code, out, _ = run(capsys, "coeffs", "--series", "H", "--order", "8", "--format", fmt)
+    assert code == 0 and out.endswith("\n")
+    assert len(seen) == calls
 
 
 def test_negative_order_env_is_usage_error(capsys, monkeypatch):

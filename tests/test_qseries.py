@@ -219,6 +219,24 @@ def test_coefficient_bounds():
     assert exc.value.needed == 49
 
 
+@pytest.mark.parametrize("coeff, want", [
+    (-7, Fraction(-7)),
+    (True, Fraction(1)),
+    (Fraction(3, 4), Fraction(3, 4)),
+    (10**40, Fraction(10**40)),
+])
+def test_from_pairs_takes_ints_bools_and_fractions(coeff, want):
+    s = S([(0, coeff), (24, coeff), (24, 0)], 48)
+    assert [s.coefficient(e) for e in s.support()] == [want, want]
+    assert s.to_json_obj() == S([(0, want), (24, want)], 48).to_json_obj()
+
+
+@pytest.mark.parametrize("coeff", [0.5, "1", None])
+def test_from_pairs_rejects_non_rationals(coeff):
+    with pytest.raises(TypeError, match="rational coefficient"):
+        S([(0, 1), (72, coeff)], 48)  # also beyond prec
+
+
 # ---------------------------------------------------------------- ring laws
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qmock.cli import main
 from qmock.qseries import InsufficientPrecision, Series
 from qmock.forms import z0_hat
 from qmock.mock import mock_from_coefficients
@@ -27,7 +28,6 @@ from qmock.uplane import (
     mock_order_for,
     phi_route_a,
     phi_route_b,
-    records_to_csv,
     required_mock_prec,
     theta_quotient_factor,
     u_plane_coefficient,
@@ -168,11 +168,9 @@ def test_next_diagonal_pinned_by_route_agreement():
         assert a == b == want
 
 
-def test_records_csv_format():
-    records = [InvariantRecord(0, 0, Fraction(-1), ROUTE_FINAL),
-               InvariantRecord(0, 2, Fraction(-3, 16), ROUTE_FINAL)]
-    text = records_to_csv(records)
-    lines = text.strip().split("\n")
+def test_records_csv_format(capsys):
+    assert main(["table", "--max", "2", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "m,n,phi_num,phi_den,route"
     assert lines[1] == "0,0,-1,1,FinalFormula"
     assert lines[2] == "0,2,-3,16,FinalFormula"
