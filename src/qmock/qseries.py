@@ -350,6 +350,25 @@ class Series:
 
     __rmul__ = __mul__
 
+    def pairing(self, other):
+        """CT[self * other] = sum_e self_e * other_(-e), read without forming
+        the product.  Certified as the product is, so it raises
+        InsufficientPrecision (needed=1) exactly where
+        ``(self * other).constant_term()`` would."""
+        av, bv = self.val(), other.val()
+        ea = self.prec if av is None else av
+        eb = other.prec if bv is None else bv
+        prec = min(self.prec + eb, other.prec + ea)
+        if prec <= 0:
+            raise InsufficientPrecision(
+                f"constant term of a product requested, but the product is only "
+                f"certified below {prec}",
+                needed=1,
+            )
+        get = dict(zip(other._exps, other._nums)).get
+        num = sum(x * get(-e, 0) for e, x in zip(self._exps, self._nums))
+        return Fraction(num, self._den * other._den)
+
     def __truediv__(self, other):
         """Exact quotient, equal to ``self * other.invert()`` (prec and
         min_exp too) without the dense inverse.  With self = q^w F / D_f,
@@ -567,36 +586,51 @@ class Series:
 
 
 # ----------------------------------------------------------------------
-# the order-monotone memo
+# the size-monotone memos
 
 
-def order_memo(fn):
-    """Memoise ``fn(*key, order)`` by the largest order computed so far.
+def _monotone_memo(fn, least, serve):
+    """Memoise ``fn(*key, size)`` by the largest size computed so far.
 
-    ``order`` (in q-units) is the last positional argument and the key
-    is everything before it, and the result is always a ``Series``.
-    Each key keeps only its largest-order result; a smaller positive
-    order is served as ``stored.truncate(LATTICE_DEN * order)``, the
-    certified prefix it asks for.  An entry is replaced only by a
-    larger order, so concurrent callers can at worst compute the same
-    result twice.  Orders <= 0 bypass the memo, so their error and pole
-    paths still run.
+    ``size`` is the last positional argument and the key is everything
+    before it.  Each key keeps only its largest-size result; a size from
+    ``least`` up to the stored one is served as ``serve(stored, size)``.
+    An entry is replaced only by a larger size, so concurrent callers can
+    at worst compute the same result twice.  Sizes below ``least`` bypass
+    the memo, so their error paths still run.
     """
-    best = {}  # key -> (order, result)
+    best = {}  # key -> (size, result)
     store = Lock()  # held only to compare and replace, never around fn
 
     @wraps(fn)
     def memo(*args):
-        key, order = args[:-1], args[-1]
-        if order <= 0:
+        key, size = args[:-1], args[-1]
+        if size < least:
             return fn(*args)
-        stored_order, stored = best.get(key, (0, None))
-        if stored_order >= order:
-            return stored.truncate(LATTICE_DEN * order)
+        stored_size, stored = best.get(key, (least - 1, None))
+        if stored_size >= size:
+            return serve(stored, size)
         result = fn(*args)
         with store:
-            if best.get(key, (0,))[0] < order:
-                best[key] = (order, result)
+            if best.get(key, (least - 1,))[0] < size:
+                best[key] = (size, result)
         return result
 
     return memo
+
+
+def order_memo(fn):
+    """Memoise ``fn(*key, order)``, a ``Series`` builder, by the largest
+    order (in q-units) computed so far: a smaller positive order is
+    served as ``stored.truncate(LATTICE_DEN * order)``, the certified
+    prefix it asks for.  Orders <= 0 bypass the memo, so their error and
+    pole paths still run."""
+    return _monotone_memo(fn, 1, lambda stored, order: stored.truncate(LATTICE_DEN * order))
+
+
+def degree_memo(fn):
+    """Memoise ``fn(*key, degree)``, which returns one entry per degree
+    0..degree, by the largest degree computed so far: a smaller degree is
+    served as the stored prefix of its length.  Negative degrees bypass
+    the memo."""
+    return _monotone_memo(fn, 0, lambda stored, degree: stored[: degree + 1])

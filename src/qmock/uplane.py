@@ -15,11 +15,22 @@ t = m+n and on k; only the scalar weights depend on (m, n):
   Phi_{m,2n} = -(2n)!/(n! 2^(2m+3n+4) 3^(n+1)) sum_k (-1)^k C(n,k) c^B_{t,k}.
   (T equals -1/2 * q d/dq Z0hat; the two routes balance with T as the factor.)
 
-So each route builds its vector c_t = (c_{t,0}, ..., c_{t,t}) once per
-degree (``vector_a`` and ``vector_b`` each cache the degree asked for
-last) in one loop, ``_constant_terms``, where the prefactor powers and
-the brackets climb one product per k, and every Phi of degree t is a
-weighted sum of its first n+1 entries.  The routes' weights differ by
+Each term is a constant-term pairing CT[a * b] = sum_e a_e b_(-e) of a
+power family and a rung family that do not depend on t, so each route
+builds its two families once, at the deepest degree D asked for:
+
+* route A: X^j with X = (theta2^4+theta3^4)/(theta2 theta3)^2, and
+  Y_k = theta4^9 (theta2 theta3)^(-3-2k) E^k[H/12], so that
+  c^A_{t,k} = CT[X^(t-k) Y_k];
+* route B: T Z0hat^j and Ehat^k[H(8tau)], so that
+  c^B_{t,k} = CT[T Z0hat^(t-k) * Ehat^k[H(8tau)]].
+
+One loop, ``_constant_terms``, pairs them into the vector
+c_t = (c_{t,0}, ..., c_{t,t}); ``route_vectors`` keeps every vector of
+degree <= D in one store that is monotone in degree (``degree_memo``),
+which serves any smaller degree as a prefix and is replaced only by a
+deeper one.  Every Phi of degree t is a weighted sum of the first n+1
+entries of c_t.  The routes' weights differ by
 3 * 2^(2t+5), so they agree on every pair of degree t exactly when
 c^B_t = 3 * 2^(2t+5) * c^A_t.  The weights are triangular in (n, k) with
 a nonzero diagonal, so a vector is zero exactly when the value of every
@@ -27,22 +38,26 @@ pair of its degree is zero: checking vectors is no weaker than checking
 pairs.  Any disagreement between the routes is a hard RouteMismatch
 error: this cross-check is the module's main self-validation.
 
-Working orders follow the rules in ``qseries``, with no safety margin.
+Working orders follow the rules in ``qseries``, with no safety margin,
+and the orders for degree D certify every pairing of degree t <= D.
+Route A's term of degree t has valuation -3(2t+3) - 3; X, of valuation
+-6, and Y_k keep the theta functions' prec - val, so thetas built to
+6D + 16 lattice units and H/12 to ``required_mock_prec(D, 0)`` suffice.
 Every route B term has valuation -48(t+2) lattice units; with
-R = 48(t+2) + 1, T and Z0hat are built to R - 48 and H(8tau) to R - 24
+R = 48(D+2) + 1, T and Z0hat are built to R - 48 and H(8tau) to R - 24
 (``bracket_hat`` keeps its operand's prec - val whatever k is).
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .qseries import (
     LATTICE_DEN,
     InsufficientPrecision,
     QSeriesError,
     Series,
+    degree_memo,
     q_order,
 )
 from .forms import eta, theta_big, theta_nullwert, z0_hat
@@ -116,29 +131,38 @@ def mock_order_for(m, n):
     return q_order(required_mock_prec(m, n))
 
 
-def _constant_terms(base, step, rungs, t):
-    """The tuple of CT[base * step^(t-k) * rung_k] over the rungs k = 0, 1, ...
-    (at most t + 1 of them), the powers climbing one product per k."""
-    chain = [base]  # base * step^j, j = 0..t
-    for _ in range(t):
-        chain.append(chain[-1] * step)
-    return tuple((chain[t - k] * rung).constant_term() for k, rung in enumerate(rungs))
+def _chain(first, step, n):
+    """[first * step^j for j = 0..n], one product per j."""
+    out = [first]
+    for _ in range(n):
+        out.append(out[-1] * step)
+    return out
+
+
+def _constant_terms(powers, rungs, t):
+    """The tuple of CT[powers[t-k] * rung_k] over the rungs k = 0, 1, ...
+    (at most t + 1 of them), each read by the pairing, no product formed."""
+    return tuple(powers[t - k].pairing(rung) for k, rung in zip(range(t + 1), rungs))
+
+
+def _theta_order(mplus, t):
+    """Order of the theta functions for route A's terms of degree <= t: the
+    constant term of (theta factor, val -3(2t+3)) * (bracket, val >= val(M+))
+    needs theta2, of val 3, to 1 - val(M+) + 3(2t+3) + 3."""
+    v = mplus.val()
+    return q_order(1 - (mplus.prec if v is None else v) + 3 * (2 * t + 3) + 3)
 
 
 def functional_vector(mplus, t, k_max):
     """Route A's constant terms c_{t,k}[M+], k = 0..k_max, of degree t:
     c_{t,k} = CT[theta4^9 S^(t-k) (theta2 theta3)^(-(2t+3)) E^k[M+]] with
     S = theta2^4 + theta3^4.  M+ must meet ``required_mock_prec``."""
-    a = 2 * t + 3
-    # the constant term of (theta factor, val -3a) * (bracket, val >= val(M+))
-    # needs theta2, of val 3, to 1 - val(M+) + 3a + 3
-    v = mplus.val()
-    order = q_order(1 - (mplus.prec if v is None else v) + 3 * a + 3)
+    order = _theta_order(mplus, t)
     t2 = theta_nullwert(2, order)
     t3 = theta_nullwert(3, order)
     s = t2.pow_int(4) + t3.pow_int(4)
-    base = theta_nullwert(4, order).pow_int(9) * (t2 * t3).pow_int(-a)
-    return _constant_terms(base, s, bracket_ladder(mplus, k_max), t)
+    base = theta_nullwert(4, order).pow_int(9) * (t2 * t3).pow_int(-(2 * t + 3))
+    return _constant_terms(_chain(base, s, t), bracket_ladder(mplus, k_max), t)
 
 
 def _alternating_sum(vector, n):
@@ -189,10 +213,24 @@ def _h12(t):
     return h_series(mock_order_for(t, 0)).scale(Fraction(1, 12))
 
 
-@lru_cache(maxsize=1)
+def basis_a(degree):
+    """Route A's families on H/12 for every degree <= ``degree``:
+    X^j and Y_k = theta4^9 (theta2 theta3)^(-3-2k) E^k[H/12], j, k = 0..degree."""
+    h12 = _h12(degree)
+    order = _theta_order(h12, degree)
+    t2 = theta_nullwert(2, order)
+    t3 = theta_nullwert(3, order)
+    p_inv = (t2 * t3).invert()
+    step = p_inv * p_inv
+    x = (t2.pow_int(4) + t3.pow_int(4)) * step
+    first = theta_nullwert(4, order).pow_int(9) * p_inv * step
+    rungs = [w * e for w, e in zip(_chain(first, step, degree), bracket_ladder(h12, degree))]
+    return _chain(x.pow_int(0), x, degree), rungs
+
+
 def vector_a(t):
     """Route A's vector of degree t on H/12."""
-    return functional_vector(_h12(t), t, t)
+    return route_vectors("A", t)[t]
 
 
 def kernel_vector(t):
@@ -219,14 +257,27 @@ def theta_quotient_factor(order):
     return t4.pow_int(9) / t2 / t3 / eta83
 
 
-@lru_cache(maxsize=1)
-def vector_b(t):
-    """Route B's constant terms CT[T Z0hat^(t-k) Ehat^k[H(8tau)]], k = 0..t."""
-    rel = 48 * (t + 2) + 1  # T * Z0^j * Ehat^k has val -48(t+2)
+def basis_b(degree):
+    """Route B's families for every degree <= ``degree``: T Z0hat^j and
+    Ehat^k[H(8tau)], j, k = 0..degree."""
+    rel = 48 * (degree + 2) + 1  # T * Z0^j * Ehat^k has val -48(j+k+2)
     z0 = z0_hat(q_order(rel - 48))
     tq = theta_quotient_factor(q_order(rel - 48))
     h8 = h_series(q_order(Fraction(rel - 24, 8))).rescale_exponents(8, 1)
-    return _constant_terms(tq, z0, bracket_hat_ladder(h8, t), t)
+    return _chain(tq, z0, degree), list(bracket_hat_ladder(h8, degree))
+
+
+def vector_b(t):
+    """Route B's constant terms CT[T Z0hat^(t-k) Ehat^k[H(8tau)]], k = 0..t."""
+    return route_vectors("B", t)[t]
+
+
+@degree_memo
+def route_vectors(route, degree):
+    """Route "A" or "B"'s vectors c_0, ..., c_degree, all paired from one
+    pair of families built for ``degree``."""
+    powers, rungs = basis_a(degree) if route == "A" else basis_b(degree)
+    return tuple(_constant_terms(powers, rungs, t) for t in range(degree + 1))
 
 
 def weigh_b(vector, m, n):
@@ -269,6 +320,8 @@ def generating_function(max_total_degree):
     checked to do so).  Returns (records, Z(p,S) string).
     """
     records = []
+    vector_a(max_total_degree)  # one store build per route, at the deepest degree
+    vector_b(max_total_degree)
     for total in range(max_total_degree + 1):
         for m in range(total + 1):
             n = total - m

@@ -223,6 +223,7 @@ def check_routes(max_total=8):
 
 def check_parity(max_total=9):
     bad = []
+    vector_a(max_total)  # the degree store builds once, at the deepest degree
     for total in range(1, max_total + 1, 2):
         qplus = q_plus_rescaled(mock_order_for(total, 0))
         for route, vector in (

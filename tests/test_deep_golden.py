@@ -6,6 +6,11 @@ at orders 1024 and 2048, and Z0hat, Theta3 (an eta quotient with
 negative exponents) and mu(tau/2) at order 512.  Each digest is the
 SHA-256 of the stdout of ``qmock coeffs --series NAME --order N
 --format json``.
+
+The golden sweep's tables stop at ``--max 16``; the deep table pins take
+the Phi table to total degree 32 and 48, where every working order of
+both routes is deepest.  Each is the SHA-256 of the stdout of
+``qmock table --max D --format json``.
 """
 
 import contextlib
@@ -24,11 +29,26 @@ DEEP_DIGESTS = {
     ("mu:tauhalf", 512): "0bdb54d14b62fb89b664534168c2216f037c1324d2e8ae195423bc661f86a670",
 }
 
+DEEP_TABLE_DIGESTS = {
+    32: "bd716caa8623e76f456df723b5b986398bf8a8079c46c1e46da99be7347727d4",
+    48: "7c297dd0395ff56e4f5ae8411793bcf9f50d3b75543f841744ff8b408cef7d9d",
+}
+
+
+def run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
 
 @pytest.mark.parametrize("name, order", sorted(DEEP_DIGESTS))
 def test_deep_expansion_matches_recorded_digest(name, order):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["coeffs", "--series", name, "--order", str(order), "--format", "json"])
-    assert code == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DEEP_DIGESTS[name, order]
+    argv = ["coeffs", "--series", name, "--order", str(order), "--format", "json"]
+    assert run_cli(argv) == (0, DEEP_DIGESTS[name, order])
+
+
+@pytest.mark.parametrize("degree", sorted(DEEP_TABLE_DIGESTS))
+def test_deep_table_matches_recorded_digest(degree):
+    argv = ["table", "--max", str(degree), "--format", "json"]
+    assert run_cli(argv) == (0, DEEP_TABLE_DIGESTS[degree])

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import pytest
 
-from qmock import uplane
 from qmock.brackets import (
     bracket_coefficients,
     bracket_hat,
@@ -208,18 +207,3 @@ def test_per_pair_entry_points_survive_a_degree_change():
         assert phi_route_a(m, n) == want, (m, n)
         assert phi_route_b(m + 1, n) == PHI_TABLE.get((m + 1, n), 0), (m + 1, n)
 
-
-def test_generating_function_builds_each_vector_once_per_degree(monkeypatch):
-    # vector_a and vector_b each cache the degree asked for last, so the
-    # sweep over degrees 0..4 builds one vector per route and degree
-    calls = dict.fromkeys(("functional_vector", "theta_quotient_factor"), 0)
-    for name in calls:
-        def counting(*args, _fn=getattr(uplane, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-
-        monkeypatch.setattr(uplane, name, counting)
-    vector_a.cache_clear()
-    vector_b.cache_clear()
-    uplane.generating_function(4)
-    assert calls == {"functional_vector": 5, "theta_quotient_factor": 5}

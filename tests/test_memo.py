@@ -1,5 +1,6 @@
 """The order-monotone memo: a smaller order served from a larger one must
-be exactly what a direct computation at that order gives."""
+be exactly what a direct computation at that order gives.  The
+degree-monotone memo serves a smaller degree as a prefix."""
 
 import random
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 from qmock import forms, mock
 from qmock.forms import V_HALF, V_ONE_PLUS_TAU_HALF, V_TAU_HALF
-from qmock.qseries import Series, order_memo
+from qmock.qseries import Series, degree_memo, order_memo
 
 POINT_NAMES = {V_HALF: "half", V_ONE_PLUS_TAU_HALF: "onetauhalf", V_TAU_HALF: "tauhalf"}
 
@@ -86,6 +87,24 @@ def test_memo_keeps_the_largest_order():
     assert ones(5).prec == 120
     assert ones(0).prec == 0
     assert computed == [5, 7, 0]
+
+
+def test_degree_memo_serves_prefixes_of_the_largest_degree():
+    computed = []
+
+    @degree_memo
+    def squares(key, degree):
+        computed.append((key, degree))
+        return tuple(key * d * d for d in range(degree + 1))
+
+    assert squares(1, 4) == (0, 1, 4, 9, 16)
+    assert squares(1, 2) == (0, 1, 4)
+    assert squares(1, 0) == (0,)
+    assert squares(2, 1) == (0, 2)
+    assert squares(1, 5) == (0, 1, 4, 9, 16, 25)
+    assert squares(1, 3) == (0, 1, 4, 9)
+    assert squares(1, -1) == ()  # a negative degree bypasses the memo
+    assert computed == [(1, 4), (2, 1), (1, 5), (1, -1)]
 
 
 def test_a_late_smaller_result_does_not_replace_a_larger_one():

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmock.qseries import (
@@ -292,6 +292,58 @@ def test_no_coefficient_beyond_prec(s):
 def test_canonical_zero_equality():
     assert S([], 48) == Series.zero(48)
     assert Series(0, (0,) * 48, 48) == Series(-24, (0,) * 72, 48)
+
+
+# ------------------------------------------------------------------ pairing
+
+
+@st.composite
+def sparse_series(draw):
+    """A few terms on one residue class, often zero or with a pole, with a
+    prec (<= 0 too) drawn relative to the last term."""
+    step = draw(st.sampled_from([12, 24, 3]))
+    offset = draw(st.sampled_from([0, 0, 3]))
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.integers(-3, 4).map(lambda k: k * step + offset),
+                st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3, 7])),
+            ),
+            max_size=6,
+        )
+    )
+    top = max((e for e, _ in terms), default=0)
+    return S(terms, top + draw(st.integers(-36, 72)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_series(), sparse_series())
+@example(Series.zero(24), S([(0, 3)], 24))  # a zero series
+@example(Series.zero(-24), S([(24, 3)], 48))  # a zero series short of q^0
+@example(S([(-24, 2)], 0), S([(24, 5)], 48))  # prec 0: q^0 uncertified
+@example(S([(-24, 2), (0, 1)], 24), S([(0, 7), (24, 5)], 48))  # a pole on one side
+@example(S([(-48, 2)], 24), S([(24, 5)], 48))  # the pole reaches past the other's prec
+@example(S([(-3, 2), (21, 1)], 48), S([(0, 5), (24, 1)], 48))  # disjoint supports
+def test_pairing_is_the_constant_term_of_the_product(a, b):
+    try:
+        want = (a * b).constant_term()
+    except InsufficientPrecision as exc:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(InsufficientPrecision) as got:
+                x.pairing(y)
+            assert got.value.needed == exc.needed == 1
+        return
+    assert a.pairing(b) == b.pairing(a) == want
+
+
+def test_pairing_edge_cases():
+    pole = S([(-24, 2), (0, 1)], 24)
+    tail = S([(0, 7), (24, 5)], 48)
+    assert pole.pairing(tail) == 2 * 5 + 1 * 7
+    assert S([(-3, 2), (21, 1)], 48).pairing(tail) == 0  # no exponents cancel
+    assert Series.zero(24).pairing(tail) == 0
+    with pytest.raises(InsufficientPrecision):
+        S([(-48, 2)], 24).pairing(S([(24, 5)], 48))  # the product is certified only below q^0
 
 
 # ------------------------------------------------------------------ combine
