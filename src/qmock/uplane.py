@@ -16,33 +16,34 @@ t = m+n and on k; only the scalar weights depend on (m, n):
   (T equals -1/2 * q d/dq Z0hat; the two routes balance with T as the factor.)
 
 Each term is a constant-term pairing CT[a * b] = sum_e a_e b_(-e) of a
-power family and a rung family that do not depend on t, so each route
-builds its two families once, at the deepest degree D asked for:
+power family and a rung family that do not depend on t:
 
-* route A: X^j with X = (theta2^4+theta3^4)/(theta2 theta3)^2, and
-  Y_k = theta4^9 (theta2 theta3)^(-3-2k) E^k[H/12], so that
-  c^A_{t,k} = CT[X^(t-k) Y_k];
+* route A: X^j and W_k E^k[M+], X = (theta2^4+theta3^4)/(theta2 theta3)^2
+  and W_k = theta4^9 (theta2 theta3)^(-3-2k), so c^A_{t,k} =
+  CT[X^(t-k) * W_k E^k[M+]].  One mock-free ``theta_family`` (X^j, W_j)
+  serves every mock: H/12, Q+(tau/8), their difference and column probes;
 * route B: T Z0hat^j and Ehat^k[H(8tau)], so that
   c^B_{t,k} = CT[T Z0hat^(t-k) * Ehat^k[H(8tau)]].
 
 One loop, ``_constant_terms``, pairs them into the vector
-c_t = (c_{t,0}, ..., c_{t,t}); ``route_vectors`` keeps every vector of
-degree <= D in one store that is monotone in degree (``degree_memo``),
-which serves any smaller degree as a prefix and is replaced only by a
-deeper one.  Every Phi of degree t is a weighted sum of the first n+1
-entries of c_t.  The routes' weights differ by
-3 * 2^(2t+5), so they agree on every pair of degree t exactly when
-c^B_t = 3 * 2^(2t+5) * c^A_t.  The weights are triangular in (n, k) with
-a nonzero diagonal, so a vector is zero exactly when the value of every
-pair of its degree is zero: checking vectors is no weaker than checking
-pairs.  Any disagreement between the routes is a hard RouteMismatch
-error: this cross-check is the module's main self-validation.
+c_t = (c_{t,0}, ..., c_{t,t}).  ``route_vectors`` keeps one store for
+route B and one per named route A mock (``ROUTE_A_MOCKS``); the stores
+and the theta family are monotone in degree (``degree_memo``), serve a
+smaller degree as a prefix and are replaced only by a deeper build.
+Every Phi of degree t is a weighted sum of the first n+1 entries of c_t.
+The routes' weights differ by 3 * 2^(2t+5), so they agree on every pair
+of degree t exactly when c^B_t = 3 * 2^(2t+5) * c^A_t.  The weights are
+triangular in (n, k) with a nonzero diagonal, so a vector is zero exactly
+when the value of every pair of its degree is zero: checking vectors is
+no weaker than checking pairs.  Any disagreement between the routes is a
+hard RouteMismatch error: this cross-check is the module's main
+self-validation.
 
-Working orders follow the rules in ``qseries``, with no safety margin,
-and the orders for degree D certify every pairing of degree t <= D.
-Route A's term of degree t has valuation -3(2t+3) - 3; X, of valuation
--6, and Y_k keep the theta functions' prec - val, so thetas built to
-6D + 16 lattice units and H/12 to ``required_mock_prec(D, 0)`` suffice.
+Working orders follow the rules in ``qseries``, with no safety margin.
+Route A's term of degree t has valuation val(M+) - 3(2t+3); X and W_k
+keep the thetas' prec - val, so the family of depth D, from thetas built
+to 6D + 16 lattice units, certifies degree D on H/12 (val -3, built to
+``required_mock_prec(D, 0)``); a deeper pole takes a deeper family.
 Every route B term has valuation -48(t+2) lattice units; with
 R = 48(D+2) + 1, T and Z0hat are built to R - 48 and H(8tau) to R - 24
 (``bracket_hat`` keeps its operand's prec - val whatever k is).
@@ -145,24 +146,41 @@ def _constant_terms(powers, rungs, t):
     return tuple(powers[t - k].pairing(rung) for k, rung in zip(range(t + 1), rungs))
 
 
-def _theta_order(mplus, t):
-    """Order of the theta functions for route A's terms of degree <= t: the
-    constant term of (theta factor, val -3(2t+3)) * (bracket, val >= val(M+))
-    needs theta2, of val 3, to 1 - val(M+) + 3(2t+3) + 3."""
-    v = mplus.val()
-    return q_order(1 - (mplus.prec if v is None else v) + 3 * (2 * t + 3) + 3)
+@degree_memo
+def theta_family(degree):
+    """Route A's mock-free family for every degree <= ``degree``: the pairs
+    (X^j, W_j), j = 0..degree, from thetas built to 6 degree + 16 lattice
+    units (X and W_j as in the module docstring)."""
+    order = q_order(6 * degree + 16)
+    t2 = theta_nullwert(2, order)
+    t3 = theta_nullwert(3, order)
+    p_inv = (t2 * t3).invert()
+    step = p_inv * p_inv
+    x = (t2.pow_int(4) + t3.pow_int(4)) * step
+    first = theta_nullwert(4, order).pow_int(9) * p_inv * step
+    return tuple(zip(_chain(x.pow_int(0), x, degree), _chain(first, step, degree)))
+
+
+def basis_a(mock, degree, k_max):
+    """Route A's families on ``mock`` for every degree <= ``degree``: the
+    powers X^j and the rungs W_k E^k[mock], k = 0..k_max, so that
+    c_{t,k} = CT[X^(t-k) * W_k E^k[mock]].  Theta2, of val 3, is needed to
+    1 - val(mock) + 3(2 degree + 3) + 3 lattice units; the family taken is
+    the deepest (at least degree and k_max) whose order 6D + 16 rounds to
+    that q-order, so that requests of one q-order share one family."""
+    v = mock.val()
+    need = 1 - (mock.prec if v is None else v) + 3 * (2 * degree + 3) + 3
+    order = q_order(max(need, 6 * max(degree, k_max) + 16))
+    family = theta_family((LATTICE_DEN * order - 16) // 6)
+    rungs = [w * e for (_, w), e in zip(family, bracket_ladder(mock, k_max))]
+    return [x for x, _ in family], rungs
 
 
 def functional_vector(mplus, t, k_max):
     """Route A's constant terms c_{t,k}[M+], k = 0..k_max, of degree t:
     c_{t,k} = CT[theta4^9 S^(t-k) (theta2 theta3)^(-(2t+3)) E^k[M+]] with
     S = theta2^4 + theta3^4.  M+ must meet ``required_mock_prec``."""
-    order = _theta_order(mplus, t)
-    t2 = theta_nullwert(2, order)
-    t3 = theta_nullwert(3, order)
-    s = t2.pow_int(4) + t3.pow_int(4)
-    base = theta_nullwert(4, order).pow_int(9) * (t2 * t3).pow_int(-(2 * t + 3))
-    return _constant_terms(_chain(base, s, t), bracket_ladder(mplus, k_max), t)
+    return _constant_terms(*basis_a(mplus, t, k_max), t)
 
 
 def _alternating_sum(vector, n):
@@ -213,19 +231,12 @@ def _h12(t):
     return h_series(mock_order_for(t, 0)).scale(Fraction(1, 12))
 
 
-def basis_a(degree):
-    """Route A's families on H/12 for every degree <= ``degree``:
-    X^j and Y_k = theta4^9 (theta2 theta3)^(-3-2k) E^k[H/12], j, k = 0..degree."""
-    h12 = _h12(degree)
-    order = _theta_order(h12, degree)
-    t2 = theta_nullwert(2, order)
-    t3 = theta_nullwert(3, order)
-    p_inv = (t2 * t3).invert()
-    step = p_inv * p_inv
-    x = (t2.pow_int(4) + t3.pow_int(4)) * step
-    first = theta_nullwert(4, order).pow_int(9) * p_inv * step
-    rungs = [w * e for w, e in zip(_chain(first, step, degree), bracket_ladder(h12, degree))]
-    return _chain(x.pow_int(0), x, degree), rungs
+#: route A's named mocks, each certified for every degree <= its argument
+ROUTE_A_MOCKS = {
+    "A": _h12,
+    "Qplus": lambda t: q_plus_rescaled(mock_order_for(t, 0)),
+    "kernel": lambda t: q_plus_rescaled(mock_order_for(t, 0)) - _h12(t),
+}
 
 
 def vector_a(t):
@@ -233,10 +244,14 @@ def vector_a(t):
     return route_vectors("A", t)[t]
 
 
+def vector_qplus(t):
+    """Route A's vector of degree t on Q+(tau/8); equal to ``vector_a(t)``."""
+    return route_vectors("Qplus", t)[t]
+
+
 def kernel_vector(t):
     """Route A's vector of degree t on Q+(tau/8) - H(tau)/12; all zero."""
-    qplus = q_plus_rescaled(mock_order_for(t, 0))
-    return functional_vector(qplus - _h12(t), t, t)
+    return route_vectors("kernel", t)[t]
 
 
 def kernel_check(m, n):
@@ -274,9 +289,11 @@ def vector_b(t):
 
 @degree_memo
 def route_vectors(route, degree):
-    """Route "A" or "B"'s vectors c_0, ..., c_degree, all paired from one
-    pair of families built for ``degree``."""
-    powers, rungs = basis_a(degree) if route == "A" else basis_b(degree)
+    """A route's vectors c_0, ..., c_degree, all paired from one pair of
+    families built for ``degree``: route "B", or route A on one of the
+    mocks in ``ROUTE_A_MOCKS``."""
+    mock = ROUTE_A_MOCKS.get(route)
+    powers, rungs = basis_b(degree) if mock is None else basis_a(mock(degree), degree, degree)
     return tuple(_constant_terms(powers, rungs, t) for t in range(degree + 1))
 
 
@@ -302,7 +319,7 @@ def phi_route_b(m, n):
 def donaldson_phi(m, n, route):
     """Phi_{m,2n} by the named route."""
     if route == ROUTE_QPLUS:
-        return u_plane_coefficient(q_plus_rescaled(mock_order_for(m, n)), m, n)
+        return weigh_a(vector_qplus(m + n), n)
     if route == ROUTE_H12:
         return phi_route_a(m, n)
     if route == ROUTE_FINAL:

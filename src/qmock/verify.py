@@ -45,13 +45,12 @@ from .uplane import (
     RouteMismatch,
     donaldson_phi,
     column_extract,
-    functional_vector,
     generating_function,
     h_k_series,
     kernel_vector,
-    mock_order_for,
     theta_quotient_factor,
     vector_a,
+    vector_qplus,
     weigh_a,
     z0_reduce,
 )
@@ -160,6 +159,9 @@ def check_qplus_expansion():
 
 def check_donaldson_table():
     bad = []
+    deepest = max(m + n for m, n in PHI_TABLE)
+    vector_a(deepest)  # each route's store builds once, at the deepest degree
+    vector_qplus(deepest)
     for (m, n), want in PHI_TABLE.items():
         for route in (ROUTE_QPLUS, ROUTE_H12):
             got = donaldson_phi(m, n, route)
@@ -199,6 +201,7 @@ def _nonzero_pairs(vector, total):
 
 def check_kernel(max_total=8):
     bad = []
+    kernel_vector(max_total)  # the kernel store builds once, at the deepest degree
     for total in range(max_total + 1):
         bad += [(m, n, str(v)) for m, n, v in _nonzero_pairs(kernel_vector(total), total)]
     return _result(
@@ -223,13 +226,10 @@ def check_routes(max_total=8):
 
 def check_parity(max_total=9):
     bad = []
-    vector_a(max_total)  # the degree store builds once, at the deepest degree
+    vector_a(max_total)  # each store builds once, at the deepest degree
+    vector_qplus(max_total)
     for total in range(1, max_total + 1, 2):
-        qplus = q_plus_rescaled(mock_order_for(total, 0))
-        for route, vector in (
-            (ROUTE_QPLUS, functional_vector(qplus, total, total)),
-            (ROUTE_H12, vector_a(total)),
-        ):
+        for route, vector in ((ROUTE_QPLUS, vector_qplus(total)), (ROUTE_H12, vector_a(total))):
             bad += [(m, n, route, str(v)) for m, n, v in _nonzero_pairs(vector, total)]
     return _result(
         "parity-vanishing",

@@ -5,7 +5,9 @@ The reference functions below are the per-(m, n), per-k evaluation
 that ``uplane`` and ``brackets`` used before every Phi of one degree came
 from one vector per route: each pair rebuilds its own theta factor,
 Z0hat power and bracket for every k.  They share only the series
-builders with the code under test.
+builders with the code under test.  Edge mocks (a pole below H's, the
+zero mock, a mock at exactly the required precision and one lattice unit
+short of it) check the depth rule of route A's shared theta family.
 """
 
 import math
@@ -13,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from qmock import uplane
 from qmock.brackets import (
     bracket_coefficients,
     bracket_hat,
@@ -22,17 +25,20 @@ from qmock.brackets import (
 )
 from qmock.forms import eisenstein_e2, eta, theta_big, theta_nullwert, z0_hat
 from qmock.mock import h_series, mock_from_coefficients, q_plus_rescaled
-from qmock.qseries import Series, q_order
+from qmock.qseries import LATTICE_DEN, InsufficientPrecision, Series, q_order
 from qmock.uplane import (
+    functional_vector,
     kernel_check,
     kernel_vector,
     mock_order_for,
     phi_route_a,
     phi_route_b,
+    required_mock_prec,
     theta_quotient_factor,
     u_plane_coefficient,
     vector_a,
     vector_b,
+    vector_qplus,
 )
 from qmock.verify import PHI_TABLE
 
@@ -158,6 +164,64 @@ def test_vectors_of_degree_t(t):
     if t % 2:
         assert not any(a) and not any(b)
     assert not any(kernel_vector(t))
+
+
+def deep_pole(order):
+    """H/12 plus 2 q^(-1/8-2): valuation -51 lattice units, below H's -3."""
+    return h12(order) + Series.monomial(-3 - 2 * LATTICE_DEN, 2, prec=LATTICE_DEN * order)
+
+
+EDGE_MOCKS = {
+    "deep-pole": lambda prec: deep_pole(q_order(prec)).truncate(prec),
+    "zero": Series.zero,
+    "H12-at-required": lambda prec: h12(q_order(prec)).truncate(prec),
+}
+
+
+@pytest.mark.parametrize("mock", sorted(EDGE_MOCKS))
+def test_mocks_at_exactly_the_required_prec_match_the_reference(mock):
+    for m, n in PAIRS:
+        series = EDGE_MOCKS[mock](required_mock_prec(m, n))
+        want = reference_u_plane_coefficient(series, m, n)
+        assert u_plane_coefficient(series, m, n) == want, (m, n)
+        assert functional_vector(series, m + n, n)[: n + 1] == functional_vector(
+            series, m + n, m + n)[: n + 1], (m, n)
+
+
+def test_a_deep_pole_asks_for_a_deeper_theta_family(monkeypatch):
+    # at degree 8, H/12 needs thetas to 64 lattice units (q-order 3, depth
+    # 9) and the pole at q^(-17/8) to 112 (q-order 5, depth 17)
+    depths = []
+    family = uplane.theta_family
+    monkeypatch.setattr(uplane, "theta_family", lambda d: depths.append(d) or family(d))
+    order = mock_order_for(MAX_DEGREE, 0)
+    for mock in (h12(order), deep_pole(order)):
+        functional_vector(mock, MAX_DEGREE, MAX_DEGREE)
+    assert depths == [9, 17]
+
+
+@pytest.mark.parametrize("mock", sorted(EDGE_MOCKS))
+def test_one_lattice_unit_short_raises_with_the_required_prec(mock):
+    for m, n in PAIRS:
+        need = required_mock_prec(m, n)
+        series = EDGE_MOCKS[mock](need - 1)
+        with pytest.raises(InsufficientPrecision) as guard:
+            u_plane_coefficient(series, m, n)
+        assert guard.value.needed == need, (m, n)
+        # the guard is up front; the pairing itself sees the constant term
+        # certified one lattice unit too short
+        with pytest.raises(InsufficientPrecision) as pairing:
+            functional_vector(series, m + n, n)
+        assert pairing.value.needed == 1, (m, n)
+
+
+@pytest.mark.parametrize("t", range(MAX_DEGREE + 2))
+def test_qplus_and_kernel_stores_equal_per_degree_functional_vectors(t):
+    order = mock_order_for(t, 0)
+    qplus = q_plus_rescaled(order)
+    assert vector_qplus(t) == functional_vector(qplus, t, t) == vector_a(t)
+    kernel = functional_vector(qplus - h12(order), t, t)
+    assert kernel_vector(t) == kernel and not any(kernel)
 
 
 # ---------------------------------------------------------------- brackets
