@@ -68,9 +68,7 @@ def bracket_ladder(m_series, k_max):
     """Yield E^0[M], ..., E^k_max[M] in order; E^0[M] is M itself."""
     if k_max < 0:
         raise ValueError("bracket order k must be nonnegative")
-    v = m_series.val()
-    rel = 0 if v is None else m_series.prec - v  # E2 needs this
-    e2 = eisenstein_e2(q_order(rel))
+    e2 = eisenstein_e2(q_order(m_series.prec - m_series.min_exp))  # E2 needs this
     u = [m_series]
     deriv = m_series
     e2_inv = e2.invert() if k_max else None
@@ -94,8 +92,7 @@ def bracket_hat_ladder(m8, k_max):
     in q^8, LatticeError otherwise); the building blocks of the kernel
     mechanism and of route B."""
     m = m8.rescale_exponents(1, 8)
-    v = m8.val()
-    rel = 1 if v is None else m8.prec - v  # 1 keeps Theta2 invertible for a zero m8
+    rel = max(1, m8.prec - m8.min_exp)  # 1 keeps Theta2 invertible for a zero m8
     eta8_cubed = eta(8, q_order(rel + 8)).pow_int(3)
     t23 = theta_big(2, q_order(rel + 24)) * theta_big(3, q_order(rel))
     step = t23.pow_int(-2)

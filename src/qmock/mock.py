@@ -85,9 +85,8 @@ def mu_half_period(v, order):
             n += direction
 
     lerch = Series.from_pairs(pairs, prec=need)
-    v_lerch = lerch.prec if lerch.is_zero() else lerch.val()
     # the prefactor i e^(pi i r) and theta_1's phase i^p are both i^(2r+1)
-    _, theta1 = theta_char(1, 1, v, q_order(prec - v_lerch + 2 * v_theta1))
+    _, theta1 = theta_char(1, 1, v, q_order(prec - lerch.min_exp + 2 * v_theta1))
     return (lerch / theta1).truncate(prec)
 
 
@@ -210,9 +209,8 @@ def elliptic_genus_mock(v, order):
     v_t1 = theta_char_val(1, v)
     s_order = q_order(prec - 2 * v_t1 + 3)
     s = mu_half_period(v, s_order).scale(24) + h_series(s_order)
-    v_s = s.prec if s.is_zero() else s.val()
-    p, t1 = theta_char(1, 1, v, q_order(prec - v_t1 + 3 - v_s))
-    eta3 = eta(1, q_order(prec - 2 * v_t1 + 4 - v_s)).pow_int(3)
+    p, t1 = theta_char(1, 1, v, q_order(prec - v_t1 + 3 - s.min_exp))
+    eta3 = eta(1, q_order(prec - 2 * v_t1 + 4 - s.min_exp)).pow_int(3)
     genus = s * t1 * t1 / eta3
     return (-genus if p % 2 else genus).truncate(prec)  # (i^p)^2 = (-1)^p
 

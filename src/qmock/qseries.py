@@ -18,8 +18,9 @@ allow, and every working order in the package is derived from these
 rules, with no safety margin:
 * a product is certified below min_i(prec_i + sum_{j != i} val_j), so to
   certify it below P, factor i needs prec >= P - sum_{j != i} val_j;
-  lower bounds on the other factors' valuations are enough (a zero
-  series counts its prec as its valuation);
+  lower bounds on the other factors' valuations are enough, and
+  ``Series.min_exp`` is that bound: the valuation, or prec for a zero
+  series;
 * an inverse 1/g is certified below g.prec - 2*val(g); it needs g's
   exact valuation, with g.prec >= val(g) + 1 so its leading term is known;
 * a quotient f/g is certified as f * (1/g) is: below
@@ -118,10 +119,20 @@ def _rational_terms(pairs):
     return _canonical(exps, [acc[e] for e in exps], den)
 
 
-def _series(min_exp, prec, exps, nums, den):
+def _wire_int(value, where):
+    """The integer a wire-format field spells (a JSON integer or a decimal
+    string), or QSeriesError naming ``where``."""
+    if type(value) in (int, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise QSeriesError(f"{where} holds {value!r}, not an integer")
+
+
+def _series(prec, exps, nums, den):
     """A Series from canonical sparse fields, without any checking."""
     s = object.__new__(Series)
-    s.min_exp = min_exp
     s.prec = prec
     s._exps = exps
     s._nums = nums
@@ -129,19 +140,18 @@ def _series(min_exp, prec, exps, nums, den):
     return s
 
 
-def _pack(min_exp, prec, exps, nums, den):
-    return _series(min_exp, prec, *_canonical(exps, nums, den))
+def _pack(prec, exps, nums, den):
+    return _series(prec, *_canonical(exps, nums, den))
 
 
 class Series:
     """Truncated Laurent series on the lattice (1/24)Z.
 
     The series is asserted correct for every exponent strictly below
-    ``prec`` lattice units.  Exponents below ``min_exp`` are genuinely
-    zero: all constructors and operations in this package produce the
-    complete expansion from the true valuation upward.  ``min_exp`` may
-    lie below the first nonzero term; it is where the dense view
-    ``coeffs`` and the wire format start.
+    ``prec`` lattice units, so every term below the first stored one is
+    known to be zero.  A series is its value: two equal series have the
+    same fields, and ``min_exp``, where the dense view ``coeffs`` and the
+    wire format start, is derived from them.
 
     Only nonzero terms are stored, over one common denominator: ``_exps``
     holds their ascending lattice exponents, ``_nums`` their integer
@@ -150,11 +160,13 @@ class Series:
     ``_nums[i] / _den``.
     """
 
-    __slots__ = ("min_exp", "prec", "_exps", "_nums", "_den")
+    __slots__ = ("prec", "_exps", "_nums", "_den")
 
     def __init__(self, min_exp, coeffs, prec):
         """Dense constructor: ``coeffs[k]`` is the coefficient of
-        q^((min_exp + k)/24), one entry for each exponent below prec."""
+        q^((min_exp + k)/24), one entry for each exponent below prec.
+        Leading zero entries are dropped with the others, so the series'
+        own ``min_exp`` is its valuation."""
         coeffs = tuple(coeffs)
         if min_exp > prec:
             raise ValueError(f"min_exp {min_exp} exceeds prec {prec}")
@@ -162,7 +174,6 @@ class Series:
             raise ValueError(
                 f"coefficient count {len(coeffs)} != prec - min_exp = {prec - min_exp}"
             )
-        self.min_exp = min_exp
         self.prec = prec
         self._exps, self._nums, self._den = _rational_terms(
             [(min_exp + k, c) for k, c in enumerate(map(_rational, coeffs)) if c]
@@ -173,7 +184,7 @@ class Series:
 
     @classmethod
     def zero(cls, prec):
-        return _series(prec, prec, [], [], 1)
+        return _series(prec, [], [], 1)
 
     @classmethod
     def monomial(cls, exp24, coeff=1, *, prec):
@@ -181,7 +192,7 @@ class Series:
         coeff = _rational(coeff)
         if exp24 >= prec or not coeff:
             return cls.zero(prec)
-        return _series(exp24, prec, [exp24], [coeff.numerator], coeff.denominator)
+        return _series(prec, [exp24], [coeff.numerator], coeff.denominator)
 
     @classmethod
     def one(cls, prec):
@@ -192,10 +203,7 @@ class Series:
         """Series from (exp24, coefficient) pairs; later pairs accumulate.
         Plain ints are used as they are, other rationals as Fractions."""
         exact = ((e, c if type(c) is int else _rational(c)) for e, c in pairs)
-        live = [(e, c) for e, c in exact if e < prec and c]
-        if not live:
-            return cls.zero(prec)
-        return _series(min(e for e, _ in live), prec, *_rational_terms(live))
+        return _series(prec, *_rational_terms([(e, c) for e, c in exact if e < prec and c]))
 
     # ------------------------------------------------------------------
     # inspection
@@ -219,13 +227,19 @@ class Series:
         """Lattice exponent of the first nonzero term, or None if zero."""
         return self._exps[0] if self._exps else None
 
+    @property
+    def min_exp(self):
+        """The valuation, or ``prec`` for the zero series: a lower bound on
+        every term, and where the dense view and the wire format start."""
+        return self._exps[0] if self._exps else self.prec
+
     def is_zero(self):
         return not self._exps
 
     def coefficient(self, exp24):
         """Exact coefficient of q^(exp24/24), as a Fraction.
 
-        Below min_exp the series is entire, so 0 is returned; at or
+        Below the valuation the series is entire, so 0 is returned; at or
         beyond prec nothing is certified and InsufficientPrecision is
         raised, carrying the lattice precision that would suffice.
         """
@@ -254,10 +268,8 @@ class Series:
         """Restrict certification to exponents below ``prec``."""
         if prec >= self.prec:
             return self
-        if prec <= self.min_exp:
-            return Series.zero(prec)
         n = bisect_left(self._exps, prec)
-        return _pack(self.min_exp, prec, self._exps[:n], self._nums[:n], self._den)
+        return _pack(prec, self._exps[:n], self._nums[:n], self._den)
 
     # ------------------------------------------------------------------
     # ring operations
@@ -294,19 +306,18 @@ class Series:
 
         The one linear-combination kernel: ``+``, ``-`` and ``scale`` are
         thin calls to it.  The result is certified below the smallest
-        prec, and starts at the smallest min_exp among the nonzero
-        weights (capped at that prec).
+        prec; terms that cancel are dropped, so it starts at its own
+        valuation.
         """
         if den < 1:
             raise ValueError("the common denominator must be a positive integer")
         pairs = list(pairs)
         prec = min(s.prec for _, s in pairs)
         live = [(c, s) for c, s in pairs if c]
-        lo = min([prec] + [s.min_exp for _, s in live])
         if len(live) == 1:  # one series: scale its numerators, no accumulation
             c, s = live[0]
             n = bisect_left(s._exps, prec)
-            return _pack(lo, prec, s._exps[:n], [x * c for x in s._nums[:n]], s._den * den)
+            return _pack(prec, s._exps[:n], [x * c for x in s._nums[:n]], s._den * den)
         common = lcm(*(s._den for _, s in live))
         acc = {}
         get = acc.get
@@ -315,7 +326,7 @@ class Series:
             for e, x in zip(s._exps[: bisect_left(s._exps, prec)], s._nums):
                 acc[e] = get(e, 0) + x * f
         exps = sorted(acc)
-        return _pack(lo, prec, exps, [acc[e] for e in exps], common * den)
+        return _pack(prec, exps, [acc[e] for e in exps], common * den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -323,12 +334,9 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         a, b = self, other
-        av, bv = a.val(), b.val()
-        ea = a.prec if av is None else av
-        eb = b.prec if bv is None else bv
+        ea, eb = a.min_exp, b.min_exp
         prec = min(a.prec + eb, b.prec + ea)
-        lo = ea + eb
-        if av is None or bv is None or lo >= prec:
+        if not a._exps or not b._exps or ea + eb >= prec:
             return Series.zero(prec)
         if len(a._exps) > len(b._exps):
             a, b = b, a
@@ -346,7 +354,7 @@ class Series:
                 k = e + f
                 acc[k] = get(k, 0) + x * y
         exps = sorted(acc)
-        return _pack(lo, prec, exps, [acc[k] for k in exps], a._den * b._den)
+        return _pack(prec, exps, [acc[k] for k in exps], a._den * b._den)
 
     __rmul__ = __mul__
 
@@ -355,10 +363,7 @@ class Series:
         the product.  Certified as the product is, so it raises
         InsufficientPrecision (needed=1) exactly where
         ``(self * other).constant_term()`` would."""
-        av, bv = self.val(), other.val()
-        ea = self.prec if av is None else av
-        eb = other.prec if bv is None else bv
-        prec = min(self.prec + eb, other.prec + ea)
+        prec = min(self.prec + other.min_exp, other.prec + self.min_exp)
         if prec <= 0:
             raise InsufficientPrecision(
                 f"constant term of a product requested, but the product is only "
@@ -382,7 +387,7 @@ class Series:
         if not other._exps:
             raise NotInvertible("series has no determined nonzero coefficient")
         v = other._exps[0]
-        w = self._exps[0] if self._exps else self.prec
+        w = self.min_exp
         prec = min(self.prec - v, other.prec - 2 * v + w)
         lo = w - v
         if not self._exps or lo >= prec:
@@ -412,7 +417,7 @@ class Series:
         for t in range(count - 1, -1, -1):
             h[t] *= lift
             lift *= lead
-        return _pack(lo, prec, range(lo, lo + count * g, g), h, self._den * abs(den))
+        return _pack(prec, range(lo, lo + count * g, g), h, self._den * abs(den))
 
     def invert(self):
         """Multiplicative inverse, exact to precision prec - 2*val: the
@@ -444,13 +449,8 @@ class Series:
     def q_derive(self):
         """Apply q d/dq: multiply each coefficient by its exponent."""
         exps = self._exps
-        return _pack(
-            self.min_exp,
-            self.prec,
-            exps,
-            [x * e for e, x in zip(exps, self._nums)],
-            self._den * LATTICE_DEN,
-        )
+        return _pack(self.prec, exps, [x * e for e, x in zip(exps, self._nums)],
+                     self._den * LATTICE_DEN)
 
     def rescale_exponents(self, num, den):
         """Substitute q -> q^(num/den); exponents scale by num/den.
@@ -473,9 +473,7 @@ class Series:
                     f"q -> q^({num}/{den})"
                 )
             exps.append(j // den)
-        if not exps:
-            return Series.zero(new_prec)
-        return _series(exps[0], new_prec, exps, self._nums, self._den)
+        return _series(new_prec, exps, self._nums, self._den)
 
     def sieve(self, r, m):
         """Keep only terms whose integer q-exponent is r mod m.
@@ -490,15 +488,8 @@ class Series:
                 )
             if (e // LATTICE_DEN) % m == r % m:
                 kept.append(i)
-        if not kept:
-            return Series.zero(self.prec)
-        return _pack(
-            self._exps[kept[0]],
-            self.prec,
-            [self._exps[i] for i in kept],
-            [self._nums[i] for i in kept],
-            self._den,
-        )
+        return _pack(self.prec, [self._exps[i] for i in kept], [self._nums[i] for i in kept],
+                     self._den)
 
     # ------------------------------------------------------------------
     # comparison and display
@@ -552,7 +543,8 @@ class Series:
 
     def to_json_obj(self):
         """The exact interchange form: integers as decimal strings, one
-        entry for every exponent from min_exp up to prec.  Each entry is
+        entry for every exponent from min_exp (the valuation, or prec for
+        the zero series) up to prec.  Each entry is
         [re_num, re_den, im_num, im_den]; the imaginary part is always 0/1."""
         lo = self.min_exp
         coeffs = [["0", "1", "0", "1"] for _ in range(self.prec - lo)]
@@ -568,21 +560,38 @@ class Series:
 
     @classmethod
     def from_json_obj(cls, obj):
+        """Read the interchange form back; leading zero entries are accepted
+        and dropped.  Malformed input raises QSeriesError naming the key or
+        entry at fault (LatticeError for a lattice mismatch)."""
+        if not isinstance(obj, dict):
+            raise QSeriesError(f"a series must be a JSON object, not {type(obj).__name__}")
         if obj.get("lattice_den") != LATTICE_DEN:
             raise LatticeError(
                 f"lattice mismatch: expected {LATTICE_DEN}, got {obj.get('lattice_den')}"
             )
-        min_exp = int(obj["min_exp"])
+        for key in ("min_exp", "prec", "coeffs"):
+            if key not in obj:
+                raise QSeriesError(f"series object has no {key!r} key")
+        min_exp = _wire_int(obj["min_exp"], "key 'min_exp'")
+        prec = _wire_int(obj["prec"], "key 'prec'")
+        if not isinstance(obj["coeffs"], list):
+            raise QSeriesError(f"key 'coeffs' holds {obj['coeffs']!r}, not a list")
         coeffs = []
-        for k, (rn, rd, sn, sd) in enumerate(obj["coeffs"]):
-            im = Fraction(int(sn), int(sd))
+        for k, entry in enumerate(obj["coeffs"]):
+            where = f"coefficient entry {k} (lattice exponent {min_exp + k})"
+            if not isinstance(entry, list) or len(entry) != 4:
+                raise QSeriesError(f"{where} is {entry!r}, not [re_num, re_den, im_num, im_den]")
+            rn, rd, sn, sd = (_wire_int(x, where) for x in entry)
+            if not rd or not sd:
+                raise QSeriesError(f"{where} has a zero denominator")
+            im = Fraction(sn, sd)
             if im:
-                raise QSeriesError(
-                    f"coefficient entry {k} (lattice exponent {min_exp + k}) has "
-                    f"nonzero imaginary part {im}"
-                )
-            coeffs.append(Fraction(int(rn), int(rd)))
-        return cls(min_exp, coeffs, int(obj["prec"]))
+                raise QSeriesError(f"{where} has nonzero imaginary part {im}")
+            coeffs.append(Fraction(rn, rd))
+        try:
+            return cls(min_exp, coeffs, prec)
+        except ValueError as exc:  # the count check
+            raise QSeriesError(f"series object: {exc}") from None
 
 
 # ----------------------------------------------------------------------

@@ -168,8 +168,7 @@ def basis_a(mock, degree, k_max):
     1 - val(mock) + 3(2 degree + 3) + 3 lattice units; the family taken is
     the deepest (at least degree and k_max) whose order 6D + 16 rounds to
     that q-order, so that requests of one q-order share one family."""
-    v = mock.val()
-    need = 1 - (mock.prec if v is None else v) + 3 * (2 * degree + 3) + 3
+    need = 1 - mock.min_exp + 3 * (2 * degree + 3) + 3
     order = q_order(max(need, 6 * max(degree, k_max) + 16))
     family = theta_family((LATTICE_DEN * order - 16) // 6)
     rungs = [w * e for (_, w), e in zip(family, bracket_ladder(mock, k_max))]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qmock.cli import main
+from qmock.cli import SERIES, main
 from qmock.qseries import Series
 
 
@@ -28,6 +28,15 @@ def test_coeffs_json_roundtrips(capsys):
     want = [45, 231, 770, 2277, 5796, 13915, 30843, 65550]
     got = [int(s.coefficient(-3 + 24 * n)) for n in range(1, 9)]
     assert got == [2 * a for a in want]
+
+
+@pytest.mark.parametrize("name", sorted(SERIES))
+def test_every_series_writes_from_its_valuation_and_roundtrips(name):
+    for order in (*range(13), 64):
+        s = SERIES[name](order)
+        assert s.min_exp == (s.prec if s.is_zero() else s.val()), (name, order)
+        text = json.dumps(s.to_json_obj())
+        assert json.dumps(Series.from_json_obj(json.loads(text)).to_json_obj()) == text
 
 
 def test_coeffs_plain_and_csv(capsys):

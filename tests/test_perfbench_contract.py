@@ -59,6 +59,17 @@ def test_tracer_counts_through_the_dense_view_match_the_sparse_store():
     assert tracer["_nnz_bits"](big) == (1, 133)  # 10^40 needs 133 bits
 
 
+def test_product_min_exp_is_its_valuation():
+    # the tracer counts qseries.mul.slots_out as result.prec - result.min_exp
+    assert isinstance(Series.__dict__.get("min_exp"), property)
+    pole = Series.from_pairs([(-24, 2), (0, 1)], prec=48)
+    cancel = Series.from_pairs([(0, 1), (24, -1)], prec=48)
+    for a, b in ((pole, pole), (pole, cancel), (h_series(4), pole), (pole, Series.zero(24))):
+        product = a * b
+        want = product.prec if product.is_zero() else product.val()
+        assert product.min_exp == want
+
+
 def test_generating_function_calls_each_route_once_per_pair(monkeypatch):
     # the table oracle taps uplane.phi_route_a/phi_route_b by module
     # attribute and expects one call of each per (m, n)

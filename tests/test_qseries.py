@@ -292,6 +292,8 @@ def test_no_coefficient_beyond_prec(s):
 def test_canonical_zero_equality():
     assert S([], 48) == Series.zero(48)
     assert Series(0, (0,) * 48, 48) == Series(-24, (0,) * 72, 48)
+    # a series is its value: equal series write the same wire format
+    assert Series(0, (0,) * 48, 48).to_json_obj() == Series(-24, (0,) * 72, 48).to_json_obj()
 
 
 # ------------------------------------------------------------------ pairing
@@ -420,6 +422,85 @@ def test_json_strings_survive_big_integers():
     s = Series.monomial(0, Fraction(big, big + 2), prec=24)
     back = Series.from_json_obj(json.loads(json.dumps(s.to_json_obj())))
     assert back.coefficient(0) == Fraction(big, big + 2)
+
+
+def test_json_reader_drops_leading_zero_entries():
+    obj = {"lattice_den": 24, "min_exp": -2, "prec": 2,
+           "coeffs": [["0", "1", "0", "1"], ["0", "1", "0", "1"],
+                      ["3", "4", "0", "1"], ["0", "1", "0", "1"]]}
+    s = Series.from_json_obj(obj)
+    assert s == S([(0, Fraction(3, 4))], 2)
+    assert s.to_json_obj()["min_exp"] == 0
+    assert s.to_json_obj()["coeffs"] == [["3", "4", "0", "1"], ["0", "1", "0", "1"]]
+
+
+def _with(obj, path, value):
+    """``obj`` with the item at ``path`` (keys and indices) set to ``value``."""
+    *head, last = path
+    inner = obj
+    for key in head:
+        inner = inner[key]
+    inner[last] = value
+    return obj
+
+
+MALFORMED_WIRE = {
+    # name -> (malformed copy of a good wire object, what the message must name)
+    "zero-real-denominator": (
+        lambda o: _with(o, ("coeffs", 24, 1), "0"), r"entry 24 \(lattice exponent 21\)"),
+    "zero-imaginary-denominator": (
+        lambda o: _with(o, ("coeffs", 1, 3), "0"), r"entry 1 \(lattice exponent -2\)"),
+    "short-entry": (lambda o: _with(o, ("coeffs", 2), ["1", "1", "0"]), r"entry 2 "),
+    "non-integer-string": (lambda o: _with(o, ("coeffs", 0, 0), "5/1"), r"entry 0 .*'5/1'"),
+    "missing-prec": (lambda o: {k: v for k, v in o.items() if k != "prec"}, r"'prec'"),
+    "not-an-object": (lambda o: [o], r"JSON object"),
+    "count-mismatch": (lambda o: _with(o, ("prec",), 44), r"count 48 != .* 47"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_WIRE))
+def test_json_reader_raises_qseries_error_naming_the_fault(case):
+    malformed, names = MALFORMED_WIRE[case]
+    good = S([(-3, 5), (21, Fraction(-7, 3))], 45).to_json_obj()
+    with pytest.raises(QSeriesError, match=names):
+        Series.from_json_obj(malformed(good))
+
+
+# ---------------------------------------------------------- derived min_exp
+#
+# min_exp is the valuation, or prec for the zero series, so the wire format
+# starts at the first nonzero term whatever the operation that made it.
+
+WIRE_START_CASES = {
+    # name -> (series, the lattice exponent its wire format starts at)
+    "combine-cancels-the-leading-terms": (
+        lambda: S([(-24, 1), (0, 2)], 96) - S([(-24, 1), (24, 3)], 96), 0),
+    "q-derive-of-a-constant-term": (lambda: S([(0, 5), (24, 1)], 48).q_derive(), 24),
+    "truncate-below-the-valuation": (
+        lambda: Series(-24, [0] * 24 + [1, 2], 2).truncate(-12), -12),
+    "scale-by-zero": (lambda: S([(-24, 1), (0, 2)], 96).scale(0), 96),
+    "dense-leading-zeros": (lambda: Series(-24, [0] * 24 + [3], 1).scale(2), 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WIRE_START_CASES))
+def test_wire_format_starts_at_the_valuation(case):
+    build, start = WIRE_START_CASES[case]
+    s = build()
+    obj = s.to_json_obj()
+    assert s.min_exp == obj["min_exp"] == start
+    assert s.min_exp == (s.prec if s.is_zero() else s.val())
+    assert len(obj["coeffs"]) == s.prec - start
+    if not s.is_zero():
+        assert obj["coeffs"][0] != ["0", "1", "0", "1"]
+    assert Series.from_json_obj(obj).to_json_obj() == obj
+
+
+def test_min_exp_is_read_only_and_not_stored():
+    s = S([(-24, 1)], 24)
+    assert "min_exp" not in Series.__slots__
+    with pytest.raises(AttributeError):
+        s.min_exp = -48
 
 
 # ------------------------------------------------- dense reference kernel
