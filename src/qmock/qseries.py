@@ -34,6 +34,7 @@ All values are immutable after construction and all operations are pure
 functions, so series may be freely shared between threads.
 """
 
+import sys
 from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
@@ -121,13 +122,22 @@ def _rational_terms(pairs):
 
 def _wire_int(value, where):
     """The integer a wire-format field spells (a JSON integer or a decimal
-    string), or QSeriesError naming ``where``."""
+    string), or QSeriesError naming ``where`` and quoting at most the first
+    40 characters of the value."""
     if type(value) in (int, str):
         try:
             return int(value)
         except ValueError:
-            pass
-    raise QSeriesError(f"{where} holds {value!r}, not an integer")
+            digits = value.strip().removeprefix("-").removeprefix("+")
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if limit and digits.isdecimal() and len(digits) > limit:
+                raise QSeriesError(
+                    f"{where} holds a {len(digits)}-digit integer ({value[:20]}...), over "
+                    f"the interpreter's integer-string limit of {limit} digits"
+                ) from None
+    shown = repr(value)
+    shown = shown if len(shown) <= 40 else shown[:40] + "..."
+    raise QSeriesError(f"{where} holds {shown}, not an integer")
 
 
 def _series(prec, exps, nums, den):

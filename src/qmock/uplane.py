@@ -26,10 +26,13 @@ power family and a rung family that do not depend on t:
   c^B_{t,k} = CT[T Z0hat^(t-k) * Ehat^k[H(8tau)]].
 
 One loop, ``_constant_terms``, pairs them into the vector
-c_t = (c_{t,0}, ..., c_{t,t}).  ``route_vectors`` keeps one store for
-route B and one per named route A mock (``ROUTE_A_MOCKS``); the stores
-and the theta family are monotone in degree (``degree_memo``), serve a
-smaller degree as a prefix and are replaced only by a deeper build.
+c_t = (c_{t,0}, ..., c_{t,t}).  ``ROUTE_TABLE`` names every route once:
+route A on H/12 (``ROUTE_H12``), on Q+(tau/8) (``ROUTE_QPLUS``) and on
+their difference (``ROUTE_KERNEL``), and route B (``ROUTE_FINAL``), each
+with its families and its weight.  ``route_vectors`` keeps one store per
+route; the stores and the theta family are monotone in degree
+(``degree_memo``), serve a smaller degree as a prefix and are replaced
+only by a deeper build.
 Every Phi of degree t is a weighted sum of the first n+1 entries of c_t.
 The routes' weights differ by 3 * 2^(2t+5), so they agree on every pair
 of degree t exactly when c^B_t = 3 * 2^(2t+5) * c^A_t.  The weights are
@@ -68,6 +71,7 @@ from .brackets import bracket_hat, bracket_hat_ladder, bracket_ladder
 ROUTE_QPLUS = "QplusTau8"
 ROUTE_H12 = "HOver12"
 ROUTE_FINAL = "FinalFormula"
+ROUTE_KERNEL = "Kernel"
 
 
 class RouteMismatch(QSeriesError):
@@ -191,8 +195,9 @@ def _alternating_sum(vector, n):
     return Fraction(num, den)
 
 
-def weigh_a(vector, n):
-    """D_{m,2n} from the first n+1 entries of a route A vector."""
+def weigh_a(vector, m, n):
+    """D_{m,2n} from the first n+1 entries of a route A vector of degree
+    m + n (the weight does not depend on m)."""
     scalar = -Fraction(2 * math.factorial(2 * n), math.factorial(n) * 6**n)
     return scalar * _alternating_sum(vector, n)
 
@@ -211,7 +216,7 @@ def u_plane_coefficient(mplus, m, n):
             f"got {mplus.prec}",
             needed=need,
         )
-    return weigh_a(functional_vector(mplus, m + n, n), n)
+    return weigh_a(functional_vector(mplus, m + n, n), m, n)
 
 
 def column_extract(m, n, k_max):
@@ -224,38 +229,6 @@ def column_extract(m, n, k_max):
         basis = mock_from_coefficients([0] * k + [1], order)
         out.append(u_plane_coefficient(basis, m, n))
     return out
-
-
-def _h12(t):
-    return h_series(mock_order_for(t, 0)).scale(Fraction(1, 12))
-
-
-#: route A's named mocks, each certified for every degree <= its argument
-ROUTE_A_MOCKS = {
-    "A": _h12,
-    "Qplus": lambda t: q_plus_rescaled(mock_order_for(t, 0)),
-    "kernel": lambda t: q_plus_rescaled(mock_order_for(t, 0)) - _h12(t),
-}
-
-
-def vector_a(t):
-    """Route A's vector of degree t on H/12."""
-    return route_vectors("A", t)[t]
-
-
-def vector_qplus(t):
-    """Route A's vector of degree t on Q+(tau/8); equal to ``vector_a(t)``."""
-    return route_vectors("Qplus", t)[t]
-
-
-def kernel_vector(t):
-    """Route A's vector of degree t on Q+(tau/8) - H(tau)/12; all zero."""
-    return route_vectors("kernel", t)[t]
-
-
-def kernel_check(m, n):
-    """D_{m,2n} on Q+(tau/8) - H(tau)/12; zero for every m, n."""
-    return weigh_a(kernel_vector(m + n), n)
 
 
 def theta_quotient_factor(order):
@@ -281,21 +254,6 @@ def basis_b(degree):
     return _chain(tq, z0, degree), list(bracket_hat_ladder(h8, degree))
 
 
-def vector_b(t):
-    """Route B's constant terms CT[T Z0hat^(t-k) Ehat^k[H(8tau)]], k = 0..t."""
-    return route_vectors("B", t)[t]
-
-
-@degree_memo
-def route_vectors(route, degree):
-    """A route's vectors c_0, ..., c_degree, all paired from one pair of
-    families built for ``degree``: route "B", or route A on one of the
-    mocks in ``ROUTE_A_MOCKS``."""
-    mock = ROUTE_A_MOCKS.get(route)
-    powers, rungs = basis_b(degree) if mock is None else basis_a(mock(degree), degree, degree)
-    return tuple(_constant_terms(powers, rungs, t) for t in range(degree + 1))
-
-
 def weigh_b(vector, m, n):
     """Phi_{m,2n} from the first n+1 entries of a route B vector."""
     scalar = -Fraction(
@@ -305,25 +263,56 @@ def weigh_b(vector, m, n):
     return scalar * _alternating_sum(vector, n)
 
 
+def _h12(degree):
+    return h_series(mock_order_for(degree, 0)).scale(Fraction(1, 12))
+
+
+def _qplus(degree):
+    return q_plus_rescaled(mock_order_for(degree, 0))
+
+
+def _on_mock(mock):
+    """Route A's families, for every degree <= D, on ``mock(D)``."""
+    return lambda degree: basis_a(mock(degree), degree, degree)
+
+
+#: route label -> (its families for every degree <= D, its weight)
+ROUTE_TABLE = {
+    ROUTE_H12: (_on_mock(_h12), weigh_a),
+    ROUTE_QPLUS: (_on_mock(_qplus), weigh_a),
+    ROUTE_KERNEL: (_on_mock(lambda degree: _qplus(degree) - _h12(degree)), weigh_a),
+    ROUTE_FINAL: (basis_b, weigh_b),
+}
+
+
+@degree_memo
+def route_vectors(route, degree):
+    """A route's vectors c_0, ..., c_degree, all paired from the one pair
+    of families that ``ROUTE_TABLE`` builds for ``degree``."""
+    powers, rungs = ROUTE_TABLE[route][0](degree)
+    return tuple(_constant_terms(powers, rungs, t) for t in range(degree + 1))
+
+
+def donaldson_phi(m, n, route):
+    """Phi_{m,2n} by the named route (D_{m,2n} on the kernel, zero)."""
+    if route not in ROUTE_TABLE:
+        raise ValueError(f"unknown route {route!r}")
+    return ROUTE_TABLE[route][1](route_vectors(route, m + n)[m + n], m, n)
+
+
 def phi_route_a(m, n):
     """Phi_{m,2n} as the functional on H/12 (equal to that on Q+(tau/8))."""
-    return weigh_a(vector_a(m + n), n)
+    return donaldson_phi(m, n, ROUTE_H12)
 
 
 def phi_route_b(m, n):
     """Phi_{m,2n} from the closed 8tau-variable product formula."""
-    return weigh_b(vector_b(m + n), m, n)
+    return donaldson_phi(m, n, ROUTE_FINAL)
 
 
-def donaldson_phi(m, n, route):
-    """Phi_{m,2n} by the named route."""
-    if route == ROUTE_QPLUS:
-        return weigh_a(vector_qplus(m + n), n)
-    if route == ROUTE_H12:
-        return phi_route_a(m, n)
-    if route == ROUTE_FINAL:
-        return phi_route_b(m, n)
-    raise ValueError(f"unknown route {route!r}")
+def kernel_check(m, n):
+    """D_{m,2n} on Q+(tau/8) - H(tau)/12; zero for every m, n."""
+    return donaldson_phi(m, n, ROUTE_KERNEL)
 
 
 def generating_function(max_total_degree):
@@ -336,8 +325,8 @@ def generating_function(max_total_degree):
     checked to do so).  Returns (records, Z(p,S) string).
     """
     records = []
-    vector_a(max_total_degree)  # one store build per route, at the deepest degree
-    vector_b(max_total_degree)
+    for route in (ROUTE_H12, ROUTE_FINAL):  # one store build each, at the deepest degree
+        route_vectors(route, max_total_degree)
     for total in range(max_total_degree + 1):
         for m in range(total + 1):
             n = total - m

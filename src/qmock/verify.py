@@ -14,6 +14,7 @@ the measured constant.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import uplane  # the route stores, read through their one module binding
 from .qseries import LATTICE_DEN, Series, q_order
 from .forms import (
     V_HALF,
@@ -41,16 +42,14 @@ from .moonshine import (
 )
 from .uplane import (
     ROUTE_H12,
+    ROUTE_KERNEL,
     ROUTE_QPLUS,
     RouteMismatch,
     donaldson_phi,
     column_extract,
     generating_function,
     h_k_series,
-    kernel_vector,
     theta_quotient_factor,
-    vector_a,
-    vector_qplus,
     weigh_a,
     z0_reduce,
 )
@@ -160,8 +159,8 @@ def check_qplus_expansion():
 def check_donaldson_table():
     bad = []
     deepest = max(m + n for m, n in PHI_TABLE)
-    vector_a(deepest)  # each route's store builds once, at the deepest degree
-    vector_qplus(deepest)
+    for route in (ROUTE_H12, ROUTE_QPLUS):  # each store builds once, at the deepest degree
+        uplane.route_vectors(route, deepest)
     for (m, n), want in PHI_TABLE.items():
         for route in (ROUTE_QPLUS, ROUTE_H12):
             got = donaldson_phi(m, n, route)
@@ -190,20 +189,19 @@ def check_symbolic_columns():
 
 
 def _nonzero_pairs(vector, total):
-    """(m, n, value) for each pair of degree ``total`` whose route A value
-    is nonzero.  The weights are triangular in (n, k) with a nonzero
+    """(m, n, str(value)) for each pair of degree ``total`` whose route A
+    value is nonzero.  The weights are triangular in (n, k) with a nonzero
     diagonal, so the list is empty exactly when the vector is zero."""
     if not any(vector):
         return []
-    pairs = ((total - n, n, weigh_a(vector, n)) for n in range(total, -1, -1))
-    return [(m, n, v) for m, n, v in pairs if v]
+    pairs = ((m, total - m, weigh_a(vector, m, total - m)) for m in range(total + 1))
+    return [(m, n, str(v)) for m, n, v in pairs if v]
 
 
 def check_kernel(max_total=8):
     bad = []
-    kernel_vector(max_total)  # the kernel store builds once, at the deepest degree
-    for total in range(max_total + 1):
-        bad += [(m, n, str(v)) for m, n, v in _nonzero_pairs(kernel_vector(total), total)]
+    for total, vector in enumerate(uplane.route_vectors(ROUTE_KERNEL, max_total)):
+        bad += _nonzero_pairs(vector, total)
     return _result(
         "kernel-vanishing",
         not bad,
@@ -226,11 +224,10 @@ def check_routes(max_total=8):
 
 def check_parity(max_total=9):
     bad = []
-    vector_a(max_total)  # each store builds once, at the deepest degree
-    vector_qplus(max_total)
+    h12, qplus = (uplane.route_vectors(route, max_total) for route in (ROUTE_H12, ROUTE_QPLUS))
     for total in range(1, max_total + 1, 2):
-        for route, vector in ((ROUTE_QPLUS, vector_qplus(total)), (ROUTE_H12, vector_a(total))):
-            bad += [(m, n, route, str(v)) for m, n, v in _nonzero_pairs(vector, total)]
+        for route, store in ((ROUTE_QPLUS, qplus), (ROUTE_H12, h12)):
+            bad += [(m, n, route, v) for m, n, v in _nonzero_pairs(store[total], total)]
     return _result(
         "parity-vanishing",
         not bad,

@@ -15,13 +15,11 @@ import pytest
 
 from qmock import uplane, verify
 from qmock.qseries import degree_memo
+from qmock.uplane import ROUTE_FINAL, ROUTE_H12, ROUTE_KERNEL, ROUTE_QPLUS
 
-VECTORS = {
-    "A": uplane.vector_a,
-    "B": uplane.vector_b,
-    "Qplus": uplane.vector_qplus,
-    "kernel": uplane.kernel_vector,
-}
+#: test id -> route label: route A on H/12, route B, route A on
+#: Q+(tau/8) and on the kernel
+ROUTES = {"A": ROUTE_H12, "B": ROUTE_FINAL, "Qplus": ROUTE_QPLUS, "kernel": ROUTE_KERNEL}
 RAW = {name: getattr(uplane, name).__wrapped__ for name in ("route_vectors", "theta_family")}
 
 
@@ -46,6 +44,10 @@ def builds(monkeypatch):
     return seen
 
 
+def vector(route, t):
+    return uplane.route_vectors(route, t)[t]
+
+
 def fresh(route, t, monkeypatch):
     """Route ``route``'s vector of degree t from families built for t
     alone, with no store and no theta family served."""
@@ -57,55 +59,55 @@ def fresh(route, t, monkeypatch):
 def test_generating_function_builds_each_basis_once(builds):
     uplane.generating_function(8)
     # degree 8 needs thetas to q-order 3, which certify a family of depth 9
-    assert builds == {"A": [8], "B": [8], "theta": [9]}
+    assert builds == {ROUTE_H12: [8], ROUTE_FINAL: [8], "theta": [9]}
 
 
-@pytest.mark.parametrize("route", sorted(VECTORS))
-def test_a_smaller_degree_is_served_without_a_rebuild(route, builds, monkeypatch):
-    vector = VECTORS[route]
-    vector(8)
-    served = [vector(t) for t in range(8, -1, -1)]
+@pytest.mark.parametrize("store", sorted(ROUTES))
+def test_a_smaller_degree_is_served_without_a_rebuild(store, builds, monkeypatch):
+    route = ROUTES[store]
+    vector(route, 8)
+    served = [vector(route, t) for t in range(8, -1, -1)]
     assert builds[route] == [8]
     for t, got in zip(range(8, -1, -1), served):
         assert len(got) == t + 1
         assert got == fresh(route, t, monkeypatch), t
 
 
-@pytest.mark.parametrize("route", sorted(VECTORS))
-def test_a_deeper_degree_rebuilds_once_and_replaces_the_store(route, builds, monkeypatch):
-    vector = VECTORS[route]
-    vector(4)
-    vector(2)
+@pytest.mark.parametrize("store", sorted(ROUTES))
+def test_a_deeper_degree_rebuilds_once_and_replaces_the_store(store, builds, monkeypatch):
+    route = ROUTES[store]
+    vector(route, 4)
+    vector(route, 2)
     assert builds[route] == [4]
-    deep = vector(7)
+    deep = vector(route, 7)
     assert builds[route] == [4, 7]
-    assert [vector(t) for t in (6, 4, 7)] == [
+    assert [vector(route, t) for t in (6, 4, 7)] == [
         fresh(route, 6, monkeypatch), fresh(route, 4, monkeypatch), deep
     ]
     assert builds[route] == [4, 7]
-    vector(8)
+    vector(route, 8)
     assert builds[route] == [4, 7, 8]
 
 
 def test_unmemoised_builds_afresh_for_every_call(unmemoised, builds):
-    uplane.vector_a(5)
-    uplane.vector_a(5)
-    uplane.vector_b(3)
-    assert builds == {"A": [5, 5], "B": [3], "theta": [5, 5]}
+    vector(ROUTE_H12, 5)
+    vector(ROUTE_H12, 5)
+    vector(ROUTE_FINAL, 3)
+    assert builds == {ROUTE_H12: [5, 5], ROUTE_FINAL: [3], "theta": [5, 5]}
 
 
 def test_paper_table_builds_each_store_once_at_its_deepest_degree(builds):
     verify.run_suite("paper-table")
-    assert builds == {"A": [4], "Qplus": [4], "theta": [5]}
+    assert builds == {ROUTE_H12: [4], ROUTE_QPLUS: [4], "theta": [5]}
 
 
 def test_kernel_suite_builds_each_store_once_at_its_deepest_degree(builds):
     verify.run_suite("kernel")
-    assert builds == {"kernel": [8], "A": [9], "Qplus": [9], "theta": [9]}
+    assert builds == {ROUTE_KERNEL: [8], ROUTE_H12: [9], ROUTE_QPLUS: [9], "theta": [9]}
 
 
 def test_one_theta_family_serves_the_kernel_suite_and_then_the_paper_table(builds):
     verify.run_suite("kernel")
     verify.run_suite("paper-table")
     assert builds["theta"] == [9]
-    assert builds["Qplus"] == [9] and builds["A"] == [9]
+    assert builds[ROUTE_QPLUS] == [9] and builds[ROUTE_H12] == [9]

@@ -27,18 +27,19 @@ from qmock.forms import eisenstein_e2, eta, theta_big, theta_nullwert, z0_hat
 from qmock.mock import h_series, mock_from_coefficients, q_plus_rescaled
 from qmock.qseries import LATTICE_DEN, InsufficientPrecision, Series, q_order
 from qmock.uplane import (
+    ROUTE_FINAL,
+    ROUTE_H12,
+    ROUTE_KERNEL,
+    ROUTE_QPLUS,
     functional_vector,
     kernel_check,
-    kernel_vector,
     mock_order_for,
     phi_route_a,
     phi_route_b,
     required_mock_prec,
+    route_vectors,
     theta_quotient_factor,
     u_plane_coefficient,
-    vector_a,
-    vector_b,
-    vector_qplus,
 )
 from qmock.verify import PHI_TABLE
 
@@ -158,12 +159,12 @@ def test_u_plane_coefficient_matches_the_per_pair_reference(mock):
 def test_vectors_of_degree_t(t):
     # c^B_t = 3 * 2^(2t+5) * c^A_t entry by entry, zero for odd t; the
     # kernel's vector is zero
-    a, b = vector_a(t), vector_b(t)
+    a, b = route_vectors(ROUTE_H12, t)[t], route_vectors(ROUTE_FINAL, t)[t]
     assert len(a) == len(b) == t + 1
     assert all(cb == 3 * 2 ** (2 * t + 5) * ca for ca, cb in zip(a, b))
     if t % 2:
         assert not any(a) and not any(b)
-    assert not any(kernel_vector(t))
+    assert not any(route_vectors(ROUTE_KERNEL, t)[t])
 
 
 def deep_pole(order):
@@ -219,9 +220,10 @@ def test_one_lattice_unit_short_raises_with_the_required_prec(mock):
 def test_qplus_and_kernel_stores_equal_per_degree_functional_vectors(t):
     order = mock_order_for(t, 0)
     qplus = q_plus_rescaled(order)
-    assert vector_qplus(t) == functional_vector(qplus, t, t) == vector_a(t)
+    stored = route_vectors(ROUTE_QPLUS, t)[t]
+    assert stored == functional_vector(qplus, t, t) == route_vectors(ROUTE_H12, t)[t]
     kernel = functional_vector(qplus - h12(order), t, t)
-    assert kernel_vector(t) == kernel and not any(kernel)
+    assert route_vectors(ROUTE_KERNEL, t)[t] == kernel and not any(kernel)
 
 
 # ---------------------------------------------------------------- brackets

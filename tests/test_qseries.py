@@ -2,6 +2,8 @@
 
 import json
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -464,6 +466,29 @@ def test_json_reader_raises_qseries_error_naming_the_fault(case):
     good = S([(-3, 5), (21, Fraction(-7, 3))], 45).to_json_obj()
     with pytest.raises(QSeriesError, match=names):
         Series.from_json_obj(malformed(good))
+
+
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+LONG_WIRE_VALUES = {
+    # name -> (an over-long entry, what the message must say about it)
+    "over-the-digit-limit": (  # one digit over the integer-string limit
+        "1" + "0" * LIMIT, rf"{LIMIT + 1}-digit integer .*limit of {LIMIT} digits"),
+    "long-non-integer": ("x" * 5000, r"'xxx.*\.\.\., not an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_WIRE_VALUES))
+def test_json_reader_quotes_only_a_prefix_of_an_over_long_entry(case):
+    value, says = LONG_WIRE_VALUES[case]
+    if not LIMIT and case == "over-the-digit-limit":
+        pytest.skip("this interpreter has no integer-string limit")
+    obj = {"lattice_den": 24, "min_exp": -3, "prec": -2, "coeffs": [[value, "1", "0", "1"]]}
+    with pytest.raises(QSeriesError, match=r"entry 0 \(lattice exponent -3\)") as guard:
+        Series.from_json_obj(obj)
+    message = str(guard.value)
+    assert re.search(says, message), message
+    assert len(message) < 200
 
 
 # ---------------------------------------------------------- derived min_exp
