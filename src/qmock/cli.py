@@ -168,70 +168,112 @@ def nonneg(text):
     return value
 
 
+FORMAT = {"choices": ("json", "csv", "plain"), "default": "plain"}
+
+# Every subcommand once: name -> (help, handler, {flag: add_argument keywords}).
+# build_parser builds the argparse tree from it, and parse_plain reads a
+# well-formed call straight from it.
+COMMANDS = {
+    "coeffs": ("print the q-expansion of a named series", cmd_coeffs, {
+        "--series": {"required": True},
+        "--order": {"type": nonneg, "default": None,
+                    "help": "q-units of precision (default 64, or QMOCK_ORDER)"},
+        "--format": FORMAT,
+    }),
+    "invariant": ("one Donaldson invariant Phi_{m,2n}", cmd_invariant, {
+        "--m": {"type": nonneg, "required": True},
+        "--n": {"type": nonneg, "required": True},
+        "--via": {"choices": tuple(ROUTES), "default": "both"},
+        "--format": FORMAT,
+    }),
+    "table": ("invariant table for m+n <= max, both routes", cmd_table, {
+        "--max": {"type": nonneg, "default": 4},
+        "--format": {**FORMAT, "default": "csv"},
+    }),
+    "column": ("functional coefficients on the graded basis", cmd_column, {
+        "--m": {"type": nonneg, "required": True},
+        "--n": {"type": nonneg, "required": True},
+        "--k-max": {"type": nonneg, "default": None, "dest": "k_max"},
+        "--format": FORMAT,
+    }),
+    "verify": ("run a named verification suite", cmd_verify, {
+        "--suite": {"choices": tuple(sorted(SUITES)), "default": "all"},
+    }),
+    "moonshine": ("M24 decomposition report for A_n", cmd_moonshine, {
+        "--n": {"type": int, "required": True},
+        "--distinct": {"action": "store_true",
+                       "help": "search for a subset witness (default when no --cap)"},
+        "--cap": {"type": nonneg, "default": None,
+                  "help": "count multiplicity vectors with entries <= cap"},
+        "--max-witnesses": {"type": nonneg, "default": 4, "dest": "max_witnesses"},
+        "--format": {"choices": ("json", "plain"), "default": "json"},
+    }),
+    "reduce-z0": ("reduce H_k to a polynomial in Z0hat", cmd_reduce_z0, {
+        "--k": {"type": nonneg, "required": True},
+        "--order": {"type": nonneg, "default": 32, "help": "working precision in q-units"},
+        "--format": FORMAT,
+    }),
+}
+
+
 def build_parser():
+    """The argparse tree of COMMANDS: the only reader of help, usage errors
+    and abbreviated or --flag=value forms."""
     parser = argparse.ArgumentParser(
         prog="qmock",
         description="Exact q-series engine: mock modular forms and the "
         "SO(3) Donaldson invariants of CP^2.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p, default="plain", choices=("json", "csv", "plain")):
-        p.add_argument("--format", choices=choices, default=default)
-
-    p = sub.add_parser("coeffs", help="print the q-expansion of a named series")
-    p.add_argument("--series", required=True)
-    p.add_argument("--order", type=nonneg, default=None,
-                   help="q-units of precision (default 64, or QMOCK_ORDER)")
-    add_format(p)
-    p.set_defaults(func=cmd_coeffs)
-
-    p = sub.add_parser("invariant", help="one Donaldson invariant Phi_{m,2n}")
-    p.add_argument("--m", type=nonneg, required=True)
-    p.add_argument("--n", type=nonneg, required=True)
-    p.add_argument("--via", choices=tuple(ROUTES), default="both")
-    add_format(p)
-    p.set_defaults(func=cmd_invariant)
-
-    p = sub.add_parser("table", help="invariant table for m+n <= max, both routes")
-    p.add_argument("--max", type=nonneg, default=4)
-    add_format(p, default="csv")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("column", help="functional coefficients on the graded basis")
-    p.add_argument("--m", type=nonneg, required=True)
-    p.add_argument("--n", type=nonneg, required=True)
-    p.add_argument("--k-max", type=nonneg, default=None, dest="k_max")
-    add_format(p)
-    p.set_defaults(func=cmd_column)
-
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", choices=tuple(sorted(SUITES)), default="all")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("moonshine", help="M24 decomposition report for A_n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--distinct", action="store_true",
-                   help="search for a subset witness (default when no --cap)")
-    p.add_argument("--cap", type=nonneg, default=None,
-                   help="count multiplicity vectors with entries <= cap")
-    p.add_argument("--max-witnesses", type=nonneg, default=4, dest="max_witnesses")
-    add_format(p, default="json", choices=("json", "plain"))
-    p.set_defaults(func=cmd_moonshine)
-
-    p = sub.add_parser("reduce-z0", help="reduce H_k to a polynomial in Z0hat")
-    p.add_argument("--k", type=nonneg, required=True)
-    p.add_argument("--order", type=nonneg, default=32,
-                   help="working precision in q-units")
-    add_format(p)
-    p.set_defaults(func=cmd_reduce_z0)
-
+    for name, (help_text, func, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
+        p.set_defaults(func=func)
     return parser
 
 
+def parse_plain(argv):
+    """The Namespace argparse would return for a well-formed call, read
+    straight from COMMANDS, or None.  Well-formed is a command followed
+    only by its exact flags, each value-taking flag by a value that does
+    not start with "-", converts under its type and lies in its choices,
+    with every required flag present; a repeated flag keeps its last
+    value.  Every other call is left to argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, options = COMMANDS[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        spec = options.get(flag)
+        if spec is None:
+            return None
+        if spec.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(tokens, None)
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        given[flag] = value
+    if any(spec.get("required") and flag not in given for flag, spec in options.items()):
+        return None
+    args = argparse.Namespace(command=argv[0], func=func)
+    for flag, spec in options.items():
+        default = spec.get("default", False if spec.get("action") == "store_true" else None)
+        setattr(args, spec.get("dest", flag[2:].replace("-", "_")), given.get(flag, default))
+    return args
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parse_plain(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
     except InsufficientPrecision as exc:

@@ -140,6 +140,40 @@ def _wire_int(value, where):
     raise QSeriesError(f"{where} holds {shown}, not an integer")
 
 
+def _decimal_digits(n):
+    """The number of decimal digits of |n|, counted without a string."""
+    n = abs(n)
+    digits = max(1, int(n.bit_length() * 0.30103) - 1)  # never above the count
+    while n >= 10**digits:
+        digits += 1
+    return digits
+
+
+def _names_over_long_coefficients(method):
+    """``method`` of a Series, which turns the interpreter's bare ValueError
+    for an integer longer than it converts to a string into a QSeriesError
+    naming the first such coefficient, its digit count and the limit."""
+    @wraps(method)
+    def wrapper(self):
+        try:
+            return method(self)
+        except ValueError:
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            for e, x in zip(self._exps, self._nums):
+                c = Fraction(x, self._den)
+                for part, n in (("numerator", c.numerator), ("denominator", c.denominator)):
+                    digits = _decimal_digits(n)
+                    if digits > limit > 0:
+                        raise QSeriesError(
+                            f"coefficient at lattice exponent {e} has a {digits}-digit "
+                            f"{part}, over the interpreter's integer-string limit of "
+                            f"{limit} digits"
+                        ) from None
+            raise
+
+    return wrapper
+
+
 def _series(prec, exps, nums, den):
     """A Series from canonical sparse fields, without any checking."""
     s = object.__new__(Series)
@@ -522,6 +556,7 @@ class Series:
     def __repr__(self):
         return f"Series(min_exp={self.min_exp}, prec={self.prec}, terms={len(self._exps)})"
 
+    @_names_over_long_coefficients
     def __str__(self):
         parts = []
         for e, x in zip(self._exps, self._nums):
@@ -551,6 +586,7 @@ class Series:
     # ------------------------------------------------------------------
     # JSON wire format
 
+    @_names_over_long_coefficients
     def to_json_obj(self):
         """The exact interchange form: integers as decimal strings, one
         entry for every exponent from min_exp (the valuation, or prec for

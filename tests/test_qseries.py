@@ -16,6 +16,7 @@ from qmock.qseries import (
     NotInvertible,
     QSeriesError,
     Series,
+    _decimal_digits,
 )
 
 
@@ -489,6 +490,37 @@ def test_json_reader_quotes_only_a_prefix_of_an_over_long_entry(case):
     message = str(guard.value)
     assert re.search(says, message), message
     assert len(message) < 200
+
+
+OVER_LONG_COEFFICIENTS = {
+    # name -> (a coefficient, the part and digit count the message names)
+    "numerator": (10**LIMIT, "numerator", LIMIT + 1),
+    "denominator": (Fraction(-1, 10**(LIMIT + 1)), "denominator", LIMIT + 2),
+}
+
+
+@pytest.mark.skipif(not LIMIT, reason="this interpreter has no integer-string limit")
+@pytest.mark.parametrize("write", [Series.to_json_obj, str], ids=["to_json_obj", "str"])
+@pytest.mark.parametrize("case", sorted(OVER_LONG_COEFFICIENTS))
+def test_writers_name_a_coefficient_over_the_digit_limit(write, case):
+    coefficient, part, digits = OVER_LONG_COEFFICIENTS[case]
+    s = S([(-3, 1), (21, coefficient)], 45)
+    with pytest.raises(QSeriesError, match=rf"lattice exponent 21 has a {digits}-digit "
+                                           rf"{part}, .*limit of {LIMIT} digits"):
+        write(s)
+
+
+@pytest.mark.skipif(not LIMIT, reason="this interpreter has no integer-string limit")
+def test_writers_keep_a_coefficient_at_the_digit_limit():
+    at_the_limit = S([(-3, 1), (21, 10**LIMIT - 1)], 45)
+    assert Series.from_json_obj(at_the_limit.to_json_obj()) == at_the_limit
+    assert str(at_the_limit).startswith("q^(-1/8) + 999")
+
+
+def test_decimal_digits_counts_without_a_string():
+    numbers = [0, 1, -1, 9, 10, -10]
+    numbers += [10**k + d for k in range(1, 400, 7) for d in (-1, 0, 1)]
+    assert [_decimal_digits(n) for n in numbers] == [len(str(abs(n))) for n in numbers]
 
 
 # ---------------------------------------------------------- derived min_exp
