@@ -25,22 +25,21 @@ power family and a rung family that do not depend on t:
 * route B: T Z0hat^j and Ehat^k[H(8tau)], so that
   c^B_{t,k} = CT[T Z0hat^(t-k) * Ehat^k[H(8tau)]].
 
-One loop, ``_constant_terms``, pairs them into the vector
-c_t = (c_{t,0}, ..., c_{t,t}).  ``ROUTE_TABLE`` names every route once:
-route A on H/12 (``ROUTE_H12``), on Q+(tau/8) (``ROUTE_QPLUS``) and on
-their difference (``ROUTE_KERNEL``), and route B (``ROUTE_FINAL``), each
-with its families and its weight.  ``route_vectors`` keeps one store per
-route; the stores and the theta family are monotone in degree
-(``degree_memo``), serve a smaller degree as a prefix and are replaced
-only by a deeper build.
-Every Phi of degree t is a weighted sum of the first n+1 entries of c_t.
-The routes' weights differ by 3 * 2^(2t+5), so they agree on every pair
-of degree t exactly when c^B_t = 3 * 2^(2t+5) * c^A_t.  The weights are
-triangular in (n, k) with a nonzero diagonal, so a vector is zero exactly
-when the value of every pair of its degree is zero: checking vectors is
-no weaker than checking pairs.  Any disagreement between the routes is a
-hard RouteMismatch error: this cross-check is the module's main
-self-validation.
+One loop, ``_constant_terms``, pairs them and stores the alternating sums
+b_{t,n} = sum_(k<=n) (-1)^k C(n,k) c_{t,k}, n = 0..t, as the vector b_t.
+``ROUTE_TABLE`` names every route once: route A on H/12 (``ROUTE_H12``),
+on Q+(tau/8) (``ROUTE_QPLUS``) and on their difference (``ROUTE_KERNEL``),
+and route B (``ROUTE_FINAL``), each with its families and its weight.
+``route_vectors`` keeps one store per route; the stores and the theta
+family are monotone in degree (``degree_memo``), serve a smaller degree
+as a prefix and are replaced only by a deeper build.
+Every Phi_{m,2n} of degree t is a nonzero scalar times the one entry
+b_{t,n}.  The weights are diagonal, so a vector is zero exactly when the
+value of every pair of its degree is zero: checking vectors is no weaker
+than checking pairs.  The routes' scalars differ by 3 * 2^(2t+5), so they
+agree on every pair of degree t exactly when b^B_t = 3 * 2^(2t+5) * b^A_t.
+Any disagreement between the routes is a hard RouteMismatch error: this
+cross-check is the module's main self-validation.
 
 Working orders follow the rules in ``qseries``, with no safety margin.
 Route A's term of degree t has valuation val(M+) - 3(2t+3); X and W_k
@@ -131,6 +130,11 @@ def required_mock_prec(m, n):
     return 3 * (2 * m + 2 * n + 3) + 1
 
 
+def _check_pair(m, n):
+    if m < 0 or n < 0:
+        raise ValueError(f"({m},{n}): m and n must be nonnegative")
+
+
 def mock_order_for(m, n):
     """q-units order that builds a mock certified to the requirement."""
     return q_order(required_mock_prec(m, n))
@@ -145,9 +149,19 @@ def _chain(first, step, n):
 
 
 def _constant_terms(powers, rungs, t):
-    """The tuple of CT[powers[t-k] * rung_k] over the rungs k = 0, 1, ...
-    (at most t + 1 of them), each read by the pairing, no product formed."""
-    return tuple(powers[t - k].pairing(rung) for k, rung in zip(range(t + 1), rungs))
+    """The sums b_n = sum_(k<=n) (-1)^k C(n,k) c_k of c_k = CT[powers[t-k] * rung_k]
+    over the rungs n, k = 0, 1, ... (at most t + 1).  Each c_k is read by the
+    pairing, no product formed; over one denominator, the integer row is
+    replaced by its neighbour differences row[k] - row[k+1], and b_n is the
+    head of row n.  b_n reads c_0..c_n only, so fewer rungs give a prefix."""
+    terms = [powers[t - k].pairing(rung) for k, rung in zip(range(t + 1), rungs)]
+    den = math.lcm(*(c.denominator for c in terms))
+    row = [c.numerator * (den // c.denominator) for c in terms]
+    sums = []
+    while row:
+        sums.append(Fraction(row[0], den))
+        row = [a - b for a, b in zip(row, row[1:])]
+    return tuple(sums)
 
 
 @degree_memo
@@ -186,20 +200,11 @@ def functional_vector(mplus, t, k_max):
     return _constant_terms(*basis_a(mplus, t, k_max), t)
 
 
-def _alternating_sum(vector, n):
-    """sum_(k<=n) (-1)^k C(n,k) vector[k], summed as integer numerators
-    over one common denominator."""
-    den = math.lcm(*(vector[k].denominator for k in range(n + 1)))
-    num = sum((-1) ** k * math.comb(n, k) * x.numerator * (den // x.denominator)
-              for k, x in zip(range(n + 1), vector))
-    return Fraction(num, den)
-
-
 def weigh_a(vector, m, n):
-    """D_{m,2n} from the first n+1 entries of a route A vector of degree
-    m + n (the weight does not depend on m)."""
+    """D_{m,2n} from entry n of a route A vector of degree m + n (the
+    weight does not depend on m)."""
     scalar = -Fraction(2 * math.factorial(2 * n), math.factorial(n) * 6**n)
-    return scalar * _alternating_sum(vector, n)
+    return scalar * vector[n]
 
 
 def u_plane_coefficient(mplus, m, n):
@@ -209,6 +214,7 @@ def u_plane_coefficient(mplus, m, n):
     any series work; a mock that is too short raises
     InsufficientPrecision carrying the exact lattice precision needed.
     """
+    _check_pair(m, n)
     need = required_mock_prec(m, n)
     if mplus.prec < need:
         raise InsufficientPrecision(
@@ -255,12 +261,12 @@ def basis_b(degree):
 
 
 def weigh_b(vector, m, n):
-    """Phi_{m,2n} from the first n+1 entries of a route B vector."""
+    """Phi_{m,2n} from entry n of a route B vector of degree m + n."""
     scalar = -Fraction(
         math.factorial(2 * n),
         math.factorial(n) * 2 ** (2 * m + 3 * n + 4) * 3 ** (n + 1),
     )
-    return scalar * _alternating_sum(vector, n)
+    return scalar * vector[n]
 
 
 def _h12(degree):
@@ -287,8 +293,8 @@ ROUTE_TABLE = {
 
 @degree_memo
 def route_vectors(route, degree):
-    """A route's vectors c_0, ..., c_degree, all paired from the one pair
-    of families that ``ROUTE_TABLE`` builds for ``degree``."""
+    """A route's vectors of alternating sums b_0, ..., b_degree, all paired
+    from the one pair of families that ``ROUTE_TABLE`` builds for ``degree``."""
     powers, rungs = ROUTE_TABLE[route][0](degree)
     return tuple(_constant_terms(powers, rungs, t) for t in range(degree + 1))
 
@@ -297,6 +303,7 @@ def donaldson_phi(m, n, route):
     """Phi_{m,2n} by the named route (D_{m,2n} on the kernel, zero)."""
     if route not in ROUTE_TABLE:
         raise ValueError(f"unknown route {route!r}")
+    _check_pair(m, n)
     return ROUTE_TABLE[route][1](route_vectors(route, m + n)[m + n], m, n)
 
 
@@ -324,6 +331,8 @@ def generating_function(max_total_degree):
     even pairs m + n = 0 mod 2 (odd pairs vanish identically and are
     checked to do so).  Returns (records, Z(p,S) string).
     """
+    if max_total_degree < 0:
+        raise ValueError(f"degree {max_total_degree} must be nonnegative")
     records = []
     for route in (ROUTE_H12, ROUTE_FINAL):  # one store build each, at the deepest degree
         route_vectors(route, max_total_degree)
@@ -345,32 +354,24 @@ def generating_function(max_total_degree):
 
 def format_z(records):
     """Z(p,S) = sum Phi_{m,2n} p^m/m! S^(2n)/(2n)! as a plain string."""
-    terms = []
+    terms = ""
     for rec in records:
         c = rec.value / (math.factorial(rec.m) * math.factorial(2 * rec.n))
         if not c:
             continue
-        mono = []
+        factors = []
         if rec.m == 1:
-            mono.append("p")
+            factors.append("p")
         elif rec.m > 1:
-            mono.append(f"p^{rec.m}")
+            factors.append(f"p^{rec.m}")
         if rec.n:
-            mono.append(f"S^{2 * rec.n}")
-        body = "*".join(mono)
-        mag = abs(c)
-        cs = "" if mag == 1 and body else str(mag)
-        piece = cs + ("*" if cs and body else "") + body
-        terms.append((c < 0, piece if piece else "1"))
+            factors.append(f"S^{2 * rec.n}")
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        terms += (" - " if c < 0 else " + ") + "*".join(factors)
     if not terms:
         return "Z(p,S) = 0"
-    out = "Z(p,S) = "
-    for i, (neg, piece) in enumerate(terms):
-        if i == 0:
-            out += ("-" if neg else "") + piece
-        else:
-            out += (" - " if neg else " + ") + piece
-    return out
+    return "Z(p,S) = " + ("-" if terms[1] == "-" else "") + terms[3:]
 
 
 # ----------------------------------------------------------------------

@@ -190,10 +190,9 @@ def check_symbolic_columns():
 
 def _nonzero_pairs(vector, total):
     """(m, n, str(value)) for each pair of degree ``total`` whose route A
-    value is nonzero.  The weights are triangular in (n, k) with a nonzero
-    diagonal, so the list is empty exactly when the vector is zero."""
-    if not any(vector):
-        return []
+    value is nonzero.  The vector holds the pairs' alternating sums and each
+    value is a nonzero scalar times entry n, so the list is empty exactly
+    when the vector is zero."""
     pairs = ((m, total - m, weigh_a(vector, m, total - m)) for m in range(total + 1))
     return [(m, n, str(v)) for m, n, v in pairs if v]
 

@@ -6,17 +6,19 @@ from fractions import Fraction
 
 import pytest
 
+from qmock import uplane
 from qmock.cli import main
 from qmock.qseries import InsufficientPrecision, Series
 from qmock.forms import z0_hat
 from qmock.mock import mock_from_coefficients
+from qmock.mock import h_series
 from qmock.uplane import (
     ROUTE_FINAL,
     ROUTE_H12,
     ROUTE_QPLUS,
+    ROUTE_TABLE,
     InvariantRecord,
     NotPolynomialInZ0,
-    _alternating_sum,
     OddExponent,
     Z0Polynomial,
     column_extract,
@@ -29,9 +31,11 @@ from qmock.uplane import (
     phi_route_a,
     phi_route_b,
     required_mock_prec,
+    route_vectors,
     theta_quotient_factor,
     u_plane_coefficient,
     z0_reduce,
+    _constant_terms,
 )
 
 PHI_TABLE = {
@@ -259,13 +263,62 @@ def test_h_k_zero_difference_gives_zero():
     assert bracket_hat(zero, 2).is_zero()
 
 
-def test_alternating_sum_equals_the_fraction_sum():
+def alternating_sum(values, n):
+    return sum(Fraction((-1) ** k * math.comb(n, k)) * values[k] for k in range(n + 1))
+
+
+@pytest.mark.parametrize("route", sorted(ROUTE_TABLE))
+def test_each_store_entry_is_its_routes_alternating_sum(route):
+    for t in range(10):
+        powers, rungs = ROUTE_TABLE[route][0](t)
+        terms = [(powers[t - k] * rungs[k]).constant_term() for k in range(t + 1)]
+        stored = route_vectors(route, t)[t]
+        assert stored == tuple(alternating_sum(terms, n) for n in range(t + 1)), t
+
+
+def test_differencing_equals_the_fraction_sum():
+    # monomial families q^(-j) and x_k q^(t-k) pair to c_k = x_k
     rng = random.Random(11)
     for _ in range(200):
-        n = rng.randint(0, 9)
-        vector = tuple(
+        t = rng.randint(0, 9)
+        values = [
             Fraction(rng.randint(-10**6, 10**6), rng.choice([1, 3, 2**20, 7 * 5**9]))
-            for _ in range(n + 1 + rng.randint(0, 2))
-        )
-        want = sum(Fraction((-1) ** k * math.comb(n, k)) * vector[k] for k in range(n + 1))
-        assert _alternating_sum(vector, n) == want
+            for _ in range(t + 1)
+        ]
+        powers = [Series.monomial(-j, 1, prec=24) for j in range(t + 1)]
+        rungs = [Series.monomial(t - k, x, prec=24) for k, x in enumerate(values)]
+        cut = rng.randint(0, t + 1)
+        got = _constant_terms(powers, rungs[:cut], t)
+        assert got == tuple(alternating_sum(values, n) for n in range(cut)), (t, cut)
+
+
+H12 = h_series(4).scale(Fraction(1, 12))
+
+
+NEGATIVE_CALLS = [
+    (donaldson_phi, (-1, 2, ROUTE_H12), "(-1,2)"),
+    (donaldson_phi, (-2, 1, ROUTE_FINAL), "(-2,1)"),
+    (donaldson_phi, (2, -1, ROUTE_FINAL), "(2,-1)"),
+    (phi_route_a, (0, -1), "(0,-1)"),
+    (phi_route_b, (-1, 0), "(-1,0)"),
+    (kernel_check, (-1, 1), "(-1,1)"),
+    (column_extract, (-1, 1, 2), "(-1,1)"),
+    (u_plane_coefficient, (H12, -1, 1), "(-1,1)"),
+    (u_plane_coefficient, (H12, 1, -1), "(1,-1)"),
+    (generating_function, (-1,), "degree -1"),
+]
+
+
+@pytest.mark.parametrize("call, args, named", [
+    pytest.param(*case, id=f"{case[0].__name__}{case[2]}") for case in NEGATIVE_CALLS
+])
+def test_negative_input_is_rejected_before_any_store_read(call, args, named, monkeypatch):
+    # a negative n would otherwise index a store from its end
+    def unread(*_):
+        raise AssertionError("store read")
+
+    for name in ("route_vectors", "functional_vector"):
+        monkeypatch.setattr(uplane, name, unread)
+    with pytest.raises(ValueError, match="must be nonnegative") as exc:
+        call(*args)
+    assert str(exc.value).startswith(named)

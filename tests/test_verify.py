@@ -3,6 +3,7 @@ precision its detail line states, not pass on the terms both sides have."""
 
 import pytest
 
+from qmock import uplane
 from qmock import verify as V
 
 
@@ -43,3 +44,37 @@ def test_identity_check_claims_no_constant_on_a_short_side(monkeypatch):
     result = V.check_z0_derivative_identity(order=8)
     assert not result.passed
     assert "no constant ratio" in result.detail
+
+
+def off_by_one(stores, route, degree, n):
+    """``stores`` with entry n of ``route``'s vector of ``degree`` off by 1."""
+
+    def route_vectors(r, d):
+        vectors = stores(r, d)
+        if r != route or d < degree:
+            return vectors
+        vector = vectors[degree]
+        wrong = vector[:n] + (vector[n] + 1,) + vector[n + 1:]
+        return vectors[:degree] + (wrong,) + vectors[degree + 1:]
+
+    return route_vectors
+
+
+#: check, the store it reads, the degree and entry put off, the pair it names
+STORE_CASES = [
+    (V.check_kernel, uplane.ROUTE_KERNEL, 4, 1, "(3, 1, "),
+    (V.check_parity, uplane.ROUTE_QPLUS, 5, 2, "(3, 2, 'QplusTau8', "),
+    (V.check_routes, uplane.ROUTE_FINAL, 2, 0, "(2,0)"),
+    (V.check_donaldson_table, uplane.ROUTE_H12, 2, 1, "(1, 1, 'HOver12', "),
+]
+
+
+@pytest.mark.parametrize("check, route, degree, n, pair", [
+    pytest.param(*case, id=case[0].__name__) for case in STORE_CASES
+])
+def test_one_wrong_store_entry_turns_the_check_red(check, route, degree, n, pair, monkeypatch):
+    assert check().passed
+    monkeypatch.setattr(uplane, "route_vectors", off_by_one(uplane.route_vectors, route, degree, n))
+    result = check()
+    assert not result.passed
+    assert pair in result.detail
