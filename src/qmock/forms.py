@@ -8,7 +8,7 @@ route are caught by the identities
 theta_j(tau) = (2 if j==2 else 1) * Theta_j(tau/8).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .qseries import LATTICE_DEN, QSeriesError, Series, order_memo, q_order
@@ -18,39 +18,36 @@ class PhaseError(QSeriesError):
     """A theta/mu argument would need phases outside {1, i, -1, -i}."""
 
 
-@dataclass(frozen=True)
-class EtaQuotientSpec:
+class EtaQuotientSpec(namedtuple("EtaQuotientSpec", "factors")):
     """Formal product prod_i eta(k_i * tau)^(e_i)."""
 
-    factors: tuple  # of (multiplier, exponent) pairs
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple((int(k), int(e)) for k, e in self.factors))
-        for k, _ in self.factors:
+    def __new__(cls, factors):  # factors: (multiplier, exponent) pairs
+        factors = tuple((int(k), int(e)) for k, e in factors)
+        for k, _ in factors:
             if k < 1:
                 raise ValueError(f"eta multiplier must be positive, got {k}")
+        return super().__new__(cls, factors)
 
     def prefactor_exp24(self):
         """Lattice exponent of the leading q-power, sum of k*e."""
         return sum(k * e for k, e in self.factors)
 
 
-@dataclass(frozen=True)
-class HalfPeriodPoint:
-    """The argument v = r + s*tau with r, s in (1/2)Z."""
+class HalfPeriodPoint(namedtuple("HalfPeriodPoint", "r s")):
+    """The argument v = r + s*tau with r, s in (1/2)Z, held as Fractions."""
 
-    r: Fraction
-    s: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        r = Fraction(self.r)
-        s = Fraction(self.s)
+    def __new__(cls, r, s):
+        r = Fraction(r)
+        s = Fraction(s)
         if r.denominator > 2:
             raise PhaseError(f"r = {r} has denominator > 2; phases leave {{1,i,-1,-i}}")
         if s.denominator > 2:
             raise PhaseError(f"s = {s} has denominator > 2; exponents leave the lattice")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
+        return super().__new__(cls, r, s)
 
     @property
     def r2(self):
@@ -131,8 +128,7 @@ def theta_char(a, b, v, order):
     """
     if a not in (0, 1) or b not in (0, 1):
         raise ValueError("theta characteristics must be 0 or 1")
-    if not isinstance(v, HalfPeriodPoint):
-        v = HalfPeriodPoint(*v)
+    v = HalfPeriodPoint(*v)
     prec = LATTICE_DEN * order
     turn = v.r2 + b  # 2r + b
     s2 = v.s2
@@ -247,14 +243,17 @@ def z0_hat(order):
     """The weakly holomorphic function E*(4tau) / (Theta2*Theta3)^2.
 
     Leading term is exactly q^(-2); the greedy polynomial reduction in
-    the invariant layer depends on that, so it is asserted here.
+    the invariant layer depends on that, so it is checked here.
     """
     prec = LATTICE_DEN * order
     # val Z0hat = -48, val Theta2 = 24, val Theta3 = val E* = 0
     t2 = theta_big(2, q_order(prec + 48 + 24))
     t3 = theta_big(3, q_order(prec + 48))
     z0 = e_star(q_order(prec + 48)) / t2 / t2 / t3 / t3
-    assert z0.val() == -2 * LATTICE_DEN and z0.coefficient(-2 * LATTICE_DEN) == 1
+    head = z0.coefficient(-2 * LATTICE_DEN)
+    if z0.val() != -2 * LATTICE_DEN or head != 1:
+        raise QSeriesError(f"Z0hat must start with exactly q^-2, but its valuation is "
+                           f"{z0.val()} lattice units and its q^-2 coefficient {head}")
     return z0
 
 

@@ -44,8 +44,7 @@ def mu_half_period(v, order):
     as -c^(-1) q^(-(n+s)) / (1 - c^(-1) q^(-(n+s))): expanding 1/(1-x)
     with x of negative exponent is invalid in a power-series ring.
     """
-    if not isinstance(v, HalfPeriodPoint):
-        v = HalfPeriodPoint(*v)
+    v = HalfPeriodPoint(*v)
     if v.is_lattice_point():
         raise PoleAtArgument(f"mu has a pole at v = {v.r} + {v.s}*tau")
     r2, s2 = v.r2, v.s2
@@ -74,7 +73,8 @@ def mu_half_period(v, order):
             if abs(n - start) >= 2:
                 if first >= need:
                     break
-                assert first >= prev, "mu summand exponents must grow"
+                if first < prev:
+                    raise QSeriesError(f"mu summand exponents must grow, got {first} after {prev}")
             if step:
                 pairs += [(e, coef * c_sign**j) for j, e in enumerate(range(first, need, step))]
             elif c_sign == 1:
@@ -183,8 +183,7 @@ def mock_from_coefficients(h_values, order):
 
 def elliptic_genus_theta(v, order):
     """8 * sum_j (theta_j(z|tau)/theta_j(tau))^2 for j = 2, 3, 4 at z = v."""
-    if not isinstance(v, HalfPeriodPoint):
-        v = HalfPeriodPoint(*v)
+    v = HalfPeriodPoint(*v)
     prec = LATTICE_DEN * order
     total = Series.zero(prec)
     for j, (a, b) in THETA_CHARS.items():
@@ -200,8 +199,7 @@ def elliptic_genus_theta(v, order):
 
 def elliptic_genus_mock(v, order):
     """theta_1(z|tau)^2 / eta^3 * (24 mu(z;tau) + H(tau)) at z = v."""
-    if not isinstance(v, HalfPeriodPoint):
-        v = HalfPeriodPoint(*v)
+    v = HalfPeriodPoint(*v)
     if v.is_lattice_point():
         raise PoleAtArgument("mu(z;tau) is singular at lattice points z")
     prec = LATTICE_DEN * order

@@ -15,7 +15,7 @@ from a bounded-multiplicity dynamic program that drops every state whose
 remaining target exceeds what the remaining slots can reach.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .mock import a_coefficients
@@ -28,11 +28,10 @@ M24_DIMENSIONS = (
 )
 
 
-@dataclass(frozen=True)
-class DecompositionWitness:
+class DecompositionWitness(namedtuple("DecompositionWitness", "multiplicities")):
     """Multiplicities over M24_DIMENSIONS whose dot product is the target."""
 
-    multiplicities: tuple
+    __slots__ = ()
 
     def dims(self, dimensions=M24_DIMENSIONS):
         out = []

@@ -52,7 +52,7 @@ R = 48(D+2) + 1, T and Z0hat are built to R - 48 and H(8tau) to R - 24
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .qseries import (
@@ -85,21 +85,16 @@ class OddExponent(QSeriesError):
     """Input to the Z0hat reduction lies outside C((q^2))."""
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
+class InvariantRecord(namedtuple("InvariantRecord", "m n value route")):
     """One u-plane / Donaldson number with its provenance route."""
 
-    m: int
-    n: int
-    value: Fraction
-    route: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Z0Polynomial:
+class Z0Polynomial(namedtuple("Z0Polynomial", "coefficients")):
     """sum_i coefficients[i] * Z0hat^i."""
 
-    coefficients: tuple
+    __slots__ = ()
 
     def degree(self):
         d = len(self.coefficients) - 1

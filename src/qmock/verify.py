@@ -11,7 +11,7 @@ the literature, but the exact constant is -2 (see
 the measured constant.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import uplane  # the route stores, read through their one module binding
@@ -108,11 +108,7 @@ COLUMN_TABLE = {
 QPLUS_HEAD = (1, 28, 39, 196, 161)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+CheckResult = namedtuple("CheckResult", "name passed detail")
 
 
 def _result(name, passed, ok_detail, bad_detail=None):

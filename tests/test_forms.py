@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qmock import forms
-from qmock.qseries import Series
+from qmock.qseries import QSeriesError, Series
 from qmock.forms import (
     EtaQuotientSpec,
     HalfPeriodPoint,
@@ -258,6 +258,18 @@ def test_z0_hat_leading_and_even():
     assert z.val() == -48
     assert z.coefficient(-48) == 1
     assert all(e % 48 == 0 for e in z.support())
+
+
+@pytest.mark.parametrize("perturb", [
+    pytest.param(lambda e: e.scale(2), id="coefficient-2"),
+    pytest.param(lambda e: e - Series.one(e.prec), id="valuation-up"),
+])
+def test_z0_hat_refuses_a_wrong_leading_term(perturb, unmemoised, monkeypatch):
+    # an explicit raise, not an assert, so ``python -O`` keeps the guard
+    real = forms.e_star
+    monkeypatch.setattr(forms, "e_star", lambda order: perturb(real(order)))
+    with pytest.raises(QSeriesError, match="exactly q\\^-2"):
+        forms.z0_hat(12)
 
 
 def test_z0_derivative_exact_constant():
