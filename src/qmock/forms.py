@@ -6,6 +6,11 @@ while the rescaled Theta2/3/4 come from eta quotients (with the direct
 sums available for cross-checking).  Transcription errors in either
 route are caught by the identities
 theta_j(tau) = (2 if j==2 else 1) * Theta_j(tau/8).
+
+The eta and theta sums here and mock's Appell-Lerch sum take their terms
+from one scan, ``below``: each exponent is convex in the summation index,
+so the terms below a precision are scanned outward from its minimum, and
+each side stops at its first exponent at or above the precision.
 """
 
 from collections import namedtuple
@@ -18,10 +23,16 @@ class PhaseError(QSeriesError):
     """A theta/mu argument would need phases outside {1, i, -1, -i}."""
 
 
+def _make(cls, iterable):
+    """namedtuple's ``_make``, and so ``_replace``, through the validating ``__new__``."""
+    return cls(*iterable)
+
+
 class EtaQuotientSpec(namedtuple("EtaQuotientSpec", "factors")):
     """Formal product prod_i eta(k_i * tau)^(e_i)."""
 
     __slots__ = ()
+    _make = classmethod(_make)
 
     def __new__(cls, factors):  # factors: (multiplier, exponent) pairs
         factors = tuple((int(k), int(e)) for k, e in factors)
@@ -39,6 +50,7 @@ class HalfPeriodPoint(namedtuple("HalfPeriodPoint", "r s")):
     """The argument v = r + s*tau with r, s in (1/2)Z, held as Fractions."""
 
     __slots__ = ()
+    _make = classmethod(_make)
 
     def __new__(cls, r, s):
         r = Fraction(r)
@@ -71,25 +83,28 @@ V_TAU_HALF = HalfPeriodPoint(Fraction(0), Fraction(1, 2))
 V_ZERO = HalfPeriodPoint(Fraction(0), Fraction(0))
 
 
+def below(exponent, start, bound):
+    """Each integer n with exponent(n) < bound, for an exponent that does
+    not fall going outward from ``start`` or from ``start - 1``: a convex
+    one with its minimum at either.  Both sides are scanned outward, each
+    up to its first exponent >= bound."""
+    for n, step in ((start, 1), (start - 1, -1)):
+        while exponent(n) < bound:
+            yield n
+            n += step
+
+
 def _eta_lattice(k, prec):
     """eta(k*tau) certified below ``prec`` lattice units.
 
     Pentagonal number expansion: prod (1-q^n) = sum_j (-1)^j q^(j(3j-1)/2),
-    so eta(k*tau) has lattice exponents k*(1 + 12*j*(3j-1)).
+    so eta(k*tau) has lattice exponents k*(1 + 12*j*(3j-1)), least at j = 0.
     """
-    pairs = []
-    j = 0
-    while True:
-        hit = False
-        for jj in ((j, -j) if j else (0,)):
-            e = k * (1 + 12 * jj * (3 * jj - 1))
-            if e < prec:
-                pairs.append((e, 1 if jj % 2 == 0 else -1))
-                hit = True
-        if j and not hit:
-            break
-        j += 1
-    return Series.from_pairs(pairs, prec=prec)
+    def exp24(j):
+        return k * (1 + 12 * j * (3 * j - 1))
+
+    return Series.from_pairs([(exp24(j), -1 if j % 2 else 1) for j in below(exp24, 0, prec)],
+                             prec=prec)
 
 
 @order_memo
@@ -137,20 +152,8 @@ def theta_char(a, b, v, order):
         m = 2 * n + a
         return 3 * m * m + 6 * s2 * m
 
-    def term(n):
-        return exp24(n), -1 if n * turn % 2 else 1
-
-    pairs = []
-    # the exponent is a parabola in n; scan outward from its vertex
-    n0 = (-s2 - a) // 2
-    n = n0
-    while exp24(n) < prec:
-        pairs.append(term(n))
-        n += 1
-    n = n0 - 1
-    while exp24(n) < prec:
-        pairs.append(term(n))
-        n -= 1
+    # the exponent 3(m + 2s)^2 - 12s^2 is least at m = 2n + a = -2s
+    pairs = [(exp24(n), -1 if n * turn % 2 else 1) for n in below(exp24, (-s2 - a) // 2, prec)]
     return a * turn % 4, Series.from_pairs(pairs, prec=prec)
 
 

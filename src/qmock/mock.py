@@ -7,6 +7,10 @@ Q+(tau) is assembled from sieved eta quotients and a mock theta sum, and
 Q+(tau/8) - H(tau)/12 spans the kernel of the constant-term functional
 in the invariant layer.  Every mock here, H, Q+ and the explicit mocks
 that probe the functional, is a plain ``Series``.
+
+The Lerch sum's n-th summand starts at an exponent convex in n and least
+at n = -s, where v = r + s*tau; ``forms.below`` scans it outward from
+there, so mu is exact at every half-period, not only at s = 0 and 1/2.
 """
 
 from fractions import Fraction
@@ -19,6 +23,7 @@ from .forms import (
     V_ONE_PLUS_TAU_HALF,
     V_TAU_HALF,
     V_ZERO,
+    below,
     eta,
     modular_a_sieved,
     modular_b,
@@ -63,26 +68,13 @@ def mu_half_period(v, order):
         return first, step, coef
 
     pairs = []
-    # Scan outward: the first exponent grows like 12 n^2 in both
-    # directions (it is n(n+1)/2 + ns + s/2, plus |n+s| after the negative
-    # rewrite), so once a side exceeds need it stays out.
-    for start, direction in ((0, 1), (-1, -1)):
-        n = start
-        while True:
-            first, step, coef = summand(n)
-            if abs(n - start) >= 2:
-                if first >= need:
-                    break
-                if first < prev:
-                    raise QSeriesError(f"mu summand exponents must grow, got {first} after {prev}")
-            if step:
-                pairs += [(e, coef * c_sign**j) for j, e in enumerate(range(first, need, step))]
-            elif c_sign == 1:
-                raise PoleAtArgument("geometric factor 1/(1-1) in the mu sum")
-            elif first < need:
-                pairs.append((first, Fraction(coef, 2)))
-            prev = first
-            n += direction
+    # summand n starts at 3(m^2 - 4s^2) + 6|m| with m = 2n + 2s, least at n = -s
+    for n in below(lambda n: summand(n)[0], (1 - s2) // 2, need):
+        first, step, coef = summand(n)
+        if step:
+            pairs += [(e, coef * c_sign**j) for j, e in enumerate(range(first, need, step))]
+        else:  # n + s = 0, so s is whole, r is not and the factor is 1/(1 + 1)
+            pairs.append((first, Fraction(coef, 2)))
 
     lerch = Series.from_pairs(pairs, prec=need)
     # the prefactor i e^(pi i r) and theta_1's phase i^p are both i^(2r+1)

@@ -298,13 +298,6 @@ class Series:
             return Fraction(self._nums[i], self._den)
         return _ZERO
 
-    def coefficient_q(self, exponent):
-        """Coefficient at a q-exponent given as int or Fraction."""
-        e24 = Fraction(exponent) * LATTICE_DEN
-        if e24.denominator != 1:
-            raise LatticeError(f"exponent {exponent} is not on the (1/24)Z lattice")
-        return self.coefficient(int(e24))
-
     def constant_term(self):
         return self.coefficient(0)
 

@@ -31,6 +31,7 @@ from .mock import (
     a_coefficients,
     elliptic_genus_check,
     elliptic_genus_theta,
+    h_series,
     q_plus_rescaled,
 )
 from .moonshine import (
@@ -127,8 +128,6 @@ def _agree_to(prec, lhs, rhs):
 def check_mock_coefficients():
     a = a_coefficients(10)
     bad = [(n, a[n], want) for n, want in A_TABLE.items() if a[n] != want]
-    from .mock import h_series
-
     h = h_series(10)
     odd = [k for k in range(1, 20, 2) if h.coefficient(-3 + 12 * k)]
     ok = not bad and not odd

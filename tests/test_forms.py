@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmock import forms
 from qmock.qseries import QSeriesError, Series
@@ -29,7 +31,7 @@ from qmock.forms import (
 
 
 def q_coeff(s, exponent):
-    return s.coefficient_q(Fraction(exponent))
+    return s.coefficient(24 * exponent)
 
 
 # ----------------------------------------------------------------------- eta
@@ -160,6 +162,49 @@ def test_theta_char_termwise_phase_oracle():
                     for e in set(want) | set(got.support()):
                         c = got.coefficient(e)
                         assert want.get(e, (0, 0)) == (units[p][0] * c, units[p][1] * c)
+
+
+WINDOW = range(-40, 40)  # reaches every term below order 16 for |s| <= 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 1), st.integers(0, 1), st.integers(-4, 4), st.integers(-12, 12),
+       st.integers(0, 16))
+def test_theta_char_equals_the_sum_over_a_fixed_window(a, b, r2, s2, order):
+    # no early stop: every n of the window, kept when its exponent is below prec
+    prec = 24 * order
+    units = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^t, t mod 4
+
+    def exp24(n):
+        return 3 * (2 * n + a) ** 2 + 6 * s2 * (2 * n + a)
+
+    assert min(exp24(WINDOW[0]), exp24(WINDOW[-1])) >= 24 * 16
+    want = {}
+    for n in WINDOW:
+        if exp24(n) < prec:
+            re, im = units[(2 * n + a) * (r2 + b) % 4]
+            want_re, want_im = want.get(exp24(n), (0, 0))
+            want[exp24(n)] = (want_re + re, want_im + im)
+    p, got = theta_char(a, b, (Fraction(r2, 2), Fraction(s2, 2)), order)
+    assert got.prec == prec
+    assert {e: (units[p][0] * got.coefficient(e), units[p][1] * got.coefficient(e))
+            for e in got.support()} == {e: c for e, c in want.items() if c != (0, 0)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 16))
+def test_eta_equals_the_sum_over_a_fixed_window(k, order):
+    # the pentagonal sum over every j of the window, with no early stop
+    prec = 24 * order
+    assert min(k * (1 + 12 * j * (3 * j - 1)) for j in (WINDOW[0], WINDOW[-1])) >= 24 * 16
+    want = {}
+    for j in WINDOW:
+        e = k * (1 + 12 * j * (3 * j - 1))
+        if e < prec:
+            want[e] = want.get(e, 0) + (-1) ** j
+    got = eta.__wrapped__(k, order)  # computed afresh, not served from the memo
+    assert got.prec == prec
+    assert {e: got.coefficient(e) for e in got.support()} == {e: c for e, c in want.items() if c}
 
 
 def test_theta_char_rejects_deep_denominators():

@@ -52,6 +52,38 @@ def test_mu_n0_term_is_half():
     assert mu.coefficient(-3) == Fraction(1, 4)
 
 
+def _periodicity_cases():
+    # mu(r + s*tau) is tau-periodic: every s in (1/2)Z off the lattice
+    # against its representative s in {0, 1/2}
+    for r in (Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(3, 2)):
+        for s2 in range(-12, 13):
+            if s2 not in (0, 1) and (r.denominator, s2 % 2) != (1, 0):
+                yield pytest.param(r, s2, id=f"r={r},s={Fraction(s2, 2)}")
+
+
+@pytest.mark.parametrize("r, s2", _periodicity_cases())
+def test_mu_is_tau_periodic(r, s2, unmemoised):
+    for order in range(13):
+        want = mu_half_period((r, Fraction(s2 % 2, 2)), order)
+        assert mu_half_period((r, Fraction(s2, 2)), order) == want
+
+
+def test_mu_far_from_the_standard_half_period_is_not_zero(unmemoised):
+    # each side of the scan starts at the least exponent, here n = 5,
+    # not at n = 0 and -1, whose exponents lie above the certified range
+    mu = mu_half_period((Fraction(1, 2), -5), 4)
+    assert mu == mu_half_period(V_HALF, 4)
+    assert mu.coefficient(-3) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("v", [(Fraction(1, 2), -5), (0, Fraction(-7, 2)),
+                               (Fraction(1, 2), Fraction(9, 2))])
+def test_elliptic_genus_check_is_zero_far_from_the_origin(v, unmemoised):
+    diff = elliptic_genus_check(v, 6)
+    assert diff.prec == 24 * 6
+    assert diff.is_zero()
+
+
 def test_mu_pole_at_origin():
     with pytest.raises(PoleAtArgument):
         mu_half_period(V_ZERO, 4)
@@ -90,7 +122,7 @@ def test_h_over_12_leading_coefficient():
 def test_mock_theta_m_head():
     m = mock_theta_m(40)
     for e, want in ((7, -1), (15, 2), (23, -3)):
-        assert m.coefficient_q(e) == want
+        assert m.coefficient(24 * e) == want
     assert m.coefficient(0) == 0
 
 
@@ -127,13 +159,13 @@ def test_mock_theta_m_q31_against_two_summand_oracle():
         oracle[31 + e] = oracle.get(31 + e, 0) + c
     assert oracle[31] == 5
     got = mock_theta_m(N)
-    assert got.coefficient_q(31) == oracle[31]
+    assert got.coefficient(24 * 31) == oracle[31]
 
 
 def test_q_plus_support_and_head():
     qp = q_plus(32)
     assert all((e // 24) % 4 == 3 for e in qp.support())
-    assert qp.coefficient_q(-1) == 1
+    assert qp.coefficient(-24) == 1
 
 
 def test_q_plus_rescaled_expansion():

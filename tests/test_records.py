@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmock.forms import EtaQuotientSpec, HalfPeriodPoint
+from qmock.forms import V_HALF, EtaQuotientSpec, HalfPeriodPoint, PhaseError
 from qmock.moonshine import DecompositionWitness
 from qmock.uplane import ROUTE_FINAL, InvariantRecord, Z0Polynomial
 from qmock.verify import CheckResult
@@ -53,6 +53,21 @@ def test_half_period_point_fields_are_fractions():
     assert type(v.r) is Fraction and type(v.s) is Fraction
     assert (v.r2, v.s2) == (2, -1)
     assert v.is_lattice_point() is False
+
+
+def test_make_and_replace_validate_a_point():
+    with pytest.raises(PhaseError):
+        HalfPeriodPoint._make((Fraction(1, 3), 0))
+    with pytest.raises(PhaseError):
+        V_HALF._replace(r=Fraction(1, 3))
+    v = V_HALF._replace(s="-1/2")
+    assert v == HalfPeriodPoint(Fraction(1, 2), Fraction(-1, 2)) and type(v.s) is Fraction
+
+
+def test_make_validates_an_eta_quotient_spec():
+    with pytest.raises(ValueError, match="multiplier must be positive"):
+        EtaQuotientSpec._make([((0, 1),)])
+    assert EtaQuotientSpec._make([[(4.0, 8)]]).factors == ((4, 8),)
 
 
 @pytest.mark.parametrize("multiplier", [0, -1])
