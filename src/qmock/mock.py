@@ -11,6 +11,12 @@ that probe the functional, is a plain ``Series``.
 The Lerch sum's n-th summand starts at an exponent convex in n and least
 at n = -s, where v = r + s*tau; ``forms.below`` scans it outward from
 there, so mu is exact at every half-period, not only at s = 0 and 1/2.
+
+mu, H and Q+ sit on ``qseries.order_memo``: each is built once at the
+deepest order asked so far, and a smaller order (Q+(tau/8) at order N
+reads Q+ at 8N) is served as a truncation.  ``genus_mock_order`` names
+the order the genus reads mu and H at, so a caller can ask for the
+deepest one first.
 """
 
 from fractions import Fraction
@@ -103,12 +109,19 @@ def h_series(order):
 
 
 def a_coefficients(order):
-    """The integers A_n with H = 2 q^(-1/8) (-1 + sum A_n q^n), n <= order."""
+    """The integers A_n with H = 2 q^(-1/8) (-1 + sum A_n q^n), n <= order.
+
+    H's coefficient at q^(n - 1/8) is 2 A_n; a coefficient that is not an
+    even integer names no A_n and raises QSeriesError."""
     h = h_series(order)
     out = {}
     for n in range(1, order + 1):
         c = h.coefficient(-3 + 24 * n)
-        out[n] = int(c / 2)
+        if c.denominator != 1 or c.numerator % 2:
+            raise QSeriesError(
+                f"H's coefficient 2 A_{n} at q^({n} - 1/8) is {c}, not an even integer"
+            )
+        out[n] = c.numerator // 2
     return out
 
 
@@ -137,6 +150,7 @@ def mock_theta_m(order):
     return total.truncate(prec)
 
 
+@order_memo
 def q_plus(order):
     """Q+(tau) = -7/2 A_{3,8} + 3/2 A_{7,8} - 1/2 B + 4 M(q).
 
@@ -189,15 +203,20 @@ def elliptic_genus_theta(v, order):
     return total.scale(8)
 
 
+def genus_mock_order(v, order):
+    """The q-order of the mu(v) and H that ``elliptic_genus_mock(v, order)``
+    reads: theta_1^2 / eta^3 has valuation 2*v_t1 - 3, exactly."""
+    return q_order(LATTICE_DEN * order - 2 * theta_char_val(1, HalfPeriodPoint(*v)) + 3)
+
+
 def elliptic_genus_mock(v, order):
     """theta_1(z|tau)^2 / eta^3 * (24 mu(z;tau) + H(tau)) at z = v."""
     v = HalfPeriodPoint(*v)
     if v.is_lattice_point():
         raise PoleAtArgument("mu(z;tau) is singular at lattice points z")
     prec = LATTICE_DEN * order
-    # theta_1^2 / eta^3 has valuation 2*v_t1 - 3, exactly
     v_t1 = theta_char_val(1, v)
-    s_order = q_order(prec - 2 * v_t1 + 3)
+    s_order = genus_mock_order(v, order)
     s = mu_half_period(v, s_order).scale(24) + h_series(s_order)
     p, t1 = theta_char(1, 1, v, q_order(prec - v_t1 + 3 - s.min_exp))
     eta3 = eta(1, q_order(prec - 2 * v_t1 + 4 - s.min_exp)).pow_int(3)

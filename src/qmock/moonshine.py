@@ -8,9 +8,11 @@ are broken by the lexicographically smallest vector, which makes every
 output deterministic.
 
 Subset witnesses come from a meet-in-the-middle search (Horowitz-Sahni)
-over the subset-sum tables of the two halves of the dimension list: plain
-integer lists built by doubling, indexed by subset mask, so only the
-winning pair of masks is turned into a multiplicity vector.  Counts come
+over the subset-sum tables of the two halves of the dimension list: each
+distinct sum mapped to its smallest subset mask, built by doubling, so
+only the winning pair of masks is turned into a multiplicity vector.  The
+tables do not depend on the target, so the first search builds them and
+later searches over the same dimensions reuse them.  Counts come
 from a bounded-multiplicity dynamic program that drops every state whose
 remaining target exceeds what the remaining slots can reach.
 """
@@ -44,18 +46,32 @@ class DecompositionWitness(namedtuple("DecompositionWitness", "multiplicities"))
 
 
 def _subset_sums(dims):
-    """Subset sums of ``dims`` by doubling: ``sums[mask]`` is the sum of the
-    subset whose bit i, counted from the most significant of len(dims)
-    bits, selects dims[i], so ascending masks are ascending lex order."""
-    sums = [0]
+    """Each distinct subset sum of ``dims`` mapped to its smallest mask, in
+    ascending mask order.  Bit i of a mask, counted from the most significant
+    of len(dims) bits, selects dims[i], so ascending masks are ascending lex
+    order.  Built by doubling: every mask with the new highest bit comes
+    after every mask without it, so a sum already met keeps its mask."""
+    best = {0: 0}
+    bit = 1
     for d in reversed(dims):
-        sums += [s + d for s in sums]
-    return sums
+        for s, mask in list(best.items()):
+            best.setdefault(s + d, mask | bit)
+        bit <<= 1
+    return best
 
 
 def _bits(mask, width):
     """The multiplicity tuple of a subset mask, most significant bit first."""
     return tuple((mask >> (width - 1 - i)) & 1 for i in range(width))
+
+
+@lru_cache(maxsize=1)
+def _tables(dimensions):
+    """The subset-sum tables of the two halves of ``dimensions``:
+    target-independent, so built by the first search, not at import, and
+    kept for the last dimension tuple searched."""
+    half = len(dimensions) // 2
+    return _subset_sums(dimensions[:half]), _subset_sums(dimensions[half:])
 
 
 def decompose_distinct(target, dimensions=M24_DIMENSIONS):
@@ -68,12 +84,9 @@ def decompose_distinct(target, dimensions=M24_DIMENSIONS):
     """
     half = len(dimensions) // 2
     width = len(dimensions) - half
-    left = _subset_sums(dimensions[:half])
-    right = _subset_sums(dimensions[half:])
-    # inserting masks in descending order leaves each sum's smallest mask
-    best_right = dict(zip(reversed(right), reversed(range(len(right)))))
-    for mask, s in enumerate(left):
-        rest = best_right.get(target - s)
+    left, right = _tables(tuple(dimensions))
+    for s, mask in left.items():  # ascending masks, so the first hit is the smallest
+        rest = right.get(target - s)
         if rest is not None:
             return DecompositionWitness(_bits(mask, half) + _bits(rest, width))
     return None

@@ -32,7 +32,11 @@ on Q+(tau/8) (``ROUTE_QPLUS``) and on their difference (``ROUTE_KERNEL``),
 and route B (``ROUTE_FINAL``), each with its families and its weight.
 ``route_vectors`` keeps one store per route; the stores and the theta
 family are monotone in degree (``degree_memo``), serve a smaller degree
-as a prefix and are replaced only by a deeper build.
+as a prefix and are replaced only by a deeper build.  So is the Z0hat
+mechanism's ``h_k_family``, keyed by order: H_0..H_K from one
+``bracket_hat_ladder``, so that H_k of a smaller k is served from the
+deepest K asked.  Route B's factor T, ``theta_quotient_factor``, sits on
+``order_memo`` like the series it is built from.
 Every Phi_{m,2n} of degree t is a nonzero scalar times the one entry
 b_{t,n}.  The weights are diagonal, so a vector is zero exactly when the
 value of every pair of its degree is zero: checking vectors is no weaker
@@ -61,11 +65,12 @@ from .qseries import (
     QSeriesError,
     Series,
     degree_memo,
+    order_memo,
     q_order,
 )
 from .forms import eta, theta_big, theta_nullwert, z0_hat
 from .mock import h_series, mock_from_coefficients, q_plus, q_plus_rescaled
-from .brackets import bracket_hat, bracket_hat_ladder, bracket_ladder
+from .brackets import bracket_hat_ladder, bracket_ladder
 
 ROUTE_QPLUS = "QplusTau8"
 ROUTE_H12 = "HOver12"
@@ -232,6 +237,7 @@ def column_extract(m, n, k_max):
     return out
 
 
+@order_memo
 def theta_quotient_factor(order):
     """Theta4^9 / (Theta2 Theta3 eta(8tau)^3), the 8tau-variable factor
     that converts the theta prefactor into Z0hat powers.  It equals
@@ -373,15 +379,23 @@ def format_z(records):
 # the Z0hat polynomial mechanism
 
 
-def h_k_series(k, order):
-    """H_k(q) = eta(8tau)^3/(Theta2 Theta3)^(2k+2) * E^k[Q+(tau) - H(8tau)/12],
-    certified to ``order`` q-units; always lands in C((q^2))."""
+@degree_memo
+def h_k_family(order, k_max):
+    """H_0, ..., H_k_max, each certified to ``order`` q-units, from one
+    ``bracket_hat_ladder`` on one Q+(tau) - H(8tau)/12 built for k_max."""
     prec = LATTICE_DEN * order
-    need = prec + 48 * k + 24  # bracket_hat certifies its operand's prec - 48k - 24
+    need = prec + 48 * k_max + 24  # rung k certifies its operand's prec - 48k - 24
     qp = q_plus(q_order(need))
     h8 = h_series(q_order(Fraction(need, 8))).rescale_exponents(8, 1)
     diff = qp - h8.scale(Fraction(1, 12))
-    out = bracket_hat(diff, k).truncate(prec)
+    return tuple(rung.truncate(prec) for rung in bracket_hat_ladder(diff, k_max))
+
+
+def h_k_series(k, order):
+    """H_k(q) = eta(8tau)^3/(Theta2 Theta3)^(2k+2) * E^k[Q+(tau) - H(8tau)/12],
+    certified to ``order`` q-units; always lands in C((q^2)).  It is entry
+    k of ``h_k_family``, which serves a smaller k from a deeper build."""
+    out = h_k_family(order, k)[k]
     bad = [e for e in out.support() if e % (2 * LATTICE_DEN)]
     if bad:
         raise QSeriesError(

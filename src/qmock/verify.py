@@ -31,6 +31,7 @@ from .mock import (
     a_coefficients,
     elliptic_genus_check,
     elliptic_genus_theta,
+    genus_mock_order,
     h_series,
     q_plus_rescaled,
 )
@@ -129,13 +130,14 @@ def check_mock_coefficients():
     a = a_coefficients(10)
     bad = [(n, a[n], want) for n, want in A_TABLE.items() if a[n] != want]
     h = h_series(10)
+    lead = h.coefficient(-3)
     odd = [k for k in range(1, 20, 2) if h.coefficient(-3 + 12 * k)]
-    ok = not bad and not odd
+    ok = lead == -2 and not bad and not odd
     return _result(
         "mock-coefficients",
         ok,
         "A_1..A_8 match and all odd half-power coefficients vanish",
-        f"mismatches {bad}, odd-power residue at k {odd}",
+        f"q^(-1/8) coefficient {lead} (want -2), mismatches {bad}, odd-power residue at k {odd}",
     )
 
 
@@ -312,6 +314,7 @@ def check_theta_construction_consistency(order=96):
 
 def check_hk_reduction(k_max=4, order=32):
     bad = []
+    uplane.h_k_family(order, k_max)  # one ladder, built for the deepest k
     for k in range(k_max + 1):
         hk = h_k_series(k, order)
         poly = z0_reduce(hk, 2 * k + 4)
@@ -335,6 +338,8 @@ def check_genus(order=64):
         (V_TAU_HALF, "z=tau/2"),
         (V_ONE_PLUS_TAU_HALF, "z=(1+tau)/2"),
     )
+    # H, and with it the three mu, built once at the deepest order the points read
+    h_series(max(genus_mock_order(v, order) for v, _ in points))
     for v, label in points:
         if not _agree_to(prec, elliptic_genus_check(v, order), Series.zero(prec)):
             bad.append(label)

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from qmock import forms, mock
+from qmock import forms, mock, uplane
 from qmock.forms import V_HALF, V_ONE_PLUS_TAU_HALF, V_TAU_HALF
 from qmock.qseries import Series, degree_memo, order_memo
 
@@ -28,7 +28,13 @@ MEMOISED = {
     (forms, "modular_b"): [()],
     (mock, "mu_half_period"): [(V_HALF,), (V_ONE_PLUS_TAU_HALF,), (V_TAU_HALF,)],
     (mock, "h_series"): [()],
+    (mock, "q_plus"): [()],
+    (uplane, "theta_quotient_factor"): [()],
 }
+
+#: uplane's degree-memoised builders, whose served prefixes
+#: tests/test_degree_store.py and tests/test_build_counts.py check
+DEGREE_MEMOISED = {(uplane, "route_vectors"), (uplane, "theta_family"), (uplane, "h_k_family")}
 
 WARM_ORDER = 32
 
@@ -42,11 +48,11 @@ def wire(value):
 def test_every_memoised_function_is_checked():
     found = {
         (module, name)
-        for module in (forms, mock)
+        for module in (forms, mock, uplane)
         for name, value in vars(module).items()
         if hasattr(value, "__wrapped__") and value.__module__ == module.__name__
     }
-    assert found == set(MEMOISED)
+    assert found == set(MEMOISED) | DEGREE_MEMOISED
 
 
 @pytest.mark.parametrize("module, name, key", [

@@ -1,10 +1,12 @@
 """Appell-Lerch sums, H(tau), the Q+ assembly, elliptic genus consistency."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
-from qmock.qseries import Series
+from qmock import mock, verify
+from qmock.qseries import QSeriesError, Series
 from qmock.forms import (
     NAMED_FORMS,
     HalfPeriodPoint,
@@ -96,6 +98,33 @@ def test_mu_pole_at_origin():
 
 def test_h_series_matches_table():
     assert a_coefficients(8) == A_TABLE
+
+
+def h_with(monkeypatch, exp24, extra, modules):
+    """H with ``extra`` added at lattice exponent ``exp24``, as read
+    through ``h_series`` in each of ``modules``."""
+    h = h_series(10)
+    wrong = h + Series.monomial(exp24, extra, prec=h.prec)
+    for module in modules:
+        monkeypatch.setattr(module, "h_series", lambda order: wrong.truncate(24 * order))
+
+
+@pytest.mark.parametrize("extra", [1, Fraction(1, 3)], ids=["odd", "non-integer"])
+def test_a_coefficient_that_is_not_even_names_no_a_n(extra, monkeypatch):
+    # 2 A_3 = 1541 or 1540 + 1/3: halving and truncating would still read 770
+    h_with(monkeypatch, -3 + 24 * 3, extra, [mock])
+    with pytest.raises(QSeriesError, match=re.escape(f"2 A_3 at q^(3 - 1/8) is {1540 + extra},")):
+        a_coefficients(10)
+    with pytest.raises(QSeriesError, match="A_3"):
+        verify.check_mock_coefficients()
+
+
+def test_mock_coefficients_requires_minus_two_at_the_pole(monkeypatch):
+    h_with(monkeypatch, -3, 1, [mock, verify])
+    assert a_coefficients(8) == A_TABLE
+    result = verify.check_mock_coefficients()
+    assert not result.passed
+    assert "q^(-1/8) coefficient -1 (want -2)" in result.detail
 
 
 def test_h_leading_and_odd_coefficients():

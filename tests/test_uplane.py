@@ -192,9 +192,11 @@ def test_theta_quotient_factor_valuation():
 
 # each builder must certify exactly the order it is asked for, and only
 # true coefficients: a factor built one q-unit short shows as a shorter
-# prec, which a final truncate cannot hide
+# prec, which a final truncate cannot hide.  The memoised builders are
+# swept unmemoised (``__wrapped__``, and the fixture for the H_k family),
+# so a truncation served from a deeper build cannot pass as an exact one
 SWEPT = {
-    "theta_quotient_factor": theta_quotient_factor,
+    "theta_quotient_factor": theta_quotient_factor.__wrapped__,
     **{f"h_k_series-{k}": (lambda order, k=k: h_k_series(k, order)) for k in range(4)},
     "Z0Polynomial.evaluate": Z0Polynomial(
         (Fraction(5), Fraction(-560), Fraction(0), Fraction(35, 3))
