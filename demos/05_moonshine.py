@@ -8,7 +8,7 @@ subset-sum tables, counts from a bounded-multiplicity dynamic program.
 """
 
 from qmock import M24_DIMENSIONS, a_coefficients, decompose_bounded, decompose_distinct
-from qmock.moonshine import report_json_obj
+from qmock.cli import main
 from qmock.verify import check_moonshine
 
 a = a_coefficients(8)
@@ -36,8 +36,8 @@ print(f"A_8 = {a[8]} as a subset sum: {count} ways (sum of all dims is",
 count, _ = decompose_bounded(a[8], 2, max_witnesses=0)
 print(f"A_8 with multiplicities <= 2: {count} ways")
 
-# The consolidated report used by the command line.
-print(report_json_obj(a[6], distinct=True, cap=1, max_witnesses=1))
+# The consolidated report, as `qmock moonshine` prints it.
+main(["moonshine", "--n", "6", "--distinct", "--cap", "1", "--max-witnesses", "1"])
 
 # The same check `qmock verify --suite moonshine` runs.
 print(check_moonshine())

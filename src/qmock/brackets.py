@@ -13,8 +13,10 @@ up from the last), where bracketing each k on its own costs O(K^2).
 Each rung's sum is one integer linear combination (``Series.combine``):
 over the ladder's common denominator L = (2K-1)!!,
 c_{k,j} = (-1)^j C(k,j) N_j / L with integers N_j = a_j L from
-a_j = a_(j-1) * 24/(2j-1), a_0 = 1.  ``bracket_hat``'s prefactor climbs
-the same way as E2^k, by one (Theta2 Theta3)^(-2) per k.
+a_j = a_(j-1) * 24/(2j-1), a_0 = 1.  The powers E2^(-j) and E2^k, and
+``bracket_hat``'s prefactors eta(8tau)^3 (Theta2 Theta3)^(-2k-2), are each
+one ``qseries.chain``: one product per power.  E^0[M] is M, so a ladder
+of order 0 builds no E2.
 ``cohen_bracket`` and ``bracket_hat`` are the top rung of a ladder.
 
 Precision follows the rules in ``qseries``: E2 is built to the operand's
@@ -27,7 +29,7 @@ from collections import deque
 from fractions import Fraction
 from math import comb
 
-from .qseries import Series, q_order
+from .qseries import Series, chain, q_order
 from .forms import eisenstein_e2, eta, theta_big
 
 
@@ -65,23 +67,22 @@ def bracket_coefficients(k):
 
 
 def bracket_ladder(m_series, k_max):
-    """Yield E^0[M], ..., E^k_max[M] in order; E^0[M] is M itself."""
+    """Yield E^0[M], ..., E^k_max[M] in order; E^0[M] is M itself, yielded
+    before E2 is built, so k_max = 0 builds no E2."""
     if k_max < 0:
         raise ValueError("bracket order k must be nonnegative")
+    yield m_series
+    if not k_max:
+        return
     e2 = eisenstein_e2(q_order(m_series.prec - m_series.min_exp))  # E2 needs this
+    e2_inv = e2.invert()
     u = [m_series]
     deriv = m_series
-    e2_inv = e2.invert() if k_max else None
-    for j in range(1, k_max + 1):
+    for e2_inv_j in chain(e2_inv, e2_inv, k_max - 1):
         deriv = deriv.q_derive()
-        e2_inv_j = e2_inv if j == 1 else e2_inv_j * e2_inv
         u.append(deriv * e2_inv_j)
-    yield m_series
     weights, big = _gamma_weights(k_max)
-    e2_k = e2
-    for k in range(1, k_max + 1):
-        if k > 1:
-            e2_k = e2_k * e2
+    for k, e2_k in enumerate(chain(e2, e2, k_max - 1), 1):
         yield e2_k * Series.combine(zip(_row(k, weights), u), big)
 
 
@@ -96,10 +97,8 @@ def bracket_hat_ladder(m8, k_max):
     eta8_cubed = eta(8, q_order(rel + 8)).pow_int(3)
     t23 = theta_big(2, q_order(rel + 24)) * theta_big(3, q_order(rel))
     step = t23.pow_int(-2)
-    prefactor = eta8_cubed * step
-    for k, bracket in enumerate(bracket_ladder(m, k_max)):
-        if k:
-            prefactor = prefactor * step
+    prefactors = chain(eta8_cubed * step, step, k_max)
+    for prefactor, bracket in zip(prefactors, bracket_ladder(m, k_max)):
         yield prefactor * bracket.rescale_exponents(8, 1).truncate(m8.prec)
 
 

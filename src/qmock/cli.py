@@ -16,7 +16,7 @@ from fractions import Fraction
 from .qseries import LATTICE_DEN, InsufficientPrecision, QSeriesError
 from .forms import NAMED_FORMS
 from .mock import NAMED_MOCKS, a_coefficients
-from .moonshine import report_json_obj
+from .moonshine import decompose_bounded, decompose_distinct
 from .uplane import (
     ROUTE_H12,
     ROUTE_QPLUS,
@@ -129,25 +129,23 @@ def cmd_moonshine(args, out):
         return 2
     target = a_coefficients(args.n + 1)[args.n]
     distinct = args.distinct or args.cap is None
-    obj = report_json_obj(
-        target,
-        distinct=distinct,
-        cap=args.cap,
-        max_witnesses=args.max_witnesses,
-    )
-    obj["n"] = args.n
+    found = decompose_distinct(target) if distinct else None
+    dims = list(found.dims()) if found is not None else None
+    count, witnesses = (None, []) if args.cap is None else decompose_bounded(
+        target, args.cap, args.max_witnesses)
+    rows = [list(w.multiplicities) for w in witnesses]
 
     def report():
         yield f"A_{args.n} = {target}"
         if distinct:
-            w = obj["distinct_witness"]
-            yield "distinct: " + (" + ".join(map(str, w)) if w else "none")
+            yield "distinct: " + (" + ".join(map(str, dims)) if dims else "none")
         if args.cap is not None:
-            yield f"count (cap {args.cap}): {obj['bounded_count']}"
-            yield from (f"witness: {wit}" for wit in obj["witnesses"])
+            yield f"count (cap {args.cap}): {count}"
+            yield from (f"witness: {row}" for row in rows)
 
-    return render(out, args.format, to_json=lambda: dict(sorted(obj.items())),
-                  to_plain=report)
+    return render(out, args.format, to_plain=report, to_json=lambda: {
+        "bounded_count": None if count is None else str(count),
+        "distinct_witness": dims, "n": args.n, "target": target, "witnesses": rows})
 
 
 def cmd_reduce_z0(args, out):

@@ -20,8 +20,6 @@ remaining target exceeds what the remaining slots can reach.
 from collections import namedtuple
 from functools import lru_cache
 
-from .mock import a_coefficients
-
 #: dimensions of the 26 irreducible representations of M24, ascending
 M24_DIMENSIONS = (
     1, 23, 45, 45, 231, 231, 252, 253, 483, 770, 770, 990, 990,
@@ -141,21 +139,3 @@ def decompose_bounded(target, multiplicity_cap, max_witnesses=4,
 #: the explicit two- and six-part decompositions of A_6 and A_7
 A6_PARTS = (3520, 10395)
 A7_PARTS = (1771, 2024, 5313, 5544, 5796, 10395)
-
-
-def report_json_obj(target, distinct=True, cap=None, max_witnesses=4):
-    """The machine-readable decomposition report for one target."""
-    obj = {
-        "target": target,
-        "distinct_witness": None,
-        "bounded_count": None,
-        "witnesses": [],
-    }
-    if distinct:
-        w = decompose_distinct(target)
-        obj["distinct_witness"] = list(w.dims()) if w is not None else None
-    if cap is not None:
-        count, witnesses = decompose_bounded(target, cap, max_witnesses)
-        obj["bounded_count"] = str(count)
-        obj["witnesses"] = [list(w.multiplicities) for w in witnesses]
-    return obj

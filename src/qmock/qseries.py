@@ -28,7 +28,8 @@ rules, with no safety margin:
 * a sum is certified below the smallest prec of its summands.
 So products, quotients, powers and inverses all keep prec - val: F = prod f_i^(e_i)
 is certified below P once each f_i has prec >= P - val(F) + val(f_i);
-``q_order`` rounds that up to q-units.
+``q_order`` rounds that up to q-units.  Every family of powers comes from
+``chain``, one product per power, certified as ``pow_int`` certifies.
 
 All values are immutable after construction and all operations are pure
 functions, so series may be freely shared between threads.
@@ -631,6 +632,16 @@ class Series:
             return cls(min_exp, coeffs, prec)
         except ValueError as exc:  # the count check
             raise QSeriesError(f"series object: {exc}") from None
+
+
+def chain(first, step, n):
+    """[first * step^j for j = 0..n], one product per j: every family of
+    powers in the package.  Each product keeps prec - val, so
+    ``chain(x.pow_int(0), x, n)[j]`` equals ``x.pow_int(j)``, prec too."""
+    out = [first]
+    for _ in range(n):
+        out.append(out[-1] * step)
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,8 @@ power family and a rung family that do not depend on t:
 * route B: T Z0hat^j and Ehat^k[H(8tau)], so that
   c^B_{t,k} = CT[T Z0hat^(t-k) * Ehat^k[H(8tau)]].
 
+Each power family (X^j, W_j, T Z0hat^j) is one ``qseries.chain``.
+
 One loop, ``_constant_terms``, pairs them and stores the alternating sums
 b_{t,n} = sum_(k<=n) (-1)^k C(n,k) c_{t,k}, n = 0..t, as the vector b_t.
 ``ROUTE_TABLE`` names every route once: route A on H/12 (``ROUTE_H12``),
@@ -37,6 +39,10 @@ mechanism's ``h_k_family``, keyed by order: H_0..H_K from one
 ``bracket_hat_ladder``, so that H_k of a smaller k is served from the
 deepest K asked.  Route B's factor T, ``theta_quotient_factor``, sits on
 ``order_memo`` like the series it is built from.
+``z0_reduce`` writes H_k as a polynomial in Z0hat by one descending sweep
+over ``_z0_powers``, the chain Z0hat^0..Z0hat^D and the one place that
+sets Z0hat's working order; ``Z0Polynomial.evaluate`` sums over the same
+table.
 Every Phi_{m,2n} of degree t is a nonzero scalar times the one entry
 b_{t,n}.  The weights are diagonal, so a vector is zero exactly when the
 value of every pair of its degree is zero: checking vectors is no weaker
@@ -64,6 +70,7 @@ from .qseries import (
     InsufficientPrecision,
     QSeriesError,
     Series,
+    chain,
     degree_memo,
     order_memo,
     q_order,
@@ -110,12 +117,11 @@ class Z0Polynomial(namedtuple("Z0Polynomial", "coefficients")):
     def evaluate(self, order):
         """Re-expand the polynomial as a Series to ``order`` q-units."""
         prec = LATTICE_DEN * order
-        # Z0hat^d, of valuation -48d, needs Z0hat's prec at prec + 48(d - 1)
-        z0 = z0_hat(q_order(prec + 48 * (self.degree() - 1)))
+        powers = _z0_powers(prec, self.degree())
         total = Series.monomial(0, self.coefficients[0], prec=prec)
-        for d, c in enumerate(self.coefficients[1:], 1):
+        for c, power in zip(self.coefficients[1:], powers[1:]):
             if c:
-                total = total + z0.pow_int(d).scale(c)
+                total = total + power.scale(c)
         return total
 
 
@@ -138,14 +144,6 @@ def _check_pair(m, n):
 def mock_order_for(m, n):
     """q-units order that builds a mock certified to the requirement."""
     return q_order(required_mock_prec(m, n))
-
-
-def _chain(first, step, n):
-    """[first * step^j for j = 0..n], one product per j."""
-    out = [first]
-    for _ in range(n):
-        out.append(out[-1] * step)
-    return out
 
 
 def _constant_terms(powers, rungs, t):
@@ -176,7 +174,7 @@ def theta_family(degree):
     step = p_inv * p_inv
     x = (t2.pow_int(4) + t3.pow_int(4)) * step
     first = theta_nullwert(4, order).pow_int(9) * p_inv * step
-    return tuple(zip(_chain(x.pow_int(0), x, degree), _chain(first, step, degree)))
+    return tuple(zip(chain(x.pow_int(0), x, degree), chain(first, step, degree)))
 
 
 def basis_a(mock, degree, k_max):
@@ -258,7 +256,7 @@ def basis_b(degree):
     z0 = z0_hat(q_order(rel - 48))
     tq = theta_quotient_factor(q_order(rel - 48))
     h8 = h_series(q_order(Fraction(rel - 24, 8))).rescale_exponents(8, 1)
-    return _chain(tq, z0, degree), list(bracket_hat_ladder(h8, degree))
+    return chain(tq, z0, degree), list(bracket_hat_ladder(h8, degree))
 
 
 def weigh_b(vector, m, n):
@@ -405,14 +403,25 @@ def h_k_series(k, order):
     return out
 
 
+def _z0_powers(prec, degree):
+    """Z0hat^0, ..., Z0hat^degree, each certified at least below ``prec``:
+    Z0hat^d, of valuation -48d, keeps Z0hat's prec - val, so Z0hat^d needs
+    Z0hat at prec + 48(d - 1), and the top power sets the build."""
+    z0 = z0_hat(q_order(prec + 48 * (degree - 1)))
+    return chain(z0.pow_int(0), z0, degree)
+
+
 def z0_reduce(f, max_degree):
     """Write an even, weakly holomorphic series as a polynomial in Z0hat.
 
-    Greedy principal-part elimination: Z0hat^d has leading coefficient
-    exactly 1 at q^(-2d), so subtracting c_d Z0hat^d strictly raises the
-    valuation.  After the constant is removed, the tail must vanish to
-    the input's precision; anything else raises NotPolynomialInZ0.  The
-    constant is read at q^0, so the input must be certified above it.
+    One descending sweep over the principal part: Z0hat^d has leading
+    coefficient exactly 1 at q^(-2d), so for d = D, D-1, ..., 1, with D the
+    pole degree, the coefficient of q^(-2d) in what is left is c_d, and
+    subtracting c_d Z0hat^d clears it without touching lower exponents.
+    The powers come from one chain.  After the constant is removed, the
+    tail must vanish to the input's precision; anything else raises
+    NotPolynomialInZ0.  The constant is read at q^0, so the input must be
+    certified above it.
     """
     if f.prec <= 0:
         raise InsufficientPrecision(
@@ -431,26 +440,15 @@ def z0_reduce(f, max_degree):
         raise NotPolynomialInZ0(
             f"pole order {2 * pole_degree} exceeds 2*max_degree = {2 * max_degree}"
         )
-    # Z0hat^d for d <= pole_degree must reach the input's prec
-    z0 = z0_hat(q_order(f.prec + 48 * (pole_degree - 1)))
+    powers = _z0_powers(f.prec, pole_degree)
     coeffs = [Fraction(0)] * (pole_degree + 1)
     g = f
-    while True:
-        v = g.val()
-        if v is None:
-            break
-        if v < 0:
-            d = (-v) // (2 * LATTICE_DEN)
-            c = g.coefficient(v)
-            coeffs[d] += c
-            g = (g - z0.pow_int(d).scale(c)).truncate(g.prec)
-        else:
-            c0 = g.constant_term()
-            coeffs[0] += c0
-            g = (g - Series.monomial(0, c0, prec=g.prec)).truncate(g.prec)
-            if not g.is_zero():
-                raise NotPolynomialInZ0(
-                    f"nonzero tail starting at q^{Fraction(g.val(), LATTICE_DEN)}"
-                )
-            break
+    for d in range(pole_degree, 0, -1):
+        coeffs[d] = c = g.coefficient(-2 * LATTICE_DEN * d)
+        if c:
+            g = (g - powers[d].scale(c)).truncate(g.prec)
+    coeffs[0] = c0 = g.constant_term()
+    g = (g - Series.monomial(0, c0, prec=g.prec)).truncate(g.prec)
+    if not g.is_zero():
+        raise NotPolynomialInZ0(f"nonzero tail starting at q^{Fraction(g.val(), LATTICE_DEN)}")
     return Z0Polynomial(tuple(coeffs))

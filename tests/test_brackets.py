@@ -8,13 +8,16 @@ import sympy
 
 from qmock.qseries import LatticeError, Series
 from qmock.forms import eisenstein_e2
+from qmock import brackets
 from qmock.brackets import (
     bracket_coefficients,
+    bracket_ladder,
     bracket_hat,
     cohen_bracket,
     double_factorial,
 )
-from qmock.mock import h_series, q_plus
+from qmock.mock import h_series, mock_from_coefficients, q_plus
+from qmock.uplane import u_plane_coefficient
 
 
 def test_double_factorial_convention():
@@ -67,6 +70,19 @@ def test_negative_k_rejected():
 def test_k0_is_identity():
     s = Series.from_pairs([(-3, 1), (21, 7)], prec=96)
     assert cohen_bracket(s, 0) is s
+
+
+def test_order_zero_ladder_builds_no_e2(monkeypatch):
+    calls = []
+    monkeypatch.setattr(brackets, "eisenstein_e2",
+                        lambda order: calls.append(order) or eisenstein_e2(order))
+    s = Series.from_pairs([(-3, 1), (21, 7)], prec=96)
+    rungs = list(bracket_ladder(s, 0))
+    assert len(rungs) == 1 and rungs[0] is s
+    u_plane_coefficient(mock_from_coefficients([0, 1], 8), 3, 0)  # an n = 0 probe
+    assert calls == []
+    list(bracket_ladder(s, 1))  # the count sees the call an order-1 ladder makes
+    assert len(calls) == 1
 
 
 def test_k1_on_monomial():

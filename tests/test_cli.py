@@ -127,6 +127,27 @@ def test_moonshine_json(capsys):
     assert obj["distinct_witness"] == [3520, 10395]
 
 
+def test_moonshine_json_schema(capsys):
+    code, out, _ = run(capsys, "moonshine", "--n", "6", "--distinct", "--cap", "1",
+                       "--max-witnesses", "2")
+    assert code == 0
+    obj = json.loads(out)
+    assert list(obj) == ["bounded_count", "distinct_witness", "n", "target", "witnesses"]
+    assert obj["n"] == 6 and obj["target"] == 13915
+    assert obj["distinct_witness"] == [3520, 10395]
+    assert isinstance(obj["bounded_count"], str) and int(obj["bounded_count"]) >= 1
+    assert 1 <= len(obj["witnesses"]) <= 2
+    assert all(len(w) == 26 for w in obj["witnesses"])
+
+
+def test_moonshine_json_absent_fields_are_null(capsys):
+    _, out, _ = run(capsys, "moonshine", "--n", "6")  # no --cap: no count
+    obj = json.loads(out)
+    assert obj["bounded_count"] is None and obj["witnesses"] == []
+    _, out, _ = run(capsys, "moonshine", "--n", "6", "--cap", "1")  # no --distinct
+    assert json.loads(out)["distinct_witness"] is None
+
+
 def test_moonshine_cap_plain(capsys):
     code, out, _ = run(capsys, "moonshine", "--n", "1", "--cap", "1",
                        "--max-witnesses", "2", "--format", "plain")

@@ -11,7 +11,6 @@ from qmock.moonshine import (
     M24_DIMENSIONS,
     decompose_bounded,
     decompose_distinct,
-    report_json_obj,
 )
 
 
@@ -138,18 +137,3 @@ def test_witnesses_in_lex_order_and_valid():
     vecs = [w.multiplicities for w in witnesses]
     assert vecs == sorted(vecs)
     assert all(w.total() == 1058 for w in witnesses)
-
-
-def test_report_json_schema():
-    obj = report_json_obj(13915, distinct=True, cap=1, max_witnesses=2)
-    assert set(obj) == {"target", "distinct_witness", "bounded_count", "witnesses"}
-    assert obj["target"] == 13915
-    assert obj["distinct_witness"] == [3520, 10395]
-    assert isinstance(obj["bounded_count"], str) and int(obj["bounded_count"]) >= 1
-    assert all(len(w) == 26 for w in obj["witnesses"])
-
-
-def test_report_json_absent_fields_are_null():
-    obj = report_json_obj(7, distinct=False)
-    assert obj["distinct_witness"] is None
-    assert obj["bounded_count"] is None

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qmock.qseries import (
@@ -17,6 +17,7 @@ from qmock.qseries import (
     QSeriesError,
     Series,
     _decimal_digits,
+    chain,
 )
 
 
@@ -349,6 +350,22 @@ def test_pairing_edge_cases():
     assert Series.zero(24).pairing(tail) == 0
     with pytest.raises(InsufficientPrecision):
         S([(-48, 2)], 24).pairing(S([(24, 5)], 48))  # the product is certified only below q^0
+
+
+# -------------------------------------------------------------------- chain
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_series(), st.integers(0, 6))
+@example(S([(-48, 1), (0, 3)], 24), 6)  # a pole, Z0hat-like
+@example(S([(3, 2)], 48), 5)  # a monomial off the q-unit lattice
+def test_chain_power_equals_pow_int(x, n):
+    # power j keeps prec - val, so the chain certifies what pow_int does
+    assume(not x.is_zero())
+    powers = chain(x.pow_int(0), x, n)
+    assert len(powers) == n + 1
+    for j, power in enumerate(powers):
+        assert power == x.pow_int(j)
 
 
 # ------------------------------------------------------------------ combine

@@ -235,14 +235,39 @@ def test_z0_reduce_rejects_odd_exponents():
 def test_z0_reduce_rejects_non_polynomial():
     z = z0_hat(10)
     junk = (z + Series.monomial(48, 1, prec=z.prec)).truncate(24 * 8)
-    with pytest.raises(NotPolynomialInZ0):
+    with pytest.raises(NotPolynomialInZ0) as exc:
         z0_reduce(junk, 4)
+    assert str(exc.value) == "nonzero tail starting at q^2"
 
 
 def test_z0_reduce_rejects_deep_pole():
     z = z0_hat(16)
-    with pytest.raises(NotPolynomialInZ0):
+    with pytest.raises(NotPolynomialInZ0) as exc:
         z0_reduce(z.pow_int(3).truncate(24 * 6), 2)
+    assert str(exc.value) == "pole order 6 exceeds 2*max_degree = 4"
+
+
+def test_z0_reduce_rejects_an_uncertified_constant():
+    with pytest.raises(InsufficientPrecision) as exc:
+        z0_reduce(Series.monomial(-48, 1, prec=-12), 2)
+    assert str(exc.value) == ("z0_reduce reads the constant term at q^0, but the "
+                              "input is only certified below q^(-1/2)")
+
+
+@pytest.mark.parametrize("order", (1, 4, 9))
+@pytest.mark.parametrize("degree", range(7))
+def test_z0_reduce_sweep_recovers_every_degree(degree, order):
+    # odd interior degrees carry zero, so the sweep must skip them exactly
+    want = tuple(Fraction(0) if 0 < d < degree and d % 2 else Fraction((-1) ** d * (d + 2), 3)
+                 for d in range(degree + 1))
+    z = z0_hat(order + 2 * degree + 2)
+    prec = 24 * order
+    f = Series.monomial(0, want[0], prec=prec)
+    for d, c in enumerate(want[1:], 1):
+        f = f + z.pow_int(d).scale(c).truncate(prec)
+    poly = z0_reduce(f, degree)
+    assert poly.coefficients == want
+    assert poly.evaluate(order) == f
 
 
 def test_h_k_series_structure():
