@@ -21,7 +21,7 @@ power family and a rung family that do not depend on t:
 * route A: X^j and W_k E^k[M+], X = (theta2^4+theta3^4)/(theta2 theta3)^2
   and W_k = theta4^9 (theta2 theta3)^(-3-2k), so c^A_{t,k} =
   CT[X^(t-k) * W_k E^k[M+]].  One mock-free ``theta_family`` (X^j, W_j)
-  serves every mock: H/12, Q+(tau/8), their difference and column probes;
+  serves every mock: H/12, Q+(tau/8) and the column probes;
 * route B: T Z0hat^j and Ehat^k[H(8tau)], so that
   c^B_{t,k} = CT[T Z0hat^(t-k) * Ehat^k[H(8tau)]].
 
@@ -29,8 +29,8 @@ Each power family (X^j, W_j, T Z0hat^j) is one ``qseries.chain``.
 
 One loop, ``_constant_terms``, pairs them and stores the alternating sums
 b_{t,n} = sum_(k<=n) (-1)^k C(n,k) c_{t,k}, n = 0..t, as the vector b_t.
-``ROUTE_TABLE`` names every route once: route A on H/12 (``ROUTE_H12``),
-on Q+(tau/8) (``ROUTE_QPLUS``) and on their difference (``ROUTE_KERNEL``),
+``ROUTE_TABLE`` names every route once: route A on H/12 (``ROUTE_H12``)
+and on Q+(tau/8) (``ROUTE_QPLUS``), whose equality is the kernel check,
 and route B (``ROUTE_FINAL``), each with its families and its weight.
 ``route_vectors`` keeps one store per route; the stores and the theta
 family are monotone in degree (``degree_memo``), serve a smaller degree
@@ -82,7 +82,6 @@ from .brackets import bracket_hat_ladder, bracket_ladder
 ROUTE_QPLUS = "QplusTau8"
 ROUTE_H12 = "HOver12"
 ROUTE_FINAL = "FinalFormula"
-ROUTE_KERNEL = "Kernel"
 
 
 class RouteMismatch(QSeriesError):
@@ -268,24 +267,16 @@ def weigh_b(vector, m, n):
     return scalar * vector[n]
 
 
-def _h12(degree):
-    return h_series(mock_order_for(degree, 0)).scale(Fraction(1, 12))
-
-
-def _qplus(degree):
-    return q_plus_rescaled(mock_order_for(degree, 0))
-
-
 def _on_mock(mock):
-    """Route A's families, for every degree <= D, on ``mock(D)``."""
-    return lambda degree: basis_a(mock(degree), degree, degree)
+    """Route A's families, for every degree <= D, on ``mock(order)`` built
+    to the order that degree D needs."""
+    return lambda degree: basis_a(mock(mock_order_for(degree, 0)), degree, degree)
 
 
 #: route label -> (its families for every degree <= D, its weight)
 ROUTE_TABLE = {
-    ROUTE_H12: (_on_mock(_h12), weigh_a),
-    ROUTE_QPLUS: (_on_mock(_qplus), weigh_a),
-    ROUTE_KERNEL: (_on_mock(lambda degree: _qplus(degree) - _h12(degree)), weigh_a),
+    ROUTE_H12: (_on_mock(lambda order: h_series(order).scale(Fraction(1, 12))), weigh_a),
+    ROUTE_QPLUS: (_on_mock(q_plus_rescaled), weigh_a),
     ROUTE_FINAL: (basis_b, weigh_b),
 }
 
@@ -299,7 +290,7 @@ def route_vectors(route, degree):
 
 
 def donaldson_phi(m, n, route):
-    """Phi_{m,2n} by the named route (D_{m,2n} on the kernel, zero)."""
+    """Phi_{m,2n} by the named route."""
     if route not in ROUTE_TABLE:
         raise ValueError(f"unknown route {route!r}")
     _check_pair(m, n)
@@ -317,8 +308,8 @@ def phi_route_b(m, n):
 
 
 def kernel_check(m, n):
-    """D_{m,2n} on Q+(tau/8) - H(tau)/12; zero for every m, n."""
-    return donaldson_phi(m, n, ROUTE_KERNEL)
+    """D_{m,2n} on Q+(tau/8) - H(tau)/12 by linearity; zero for every m, n."""
+    return donaldson_phi(m, n, ROUTE_QPLUS) - donaldson_phi(m, n, ROUTE_H12)
 
 
 def generating_function(max_total_degree):
@@ -406,8 +397,9 @@ def h_k_series(k, order):
 def _z0_powers(prec, degree):
     """Z0hat^0, ..., Z0hat^degree, each certified at least below ``prec``:
     Z0hat^d, of valuation -48d, keeps Z0hat's prec - val, so Z0hat^d needs
-    Z0hat at prec + 48(d - 1), and the top power sets the build."""
-    z0 = z0_hat(q_order(prec + 48 * (degree - 1)))
+    Z0hat at prec + 48(d - 1), and the top power sets the build (degree 0
+    builds none: Z0hat^0 is 1)."""
+    z0 = z0_hat(q_order(prec + 48 * (degree - 1))) if degree else Series.one(prec)
     return chain(z0.pow_int(0), z0, degree)
 
 

@@ -44,7 +44,6 @@ from .moonshine import (
 )
 from .uplane import (
     ROUTE_H12,
-    ROUTE_KERNEL,
     ROUTE_QPLUS,
     RouteMismatch,
     donaldson_phi,
@@ -194,10 +193,16 @@ def _nonzero_pairs(vector, total):
     return [(m, n, str(v)) for m, n, v in pairs if v]
 
 
+KERNEL_SUITE_DEGREE = 9  # the ``kernel`` suite's deepest degree: each store is built once
+
+
 def check_kernel(max_total=8):
+    # D_(m,2n) is linear in the mock: on Q+(tau/8) - H/12 it is the stores' difference
+    h12, qplus = (uplane.route_vectors(route, max(max_total, KERNEL_SUITE_DEGREE))
+                  for route in (ROUTE_H12, ROUTE_QPLUS))
     bad = []
-    for total, vector in enumerate(uplane.route_vectors(ROUTE_KERNEL, max_total)):
-        bad += _nonzero_pairs(vector, total)
+    for total in range(max_total + 1):
+        bad += _nonzero_pairs([q - h for q, h in zip(qplus[total], h12[total])], total)
     return _result(
         "kernel-vanishing",
         not bad,
@@ -218,7 +223,7 @@ def check_routes(max_total=8):
     )
 
 
-def check_parity(max_total=9):
+def check_parity(max_total=KERNEL_SUITE_DEGREE):
     bad = []
     h12, qplus = (uplane.route_vectors(route, max_total) for route in (ROUTE_H12, ROUTE_QPLUS))
     for total in range(1, max_total + 1, 2):

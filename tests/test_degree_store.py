@@ -3,10 +3,10 @@
 ``route_vectors`` keeps, per route, every vector of degree <= D paired
 from one pair of families built for D, the largest degree asked for so
 far.  A smaller degree is served from it; only a deeper request rebuilds.
-Route A has one store per named mock (H/12, Q+(tau/8) and the kernel
-Q+(tau/8) - H/12), and all three pair against the one mock-free
-``theta_family``.  The counts below are of the unmemoised builders, so
-each count is one build.
+Route A has one store per mock it evaluates, H/12 and Q+(tau/8), and
+both pair against the one mock-free ``theta_family``; the kernel check
+reads their difference and builds no store of its own.  The counts below
+are of the unmemoised builders, so each count is one build.
 """
 
 from collections import defaultdict
@@ -15,11 +15,10 @@ import pytest
 
 from qmock import uplane, verify
 from qmock.qseries import degree_memo
-from qmock.uplane import ROUTE_FINAL, ROUTE_H12, ROUTE_KERNEL, ROUTE_QPLUS
+from qmock.uplane import ROUTE_FINAL, ROUTE_H12, ROUTE_QPLUS
 
-#: test id -> route label: route A on H/12, route B, route A on
-#: Q+(tau/8) and on the kernel
-ROUTES = {"A": ROUTE_H12, "B": ROUTE_FINAL, "Qplus": ROUTE_QPLUS, "kernel": ROUTE_KERNEL}
+#: test id -> route label: route A on H/12, route B, route A on Q+(tau/8)
+ROUTES = {"A": ROUTE_H12, "B": ROUTE_FINAL, "Qplus": ROUTE_QPLUS}
 RAW = {name: getattr(uplane, name).__wrapped__ for name in ("route_vectors", "theta_family")}
 
 
@@ -103,7 +102,7 @@ def test_paper_table_builds_each_store_once_at_its_deepest_degree(builds):
 
 def test_kernel_suite_builds_each_store_once_at_its_deepest_degree(builds):
     verify.run_suite("kernel")
-    assert builds == {ROUTE_KERNEL: [8], ROUTE_H12: [9], ROUTE_QPLUS: [9], "theta": [9]}
+    assert builds == {ROUTE_H12: [9], ROUTE_QPLUS: [9], "theta": [9]}
 
 
 def test_one_theta_family_serves_the_kernel_suite_and_then_the_paper_table(builds):

@@ -10,10 +10,8 @@ from qmock import cli
 from qmock.uplane import (
     ROUTE_FINAL,
     ROUTE_H12,
-    ROUTE_KERNEL,
     ROUTE_TABLE,
     donaldson_phi,
-    kernel_check,
     phi_route_a,
     phi_route_b,
 )
@@ -32,8 +30,8 @@ def test_every_cli_route_label_is_in_the_table():
 
 
 @pytest.mark.parametrize("entry, route", [
-    (phi_route_a, ROUTE_H12), (phi_route_b, ROUTE_FINAL), (kernel_check, ROUTE_KERNEL),
-], ids=["phi_route_a", "phi_route_b", "kernel_check"])
+    (phi_route_a, ROUTE_H12), (phi_route_b, ROUTE_FINAL),
+], ids=["phi_route_a", "phi_route_b"])
 def test_entry_points_are_donaldson_phi_on_their_route(entry, route):
     for m, n in PAIRS:
         assert entry(m, n) == donaldson_phi(m, n, route), (m, n)

@@ -128,7 +128,7 @@ def test_kernel_vanishes():
 
 
 def test_kernel_equals_route_difference():
-    for m, n in ((0, 2), (2, 1), (3, 0)):
+    for m, n in ((m, t - m) for t in range(9) for m in range(t + 1)):
         direct = donaldson_phi(m, n, ROUTE_QPLUS) - donaldson_phi(m, n, ROUTE_H12)
         assert kernel_check(m, n) == direct == 0
 
@@ -213,6 +213,16 @@ def test_builders_certify_exactly_their_order(name, order, unmemoised):
 
 
 # ----------------------------------------------------------- Z0hat reduction
+
+
+def test_degree_zero_builds_no_z0_hat(monkeypatch):
+    calls = []
+    monkeypatch.setattr(uplane, "z0_hat", lambda order: calls.append(order) or z0_hat(order))
+    assert z0_reduce(Series.one(48), 0).coefficients == (Fraction(1),)
+    assert Z0Polynomial((Fraction(3),)).evaluate(4) == Series.monomial(0, 3, prec=96)
+    assert calls == []
+    Z0Polynomial((Fraction(3), Fraction(1))).evaluate(4)  # the count sees a degree-1 build
+    assert len(calls) == 1
 
 
 def test_z0_reduce_square():

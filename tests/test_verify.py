@@ -3,8 +3,9 @@ precision its detail line states, not pass on the terms both sides have."""
 
 import pytest
 
-from qmock import uplane
+from qmock import brackets, uplane
 from qmock import verify as V
+from qmock.qseries import Series
 
 
 def shortened(fn):
@@ -62,7 +63,7 @@ def off_by_one(stores, route, degree, n):
 
 #: check, the store it reads, the degree and entry put off, the pair it names
 STORE_CASES = [
-    (V.check_kernel, uplane.ROUTE_KERNEL, 4, 1, "(3, 1, "),
+    (V.check_kernel, uplane.ROUTE_H12, 4, 1, "(3, 1, "),
     (V.check_parity, uplane.ROUTE_QPLUS, 5, 2, "(3, 2, 'QplusTau8', "),
     (V.check_routes, uplane.ROUTE_FINAL, 2, 0, "(2,0)"),
     (V.check_donaldson_table, uplane.ROUTE_H12, 2, 1, "(1, 1, 'HOver12', "),
@@ -78,3 +79,35 @@ def test_one_wrong_store_entry_turns_the_check_red(check, route, degree, n, pair
     result = check()
     assert not result.passed
     assert pair in result.detail
+
+
+# The kernel check compares route A on Q+(tau/8) with route A on H/12.  Q+
+# comes from mock_theta_m, not from H, so a wrong H or a wrong bracket row
+# breaks the equality even though both routes of a table would agree.
+
+
+def test_a_wrong_h_turns_the_kernel_check_red(unmemoised, monkeypatch):
+    h_series = uplane.h_series
+
+    def wrong_h(order):  # H + 2 q^(7/8): A_1 off by one, at lattice 21
+        return h_series(order) + Series.monomial(21, 2, prec=24 * order)
+
+    monkeypatch.setattr(uplane, "h_series", wrong_h)
+    result = V.check_kernel()
+    assert not result.passed
+    assert result.detail.startswith("nonzero at [(0, 2, ")
+
+
+def test_a_wrong_bracket_row_turns_the_kernel_check_red(unmemoised, monkeypatch):
+    row = brackets._row
+
+    def wrong_row(k, weights):  # N_0 added to entry j = 1 of every row k >= 5
+        out = row(k, weights)
+        if k >= 5:
+            out[1] += weights[0]
+        return out
+
+    monkeypatch.setattr(brackets, "_row", wrong_row)
+    result = V.check_kernel()
+    assert not result.passed
+    assert result.detail.startswith("nonzero at [(0, 6, ")
