@@ -124,10 +124,10 @@ def eta_quotient(spec, order):
     result = Series.one(rel)
     for k, e in spec.factors:
         factor = _eta_lattice(k, max(rel + k, k + 1))
-        if e > 0:
-            result = result * factor.pow_int(e)
-        for _ in range(-e):  # the sparse factor divides; its inverse is dense
-            result = result / factor
+        # one sparse factor at a time: its powers and its inverse are dense, and
+        # each step keeps prec - val, so e steps certify what factor^e would
+        for _ in range(abs(e)):
+            result = result * factor if e > 0 else result / factor
     return result.truncate(prec_target)
 
 

@@ -368,14 +368,21 @@ def format_z(records):
 # the Z0hat polynomial mechanism
 
 
+def h_k_qplus_order(order, k_max):
+    """The q-order of the Q+ that ``h_k_family(order, k_max)`` reads: rung k
+    certifies its operand's prec - 48k - 24, so rung k_max needs the
+    operand to LATTICE_DEN * order + 48 k_max + 24 lattice units."""
+    return q_order(LATTICE_DEN * order + 48 * k_max + 24)
+
+
 @degree_memo
 def h_k_family(order, k_max):
     """H_0, ..., H_k_max, each certified to ``order`` q-units, from one
     ``bracket_hat_ladder`` on one Q+(tau) - H(8tau)/12 built for k_max."""
     prec = LATTICE_DEN * order
-    need = prec + 48 * k_max + 24  # rung k certifies its operand's prec - 48k - 24
-    qp = q_plus(q_order(need))
-    h8 = h_series(q_order(Fraction(need, 8))).rescale_exponents(8, 1)
+    qp_order = h_k_qplus_order(order, k_max)
+    qp = q_plus(qp_order)
+    h8 = h_series(q_order(Fraction(LATTICE_DEN * qp_order, 8))).rescale_exponents(8, 1)
     diff = qp - h8.scale(Fraction(1, 12))
     return tuple(rung.truncate(prec) for rung in bracket_hat_ladder(diff, k_max))
 

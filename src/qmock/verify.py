@@ -4,6 +4,15 @@ Each check is a pure function returning a CheckResult; suites are named
 bundles.  Everything is exact arithmetic, so a check either holds
 identically to the stated order or fails with a concrete witness.
 
+The battery-depth table, ``BATTERY_DEPTH``, names in one place the
+deepest order (or degree) the battery reads of each series that more
+than one check shares: H (and with it the three mu), Q+, route A's theta
+family and its two stores, and Theta_2/3/4.  Every check that reads one
+of them asks for it at that depth first (``_at_battery_depth``), so
+whichever suite runs first builds it once, and the memos serve every
+shallower read, in any suite and in any order, as a prefix.  A suite run
+on its own therefore builds to the battery's depth.
+
 One check is red by design of its expected value: ``z0-derivative-identity``
 asserts the unit-constant form of the derivative identity as quoted in
 the literature, but the exact constant is -2 (see
@@ -33,6 +42,7 @@ from .mock import (
     elliptic_genus_theta,
     genus_mock_order,
     h_series,
+    q_plus,
     q_plus_rescaled,
 )
 from .moonshine import (
@@ -49,6 +59,7 @@ from .uplane import (
     donaldson_phi,
     column_extract,
     generating_function,
+    h_k_qplus_order,
     h_k_series,
     theta_quotient_factor,
     weigh_a,
@@ -108,6 +119,53 @@ COLUMN_TABLE = {
 
 QPLUS_HEAD = (1, 28, 39, 196, 161)
 
+KERNEL_SUITE_DEGREE = 9  # the ``kernel`` suite's deepest degree
+GENUS_ORDER = 64
+# tau/2 is the half-period where theta_1's quarter-turn count is odd,
+# so it is the one that sees the sign (i^p)^2 = (-1)^p on theta_1^2
+GENUS_POINTS = (
+    (V_HALF, "z=1/2"),
+    (V_TAU_HALF, "z=tau/2"),
+    (V_ONE_PLUS_TAU_HALF, "z=(1+tau)/2"),
+)
+HK_K_MAX, HK_ORDER = 4, 32
+RESCALE_ORDER = 128
+
+#: series shared by several checks -> the deepest order (q-units) or
+#: degree at which the battery reads it
+BATTERY_DEPTH = {
+    # H, and with it the three mu: the genus at z = tau/2 and (1+tau)/2
+    "H": max(genus_mock_order(v, GENUS_ORDER) for v, _ in GENUS_POINTS),
+    "Qplus": h_k_qplus_order(HK_ORDER, HK_K_MAX),  # the H_k family
+    "theta family": KERNEL_SUITE_DEGREE,
+    ROUTE_H12: KERNEL_SUITE_DEGREE,  # route A's store on H/12
+    ROUTE_QPLUS: KERNEL_SUITE_DEGREE,  # and on Q+(tau/8)
+    "Theta": 8 * RESCALE_ORDER,  # the rescale relations
+}
+
+
+def _at_battery_depth(*names):
+    """Build each named series at its ``BATTERY_DEPTH``.  A route A store
+    reads its mock (and the theta family, at the store's own depth), so
+    naming the store builds its mock first."""
+    depth = BATTERY_DEPTH
+    if ROUTE_H12 in names:
+        names += ("H",)
+    if ROUTE_QPLUS in names:
+        names += ("Qplus",)
+    if "H" in names:
+        h_series(depth["H"])
+    if "Qplus" in names:
+        q_plus(depth["Qplus"])
+    if "theta family" in names:
+        uplane.theta_family(depth["theta family"])
+    for route in (ROUTE_H12, ROUTE_QPLUS):
+        if route in names:
+            uplane.route_vectors(route, depth[route])
+    if "Theta" in names:
+        for j in (2, 3, 4):
+            theta_big(j, depth["Theta"])
+
 
 CheckResult = namedtuple("CheckResult", "name passed detail")
 
@@ -126,6 +184,7 @@ def _agree_to(prec, lhs, rhs):
 
 
 def check_mock_coefficients():
+    _at_battery_depth("H")
     a = a_coefficients(10)
     bad = [(n, a[n], want) for n, want in A_TABLE.items() if a[n] != want]
     h = h_series(10)
@@ -141,6 +200,7 @@ def check_mock_coefficients():
 
 
 def check_qplus_expansion():
+    _at_battery_depth("Qplus")
     s = q_plus_rescaled(4)
     got = tuple(s.coefficient(-3 + 12 * k) for k in range(5))
     ok = got == QPLUS_HEAD
@@ -153,10 +213,8 @@ def check_qplus_expansion():
 
 
 def check_donaldson_table():
+    _at_battery_depth(ROUTE_H12, ROUTE_QPLUS)
     bad = []
-    deepest = max(m + n for m, n in PHI_TABLE)
-    for route in (ROUTE_H12, ROUTE_QPLUS):  # each store builds once, at the deepest degree
-        uplane.route_vectors(route, deepest)
     for (m, n), want in PHI_TABLE.items():
         for route in (ROUTE_QPLUS, ROUTE_H12):
             got = donaldson_phi(m, n, route)
@@ -171,6 +229,7 @@ def check_donaldson_table():
 
 
 def check_symbolic_columns():
+    _at_battery_depth("theta family")
     bad = []
     for (m, n), want in COLUMN_TABLE.items():
         got = tuple(column_extract(m, n, len(want) - 1))
@@ -193,13 +252,10 @@ def _nonzero_pairs(vector, total):
     return [(m, n, str(v)) for m, n, v in pairs if v]
 
 
-KERNEL_SUITE_DEGREE = 9  # the ``kernel`` suite's deepest degree: each store is built once
-
-
 def check_kernel(max_total=8):
+    _at_battery_depth(ROUTE_H12, ROUTE_QPLUS)
     # D_(m,2n) is linear in the mock: on Q+(tau/8) - H/12 it is the stores' difference
-    h12, qplus = (uplane.route_vectors(route, max(max_total, KERNEL_SUITE_DEGREE))
-                  for route in (ROUTE_H12, ROUTE_QPLUS))
+    h12, qplus = (uplane.route_vectors(route, max_total) for route in (ROUTE_H12, ROUTE_QPLUS))
     bad = []
     for total in range(max_total + 1):
         bad += _nonzero_pairs([q - h for q, h in zip(qplus[total], h12[total])], total)
@@ -212,6 +268,7 @@ def check_kernel(max_total=8):
 
 
 def check_routes(max_total=8):
+    _at_battery_depth(ROUTE_H12, "Theta")
     try:
         generating_function(max_total)
     except RouteMismatch as exc:
@@ -224,6 +281,7 @@ def check_routes(max_total=8):
 
 
 def check_parity(max_total=KERNEL_SUITE_DEGREE):
+    _at_battery_depth(ROUTE_H12, ROUTE_QPLUS)
     bad = []
     h12, qplus = (uplane.route_vectors(route, max_total) for route in (ROUTE_H12, ROUTE_QPLUS))
     for total in range(1, max_total + 1, 2):
@@ -258,6 +316,7 @@ def check_jacobi_eta_cube(prec24=200):
 
 
 def _z0_derivative_sides(order):
+    _at_battery_depth("Theta")
     return z0_hat(order).q_derive(), theta_quotient_factor(order)
 
 
@@ -290,7 +349,8 @@ def check_z0_derivative_corrected(order=128):
     )
 
 
-def check_rescale_relations(order=128):
+def check_rescale_relations(order=RESCALE_ORDER):
+    _at_battery_depth("Theta")
     ok = True
     for j, scale in ((2, 2), (3, 1), (4, 1)):
         big = theta_big(j, 8 * order).rescale_exponents(1, 8).scale(scale)
@@ -305,6 +365,7 @@ def check_rescale_relations(order=128):
 
 
 def check_theta_construction_consistency(order=96):
+    _at_battery_depth("Theta")
     ok = all(
         _agree_to(LATTICE_DEN * order, theta_big(j, order), theta_big_direct(j, order))
         for j in (2, 3, 4)
@@ -317,7 +378,8 @@ def check_theta_construction_consistency(order=96):
     )
 
 
-def check_hk_reduction(k_max=4, order=32):
+def check_hk_reduction(k_max=HK_K_MAX, order=HK_ORDER):
+    _at_battery_depth("H", "Qplus", "Theta")
     bad = []
     uplane.h_k_family(order, k_max)  # one ladder, built for the deepest k
     for k in range(k_max + 1):
@@ -333,19 +395,11 @@ def check_hk_reduction(k_max=4, order=32):
     )
 
 
-def check_genus(order=64):
+def check_genus(order=GENUS_ORDER):
+    _at_battery_depth("H")
     prec = LATTICE_DEN * order
     bad = []
-    # tau/2 is the half-period where theta_1's quarter-turn count is odd,
-    # so it is the one that sees the sign (i^p)^2 = (-1)^p on theta_1^2
-    points = (
-        (V_HALF, "z=1/2"),
-        (V_TAU_HALF, "z=tau/2"),
-        (V_ONE_PLUS_TAU_HALF, "z=(1+tau)/2"),
-    )
-    # H, and with it the three mu, built once at the deepest order the points read
-    h_series(max(genus_mock_order(v, order) for v, _ in points))
-    for v, label in points:
+    for v, label in GENUS_POINTS:
         if not _agree_to(prec, elliptic_genus_check(v, order), Series.zero(prec)):
             bad.append(label)
     z0 = elliptic_genus_theta(V_ZERO, order)
@@ -361,6 +415,7 @@ def check_genus(order=64):
 
 
 def check_moonshine():
+    _at_battery_depth("H")
     a = a_coefficients(9)
     bad = []
     for n in range(1, 6):

@@ -1,19 +1,23 @@
 """Each ``verify`` suite builds each series it reads once, at the deepest
-order (or depth) it asks for, and serves the rest from the memo.
+order (or depth) it asks for, and serves the rest from the memo.  Across
+suites, each series that several checks share is built once, at the
+battery's depth, whichever suite runs first.
 
 Every memoised builder below is replaced, in every qmock module that
 binds it, by a fresh memo of the same kind around a counting copy of its
 unmemoised body, so the memo starts empty and each count is one build.
 """
 
+import random
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 
 import pytest
 
-from qmock import mock, moonshine, uplane, verify
+from qmock import forms, mock, moonshine, uplane, verify
 from qmock.brackets import bracket_hat
 from qmock.mock import H_POINTS
 from qmock.qseries import degree_memo, order_memo, q_order
@@ -25,6 +29,9 @@ COUNTED = {
     (mock, "h_series"): order_memo,
     (uplane, "theta_quotient_factor"): order_memo,
     (uplane, "h_k_family"): degree_memo,
+    (uplane, "route_vectors"): degree_memo,
+    (uplane, "theta_family"): degree_memo,
+    (forms, "theta_big"): order_memo,
     (moonshine, "_tables"): lru_cache(maxsize=1),
 }
 
@@ -88,3 +95,32 @@ def test_a_smaller_k_is_served_from_the_deepest_ladder(k_max, builds):
     for k, hk in enumerate(served[1:]):
         assert hk.prec == 24 * 8
         assert hk == direct_h_k(k, 8), k
+
+
+#: the suites of the benchmark's ``verify`` workload, in ``verify.SUITES`` order
+WORKLOAD = ("paper-table", "kernel", "jacobi", "genus", "moonshine")
+SUITE_ORDERS = [WORKLOAD, WORKLOAD[::-1]] + random.Random(0).sample(
+    [p for p in permutations(WORKLOAD) if p not in (WORKLOAD, WORKLOAD[::-1])], 6
+)
+
+#: builder -> the one build per key that the five suites make, in any order:
+#: H and the three mu at the genus's order 65, Q+ at the 41 that H_0..H_4 to
+#: order 32 read, both route A stores and the theta family at the kernel
+#: suite's degree 9, and Theta_2/3/4 at the rescale relations' 8 * 128
+SHARED = {
+    "h_series": [(65,)],
+    "mu_half_period": [(v, 65) for v in H_POINTS],
+    "q_plus": [(41,)],
+    "route_vectors": [(uplane.ROUTE_H12, 9), (uplane.ROUTE_QPLUS, 9)],
+    "theta_family": [(9,)],
+    "theta_big": [(j, 1024) for j in (2, 3, 4)],
+}
+
+
+@pytest.mark.parametrize("order", SUITE_ORDERS, ids=lambda order: ",".join(order))
+def test_the_verify_workload_builds_each_shared_series_once(order, builds):
+    for suite in order:
+        verify.run_suite(suite)
+    assert {name: Counter(builds[name]) for name in SHARED} == {
+        name: Counter(args) for name, args in SHARED.items()
+    }

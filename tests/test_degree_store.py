@@ -97,7 +97,8 @@ def test_unmemoised_builds_afresh_for_every_call(unmemoised, builds):
 
 def test_paper_table_builds_each_store_once_at_its_deepest_degree(builds):
     verify.run_suite("paper-table")
-    assert builds == {ROUTE_H12: [4], ROUTE_QPLUS: [4], "theta": [5]}
+    # the stores are asked for at the battery's degree, the kernel suite's 9
+    assert builds == {ROUTE_H12: [9], ROUTE_QPLUS: [9], "theta": [9]}
 
 
 def test_kernel_suite_builds_each_store_once_at_its_deepest_degree(builds):

@@ -111,6 +111,35 @@ def test_theta_big_quotient_equals_direct_sum():
         assert theta_big(j, 64).agrees_with(theta_big_direct(j, 64))
 
 
+@pytest.mark.parametrize("j", [2, 3, 4])
+def test_theta_big_quotient_equals_direct_sum_at_the_battery_depth(j, unmemoised):
+    # 8 * 128, the depth the rescale relations read
+    assert forms.theta_big(j, 1024) == theta_big_direct(j, 1024)
+
+
+def pow_int_eta_quotient(spec, order):
+    """The eta quotient with each positive factor raised by ``pow_int``
+    before it multiplies: the reference for ``eta_quotient``, which takes
+    one sparse factor at a time."""
+    prec_target = 24 * order
+    rel = prec_target - spec.prefactor_exp24()
+    result = Series.one(rel)
+    for k, e in spec.factors:
+        factor = forms._eta_lattice(k, max(rel + k, k + 1))
+        if e > 0:
+            result = result * factor.pow_int(e)
+        for _ in range(-e):
+            result = result / factor
+    return result.truncate(prec_target)
+
+
+@pytest.mark.parametrize("name, spec", [("modular_a", SPEC_A), ("modular_b", SPEC_B)])
+def test_eta_quotient_equals_its_pow_int_form(name, spec, unmemoised):
+    got, want = getattr(forms, name)(256), pow_int_eta_quotient(spec, 256)
+    assert got.prec == want.prec == 24 * 256
+    assert got == want
+
+
 def test_theta_char_at_half_is_minus_theta2():
     p, got = theta_char(1, 1, V_HALF, 6)
     assert p == 2  # i^2 * theta2
