@@ -14,9 +14,9 @@ there, so mu is exact at every half-period, not only at s = 0 and 1/2.
 
 mu, H and Q+ sit on ``qseries.order_memo``: each is built once at the
 deepest order asked so far, and a smaller order (Q+(tau/8) at order N
-reads Q+ at 8N) is served as a truncation.  ``genus_mock_order`` names
-the order the genus reads mu and H at, so a caller can ask for the
-deepest one first.
+reads Q+ at 8N) is served as a truncation.  ``genus_mock_order`` and
+``genus_eta_order`` name the orders the genus reads mu, H and eta at, so
+a caller can ask for the deepest ones first.
 """
 
 from fractions import Fraction
@@ -209,17 +209,27 @@ def genus_mock_order(v, order):
     return q_order(LATTICE_DEN * order - 2 * theta_char_val(1, HalfPeriodPoint(*v)) + 3)
 
 
+def genus_eta_order(v, order):
+    """The q-order of the eta that ``elliptic_genus_mock(v, order)`` reads:
+    eta^3, of valuation 3, divides s theta_1^2 with s = 24 mu(v) + H and
+    keeps eta's prec - val; val s is at least the smaller of val mu(v)
+    and val H (exactly that unless their leading terms cancel)."""
+    v = HalfPeriodPoint(*v)
+    s_order = genus_mock_order(v, order)
+    val_s = min(mu_half_period(v, s_order).min_exp, h_series(s_order).min_exp)
+    return q_order(LATTICE_DEN * order - 2 * theta_char_val(1, v) + 4 - val_s)
+
+
 def elliptic_genus_mock(v, order):
     """theta_1(z|tau)^2 / eta^3 * (24 mu(z;tau) + H(tau)) at z = v."""
     v = HalfPeriodPoint(*v)
     if v.is_lattice_point():
         raise PoleAtArgument("mu(z;tau) is singular at lattice points z")
     prec = LATTICE_DEN * order
-    v_t1 = theta_char_val(1, v)
     s_order = genus_mock_order(v, order)
     s = mu_half_period(v, s_order).scale(24) + h_series(s_order)
-    p, t1 = theta_char(1, 1, v, q_order(prec - v_t1 + 3 - s.min_exp))
-    eta3 = eta(1, q_order(prec - 2 * v_t1 + 4 - s.min_exp)).pow_int(3)
+    p, t1 = theta_char(1, 1, v, q_order(prec - theta_char_val(1, v) + 3 - s.min_exp))
+    eta3 = eta(1, genus_eta_order(v, order)).pow_int(3)
     genus = s * t1 * t1 / eta3
     return (-genus if p % 2 else genus).truncate(prec)  # (i^p)^2 = (-1)^p
 

@@ -207,23 +207,6 @@ class Series:
 
     __slots__ = ("prec", "_exps", "_nums", "_den")
 
-    def __init__(self, min_exp, coeffs, prec):
-        """Dense constructor: ``coeffs[k]`` is the coefficient of
-        q^((min_exp + k)/24), one entry for each exponent below prec.
-        Leading zero entries are dropped with the others, so the series'
-        own ``min_exp`` is its valuation."""
-        coeffs = tuple(coeffs)
-        if min_exp > prec:
-            raise ValueError(f"min_exp {min_exp} exceeds prec {prec}")
-        if len(coeffs) != prec - min_exp:
-            raise ValueError(
-                f"coefficient count {len(coeffs)} != prec - min_exp = {prec - min_exp}"
-            )
-        self.prec = prec
-        self._exps, self._nums, self._den = _rational_terms(
-            [(min_exp + k, c) for k, c in enumerate(map(_rational, coeffs)) if c]
-        )
-
     # ------------------------------------------------------------------
     # constructors
 
@@ -616,7 +599,7 @@ class Series:
         prec = _wire_int(obj["prec"], "key 'prec'")
         if not isinstance(obj["coeffs"], list):
             raise QSeriesError(f"key 'coeffs' holds {obj['coeffs']!r}, not a list")
-        coeffs = []
+        pairs = []
         for k, entry in enumerate(obj["coeffs"]):
             where = f"coefficient entry {k} (lattice exponent {min_exp + k})"
             if not isinstance(entry, list) or len(entry) != 4:
@@ -627,11 +610,13 @@ class Series:
             im = Fraction(sn, sd)
             if im:
                 raise QSeriesError(f"{where} has nonzero imaginary part {im}")
-            coeffs.append(Fraction(rn, rd))
-        try:
-            return cls(min_exp, coeffs, prec)
-        except ValueError as exc:  # the count check
-            raise QSeriesError(f"series object: {exc}") from None
+            pairs.append((min_exp + k, Fraction(rn, rd)))
+        if min_exp > prec:
+            raise QSeriesError(f"series object: min_exp {min_exp} exceeds prec {prec}")
+        if len(pairs) != prec - min_exp:
+            raise QSeriesError(f"series object: coefficient count {len(pairs)} != "
+                               f"prec - min_exp = {prec - min_exp}")
+        return cls.from_pairs(pairs, prec=prec)
 
 
 def chain(first, step, n):

@@ -4,14 +4,12 @@ Each check is a pure function returning a CheckResult; suites are named
 bundles.  Everything is exact arithmetic, so a check either holds
 identically to the stated order or fails with a concrete witness.
 
-The battery-depth table, ``BATTERY_DEPTH``, names in one place the
-deepest order (or degree) the battery reads of each series that more
-than one check shares: H (and with it the three mu), Q+, route A's theta
-family and its two stores, and Theta_2/3/4.  Every check that reads one
-of them asks for it at that depth first (``_at_battery_depth``), so
-whichever suite runs first builds it once, and the memos serve every
-shallower read, in any suite and in any order, as a prefix.  A suite run
-on its own therefore builds to the battery's depth.
+``run_suite`` first builds the battery (``_build_battery``): every
+memoised series that more than one check reads, once, at the deepest
+order (or degree) any check reads it, in dependency order.  The checks
+themselves build nothing ahead of their own reads, and the memos serve
+every shallower read as a prefix, in any suite and in any order.  A
+suite run on its own therefore builds the whole battery.
 
 One check is red by design of its expected value: ``z0-derivative-identity``
 asserts the unit-constant form of the derivative identity as quoted in
@@ -40,6 +38,7 @@ from .mock import (
     a_coefficients,
     elliptic_genus_check,
     elliptic_genus_theta,
+    genus_eta_order,
     genus_mock_order,
     h_series,
     q_plus,
@@ -130,41 +129,27 @@ GENUS_POINTS = (
 )
 HK_K_MAX, HK_ORDER = 4, 32
 RESCALE_ORDER = 128
+Z0_ORDER = 128  # both z0-derivative checks
 
-#: series shared by several checks -> the deepest order (q-units) or
-#: degree at which the battery reads it
-BATTERY_DEPTH = {
+
+def _build_battery():
+    """Build every memoised series that more than one check reads, once,
+    at the deepest order (or degree) any check reads it, each before the
+    builds that read it shallower; every later read is served from the
+    memo as a prefix, in any suite and in any order."""
     # H, and with it the three mu: the genus at z = tau/2 and (1+tau)/2
-    "H": max(genus_mock_order(v, GENUS_ORDER) for v, _ in GENUS_POINTS),
-    "Qplus": h_k_qplus_order(HK_ORDER, HK_K_MAX),  # the H_k family
-    "theta family": KERNEL_SUITE_DEGREE,
-    ROUTE_H12: KERNEL_SUITE_DEGREE,  # route A's store on H/12
-    ROUTE_QPLUS: KERNEL_SUITE_DEGREE,  # and on Q+(tau/8)
-    "Theta": 8 * RESCALE_ORDER,  # the rescale relations
-}
-
-
-def _at_battery_depth(*names):
-    """Build each named series at its ``BATTERY_DEPTH``.  A route A store
-    reads its mock (and the theta family, at the store's own depth), so
-    naming the store builds its mock first."""
-    depth = BATTERY_DEPTH
-    if ROUTE_H12 in names:
-        names += ("H",)
-    if ROUTE_QPLUS in names:
-        names += ("Qplus",)
-    if "H" in names:
-        h_series(depth["H"])
-    if "Qplus" in names:
-        q_plus(depth["Qplus"])
-    if "theta family" in names:
-        uplane.theta_family(depth["theta family"])
-    for route in (ROUTE_H12, ROUTE_QPLUS):
-        if route in names:
-            uplane.route_vectors(route, depth[route])
-    if "Theta" in names:
-        for j in (2, 3, 4):
-            theta_big(j, depth["Theta"])
+    h_series(max(genus_mock_order(v, GENUS_ORDER) for v, _ in GENUS_POINTS))
+    q_plus(h_k_qplus_order(HK_ORDER, HK_K_MAX))  # the H_k family
+    eta(1, max(genus_eta_order(v, GENUS_ORDER) for v, _ in GENUS_POINTS))
+    for j in (2, 3, 4):  # the rescale relations read the deepest of both thetas
+        theta_nullwert(j, RESCALE_ORDER)
+        theta_big(j, 8 * RESCALE_ORDER)
+    # T reads eta(8tau), and Z0hat E*, deeper than the H_k ladder and route B
+    theta_quotient_factor(Z0_ORDER)
+    z0_hat(Z0_ORDER)
+    uplane.h_k_family(HK_ORDER, HK_K_MAX)  # E2 deeper than route A's ladders
+    for route in (ROUTE_H12, ROUTE_QPLUS):  # and with them route A's theta family
+        uplane.route_vectors(route, KERNEL_SUITE_DEGREE)
 
 
 CheckResult = namedtuple("CheckResult", "name passed detail")
@@ -184,7 +169,6 @@ def _agree_to(prec, lhs, rhs):
 
 
 def check_mock_coefficients():
-    _at_battery_depth("H")
     a = a_coefficients(10)
     bad = [(n, a[n], want) for n, want in A_TABLE.items() if a[n] != want]
     h = h_series(10)
@@ -200,7 +184,6 @@ def check_mock_coefficients():
 
 
 def check_qplus_expansion():
-    _at_battery_depth("Qplus")
     s = q_plus_rescaled(4)
     got = tuple(s.coefficient(-3 + 12 * k) for k in range(5))
     ok = got == QPLUS_HEAD
@@ -213,7 +196,6 @@ def check_qplus_expansion():
 
 
 def check_donaldson_table():
-    _at_battery_depth(ROUTE_H12, ROUTE_QPLUS)
     bad = []
     for (m, n), want in PHI_TABLE.items():
         for route in (ROUTE_QPLUS, ROUTE_H12):
@@ -229,7 +211,6 @@ def check_donaldson_table():
 
 
 def check_symbolic_columns():
-    _at_battery_depth("theta family")
     bad = []
     for (m, n), want in COLUMN_TABLE.items():
         got = tuple(column_extract(m, n, len(want) - 1))
@@ -253,7 +234,6 @@ def _nonzero_pairs(vector, total):
 
 
 def check_kernel(max_total=8):
-    _at_battery_depth(ROUTE_H12, ROUTE_QPLUS)
     # D_(m,2n) is linear in the mock: on Q+(tau/8) - H/12 it is the stores' difference
     h12, qplus = (uplane.route_vectors(route, max_total) for route in (ROUTE_H12, ROUTE_QPLUS))
     bad = []
@@ -268,7 +248,6 @@ def check_kernel(max_total=8):
 
 
 def check_routes(max_total=8):
-    _at_battery_depth(ROUTE_H12, "Theta")
     try:
         generating_function(max_total)
     except RouteMismatch as exc:
@@ -281,7 +260,6 @@ def check_routes(max_total=8):
 
 
 def check_parity(max_total=KERNEL_SUITE_DEGREE):
-    _at_battery_depth(ROUTE_H12, ROUTE_QPLUS)
     bad = []
     h12, qplus = (uplane.route_vectors(route, max_total) for route in (ROUTE_H12, ROUTE_QPLUS))
     for total in range(1, max_total + 1, 2):
@@ -316,11 +294,10 @@ def check_jacobi_eta_cube(prec24=200):
 
 
 def _z0_derivative_sides(order):
-    _at_battery_depth("Theta")
     return z0_hat(order).q_derive(), theta_quotient_factor(order)
 
 
-def check_z0_derivative_identity(order=128):
+def check_z0_derivative_identity(order=Z0_ORDER):
     """The unit-constant form: q dZ0hat/dq = Theta4^9/(Theta2 Theta3 eta(8tau)^3)."""
     lhs, rhs = _z0_derivative_sides(order)
     prec = LATTICE_DEN * order
@@ -337,7 +314,7 @@ def check_z0_derivative_identity(order=128):
     )
 
 
-def check_z0_derivative_corrected(order=128):
+def check_z0_derivative_corrected(order=Z0_ORDER):
     """The exact form: q dZ0hat/dq = -2 * Theta4^9/(Theta2 Theta3 eta(8tau)^3)."""
     lhs, rhs = _z0_derivative_sides(order)
     ok = _agree_to(LATTICE_DEN * order, lhs, rhs.scale(-2))
@@ -350,7 +327,6 @@ def check_z0_derivative_corrected(order=128):
 
 
 def check_rescale_relations(order=RESCALE_ORDER):
-    _at_battery_depth("Theta")
     ok = True
     for j, scale in ((2, 2), (3, 1), (4, 1)):
         big = theta_big(j, 8 * order).rescale_exponents(1, 8).scale(scale)
@@ -365,7 +341,6 @@ def check_rescale_relations(order=RESCALE_ORDER):
 
 
 def check_theta_construction_consistency(order=96):
-    _at_battery_depth("Theta")
     ok = all(
         _agree_to(LATTICE_DEN * order, theta_big(j, order), theta_big_direct(j, order))
         for j in (2, 3, 4)
@@ -379,9 +354,7 @@ def check_theta_construction_consistency(order=96):
 
 
 def check_hk_reduction(k_max=HK_K_MAX, order=HK_ORDER):
-    _at_battery_depth("H", "Qplus", "Theta")
     bad = []
-    uplane.h_k_family(order, k_max)  # one ladder, built for the deepest k
     for k in range(k_max + 1):
         hk = h_k_series(k, order)
         poly = z0_reduce(hk, 2 * k + 4)
@@ -396,7 +369,6 @@ def check_hk_reduction(k_max=HK_K_MAX, order=HK_ORDER):
 
 
 def check_genus(order=GENUS_ORDER):
-    _at_battery_depth("H")
     prec = LATTICE_DEN * order
     bad = []
     for v, label in GENUS_POINTS:
@@ -415,7 +387,6 @@ def check_genus(order=GENUS_ORDER):
 
 
 def check_moonshine():
-    _at_battery_depth("H")
     a = a_coefficients(9)
     bad = []
     for n in range(1, 6):
@@ -475,4 +446,5 @@ def run_suite(name):
     """All CheckResults of the named suite, in declaration order."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    _build_battery()
     return [check() for check in SUITES[name]]

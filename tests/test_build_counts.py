@@ -1,13 +1,15 @@
 """Each ``verify`` suite builds each series it reads once, at the deepest
 order (or depth) it asks for, and serves the rest from the memo.  Across
-suites, each series that several checks share is built once, at the
-battery's depth, whichever suite runs first.
+suites, every memoised series is built once, whichever suite runs first.
 
-Every memoised builder below is replaced, in every qmock module that
-binds it, by a fresh memo of the same kind around a counting copy of its
-unmemoised body, so the memo starts empty and each count is one build.
+Every memoised builder of ``forms``, ``mock`` and ``uplane``, found as
+tests/test_memo.py finds them, and moonshine's subset-sum tables, are
+replaced, in every qmock module that binds them, by a fresh memo of the
+same kind around a counting copy of the unmemoised body, so the memo
+starts empty and each count is one build.
 """
 
+import inspect
 import random
 import sys
 from collections import Counter, defaultdict
@@ -22,18 +24,17 @@ from qmock.brackets import bracket_hat
 from qmock.mock import H_POINTS
 from qmock.qseries import degree_memo, order_memo, q_order
 
+#: the memo kind of a builder, by the least size its memo serves
+MEMO_KIND = {1: order_memo, 0: degree_memo}
+
 #: (module, name) -> the memo it sits on
 COUNTED = {
-    (mock, "q_plus"): order_memo,
-    (mock, "mu_half_period"): order_memo,
-    (mock, "h_series"): order_memo,
-    (uplane, "theta_quotient_factor"): order_memo,
-    (uplane, "h_k_family"): degree_memo,
-    (uplane, "route_vectors"): degree_memo,
-    (uplane, "theta_family"): degree_memo,
-    (forms, "theta_big"): order_memo,
-    (moonshine, "_tables"): lru_cache(maxsize=1),
+    (module, name): MEMO_KIND[inspect.getclosurevars(value).nonlocals["least"]]
+    for module in (forms, mock, uplane)
+    for name, value in vars(module).items()
+    if hasattr(value, "__wrapped__") and value.__module__ == module.__name__
 }
+COUNTED[moonshine, "_tables"] = lru_cache(maxsize=1)
 
 RAW = {"q_plus": mock.q_plus.__wrapped__, "h_series": mock.h_series.__wrapped__}
 
@@ -103,24 +104,14 @@ SUITE_ORDERS = [WORKLOAD, WORKLOAD[::-1]] + random.Random(0).sample(
     [p for p in permutations(WORKLOAD) if p not in (WORKLOAD, WORKLOAD[::-1])], 6
 )
 
-#: builder -> the one build per key that the five suites make, in any order:
-#: H and the three mu at the genus's order 65, Q+ at the 41 that H_0..H_4 to
-#: order 32 read, both route A stores and the theta family at the kernel
-#: suite's degree 9, and Theta_2/3/4 at the rescale relations' 8 * 128
-SHARED = {
-    "h_series": [(65,)],
-    "mu_half_period": [(v, 65) for v in H_POINTS],
-    "q_plus": [(41,)],
-    "route_vectors": [(uplane.ROUTE_H12, 9), (uplane.ROUTE_QPLUS, 9)],
-    "theta_family": [(9,)],
-    "theta_big": [(j, 1024) for j in (2, 3, 4)],
-}
-
-
-@pytest.mark.parametrize("order", SUITE_ORDERS, ids=lambda order: ",".join(order))
+@pytest.mark.parametrize("order", SUITE_ORDERS + [("all",)], ids=lambda order: ",".join(order))
 def test_the_verify_workload_builds_each_shared_series_once(order, builds):
     for suite in order:
         verify.run_suite(suite)
-    assert {name: Counter(builds[name]) for name in SHARED} == {
-        name: Counter(args) for name, args in SHARED.items()
+    rebuilt = {
+        (name, key): count
+        for name, calls in builds.items()
+        for key, count in Counter(args[:-1] for args in calls).items()
+        if count > 1
     }
+    assert rebuilt == {}

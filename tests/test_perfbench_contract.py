@@ -9,6 +9,10 @@ namespace, so nothing is imported from, or written to, ``perfbench/``.
 """
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +20,8 @@ from qmock import uplane
 from qmock.mock import h_series
 from qmock.qseries import Series
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -87,3 +92,33 @@ def test_generating_function_calls_each_route_once_per_pair(monkeypatch):
     assert len(pairs) == 15
     for seen in calls.values():
         assert sorted(seen) == pairs
+
+
+#: a traced benchmark worker in miniature: it imports what perfbench/worker.py
+#: imports, installs the tracer, runs two CLI calls and prints the snapshot
+TRACED_RUN = """
+import contextlib, io, json, pathlib, sys
+from qmock import cli, uplane
+namespace = {"__name__": "perfbench_tracer"}
+exec(compile(pathlib.Path(sys.argv[1]).read_text(), sys.argv[1], "exec"), namespace)
+tracer = namespace["Tracer"]()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["verify", "--suite", "genus"], ["table", "--max", "2"]):
+        assert cli.main(argv) == 0, argv
+print(json.dumps(tracer.snapshot()))
+"""
+
+
+def test_an_installed_tracer_sees_the_cli_work():
+    # in a fresh interpreter, so that install sees only what the worker has
+    # loaded and its rebinding stays out of this process
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(TRACER_PATH)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    snapshot = json.loads(proc.stdout)
+    assert snapshot["mock.h_series.calls"] > 0
+    assert snapshot["uplane.phi_route_b.calls"] > 0
+    assert snapshot["verify.elliptic-genus.s"] > 0

@@ -25,6 +25,14 @@ def S(pairs, prec):
     return Series.from_pairs(pairs, prec=prec)
 
 
+def dense(min_exp, coeffs, prec):
+    """The series with ``coeffs[k]`` at q^((min_exp + k)/24), one entry for
+    each exponent below ``prec``."""
+    coeffs = list(coeffs)
+    assert len(coeffs) == prec - min_exp
+    return S([(min_exp + k, c) for k, c in enumerate(coeffs)], prec)
+
+
 # ---------------------------------------------------------------- add / mul
 
 
@@ -252,7 +260,7 @@ def small_series(draw):
         Fraction(draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2, 3])))
         for _ in range(length)
     ]
-    return Series(min_exp, coeffs, min_exp + length)
+    return dense(min_exp, coeffs, min_exp + length)
 
 
 @settings(max_examples=80, deadline=None)
@@ -295,9 +303,9 @@ def test_no_coefficient_beyond_prec(s):
 
 def test_canonical_zero_equality():
     assert S([], 48) == Series.zero(48)
-    assert Series(0, (0,) * 48, 48) == Series(-24, (0,) * 72, 48)
+    assert dense(0, (0,) * 48, 48) == dense(-24, (0,) * 72, 48)
     # a series is its value: equal series write the same wire format
-    assert Series(0, (0,) * 48, 48).to_json_obj() == Series(-24, (0,) * 72, 48).to_json_obj()
+    assert dense(0, (0,) * 48, 48).to_json_obj() == dense(-24, (0,) * 72, 48).to_json_obj()
 
 
 # ------------------------------------------------------------------ pairing
@@ -475,6 +483,7 @@ MALFORMED_WIRE = {
     "missing-prec": (lambda o: {k: v for k, v in o.items() if k != "prec"}, r"'prec'"),
     "not-an-object": (lambda o: [o], r"JSON object"),
     "count-mismatch": (lambda o: _with(o, ("prec",), 44), r"count 48 != .* 47"),
+    "min-exp-above-prec": (lambda o: _with(o, ("prec",), -4), r"min_exp -3 exceeds prec -4"),
 }
 
 
@@ -551,9 +560,9 @@ WIRE_START_CASES = {
         lambda: S([(-24, 1), (0, 2)], 96) - S([(-24, 1), (24, 3)], 96), 0),
     "q-derive-of-a-constant-term": (lambda: S([(0, 5), (24, 1)], 48).q_derive(), 24),
     "truncate-below-the-valuation": (
-        lambda: Series(-24, [0] * 24 + [1, 2], 2).truncate(-12), -12),
+        lambda: dense(-24, [0] * 24 + [1, 2], 2).truncate(-12), -12),
     "scale-by-zero": (lambda: S([(-24, 1), (0, 2)], 96).scale(0), 96),
-    "dense-leading-zeros": (lambda: Series(-24, [0] * 24 + [3], 1).scale(2), 0),
+    "dense-leading-zeros": (lambda: dense(-24, [0] * 24 + [3], 1).scale(2), 0),
 }
 
 
@@ -610,7 +619,7 @@ def dense_mul(a, b):
             k = ea_ + eb_ - lo
             if k < n:
                 acc[k] += ca * cb
-    return Series(lo, acc, prec)
+    return dense(lo, acc, prec)
 
 
 def dense_invert(s):
@@ -624,7 +633,7 @@ def dense_invert(s):
     b[0] = 1 / lead
     for k in range(1, length):
         b[k] = -sum((c * b[k - e] for e, c in tail if e <= k), Fraction(0)) / lead
-    return Series(-v, b, s.prec - 2 * v)
+    return dense(-v, b, s.prec - 2 * v)
 
 
 def dense_combine(pairs, den=1):
@@ -639,7 +648,7 @@ def dense_combine(pairs, den=1):
             for e, x in _dense_nonzero(s):
                 if e < prec:
                     acc[e - lo] += Fraction(c, den) * x
-    return Series(lo, acc, prec)
+    return dense(lo, acc, prec)
 
 
 @st.composite
@@ -655,7 +664,7 @@ def oracle_series(draw):
     coeffs = [Fraction(0)] * lead_zeros
     for k in range(length):
         coeffs.append(draw(part) if k % step == 0 else Fraction(0))
-    return Series(min_exp, coeffs, min_exp + len(coeffs))
+    return dense(min_exp, coeffs, min_exp + len(coeffs))
 
 
 def assert_same_series(got, want):
