@@ -238,7 +238,7 @@ def eisenstein_e2(order):
 def e_star(order):
     """The weight-2 combination 16*Theta2^4 + Theta3^4 (this is E*(4tau))."""
     t2 = theta_big(2, q_order(LATTICE_DEN * order - 72))  # Theta2^4 has val 96
-    return t2.pow_int(4).scale(16) + theta_big(3, order).pow_int(4)
+    return Series.combine([(16, t2.pow_int(4)), (1, theta_big(3, order).pow_int(4))])
 
 
 @order_memo

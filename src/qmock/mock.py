@@ -98,10 +98,7 @@ def h_series(order):
     The result is certified to have integer coefficients; the graded
     coefficients live at exponents -1/8 + k/2 and vanish for odd k.
     """
-    total = mu_half_period(H_POINTS[0], order)
-    for v in H_POINTS[1:]:
-        total = total + mu_half_period(v, order)
-    h = total.scale(-8)
+    h = Series.combine([(-8, mu_half_period(v, order)) for v in H_POINTS])
     for e in h.support():
         if h.coefficient(e).denominator != 1:
             raise QSeriesError(f"H(tau) coefficient at lattice {e} is not an integer")
@@ -129,7 +126,7 @@ def mock_theta_m(order):
     """The mock theta sum M(q), a q-hypergeometric series supported on
     exponents 7 mod 8; term n enters at exponent 8(n+1)^2 - 1."""
     prec = LATTICE_DEN * order
-    total = Series.zero(prec)
+    terms = [(1, Series.zero(prec))]  # certifies the sum below prec, also with no term
     running = Series.one(prec)  # prod_{k<=n} (1-q^(16k-8)) / prod_{k<=n+1} (1+q^(16k-8))^2
     n = 0
     while 8 * (n + 1) ** 2 - 1 < order:
@@ -142,12 +139,10 @@ def mock_theta_m(order):
             [(0, 1), (LATTICE_DEN * (16 * (n + 1) - 8), 1)], prec=prec
         ).pow_int(2)
         running = running / den
-        lead = Series.monomial(
-            LATTICE_DEN * (8 * (n + 1) ** 2 - 1), 1 if n % 2 else -1, prec=prec
-        )
-        total = total + lead * running
+        lead = Series.monomial(LATTICE_DEN * (8 * (n + 1) ** 2 - 1), prec=prec)
+        terms.append((1 if n % 2 else -1, lead * running))
         n += 1
-    return total.truncate(prec)
+    return Series.combine(terms)
 
 
 @order_memo
@@ -159,12 +154,8 @@ def q_plus(order):
     """
     prec = LATTICE_DEN * order
     work = q_order(prec)  # at least 1: the q^-1 pole lies below any prec <= 0
-    s = (
-        modular_a_sieved(3, work).scale(Fraction(-7, 2))
-        + modular_a_sieved(7, work).scale(Fraction(3, 2))
-        + modular_b(work).scale(Fraction(-1, 2))
-        + mock_theta_m(work).scale(4)
-    )
+    s = Series.combine([(-7, modular_a_sieved(3, work)), (3, modular_a_sieved(7, work)),
+                        (-1, modular_b(work)), (8, mock_theta_m(work))], 2)
     return s.truncate(prec)
 
 
@@ -191,16 +182,16 @@ def elliptic_genus_theta(v, order):
     """8 * sum_j (theta_j(z|tau)/theta_j(tau))^2 for j = 2, 3, 4 at z = v."""
     v = HalfPeriodPoint(*v)
     prec = LATTICE_DEN * order
-    total = Series.zero(prec)
+    terms = [(1, Series.zero(prec))]  # certifies the sum below prec
     for j, (a, b) in THETA_CHARS.items():
         # (num/den)^2 with val num >= lo and val den = theta_j(0|tau)'s, exact
         lo, v_den = theta_char_val(a, v), theta_char_val(a, V_ZERO)
         den = theta_nullwert(j, q_order(prec - 2 * lo + 3 * v_den))
         # at the origin the numerator is den itself: theta_j(0|tau), same order
         p, num = (0, den) if v == V_ZERO else theta_char(a, b, v, q_order(prec - lo + 2 * v_den))
-        square = num / den * num / den  # never a dense square
-        total = total + (-square if p % 2 else square)  # (i^p)^2 = (-1)^p
-    return total.scale(8)
+        # (i^p)^2 = (-1)^p; num / den * num / den is never a dense square
+        terms.append((-8 if p % 2 else 8, num / den * num / den))
+    return Series.combine(terms)
 
 
 def genus_mock_order(v, order):
@@ -227,7 +218,7 @@ def elliptic_genus_mock(v, order):
         raise PoleAtArgument("mu(z;tau) is singular at lattice points z")
     prec = LATTICE_DEN * order
     s_order = genus_mock_order(v, order)
-    s = mu_half_period(v, s_order).scale(24) + h_series(s_order)
+    s = Series.combine([(24, mu_half_period(v, s_order)), (1, h_series(s_order))])
     p, t1 = theta_char(1, 1, v, q_order(prec - theta_char_val(1, v) + 3 - s.min_exp))
     eta3 = eta(1, genus_eta_order(v, order)).pow_int(3)
     genus = s * t1 * t1 / eta3

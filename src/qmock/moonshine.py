@@ -12,9 +12,9 @@ over the subset-sum tables of the two halves of the dimension list: each
 distinct sum mapped to its smallest subset mask, built by doubling, so
 only the winning pair of masks is turned into a multiplicity vector.  The
 tables do not depend on the target, so the first search builds them and
-later searches over the same dimensions reuse them.  Counts come
-from a bounded-multiplicity dynamic program that drops every state whose
-remaining target exceeds what the remaining slots can reach.
+later searches reuse them.  Counts come from a bounded-multiplicity
+dynamic program that drops every state whose remaining target exceeds
+what the remaining slots can reach.
 """
 
 from collections import namedtuple
@@ -33,14 +33,14 @@ class DecompositionWitness(namedtuple("DecompositionWitness", "multiplicities"))
 
     __slots__ = ()
 
-    def dims(self, dimensions=M24_DIMENSIONS):
+    def dims(self):
         out = []
-        for mult, d in zip(self.multiplicities, dimensions):
+        for mult, d in zip(self.multiplicities, M24_DIMENSIONS):
             out.extend([d] * mult)
         return tuple(out)
 
-    def total(self, dimensions=M24_DIMENSIONS):
-        return sum(m * d for m, d in zip(self.multiplicities, dimensions))
+    def total(self):
+        return sum(m * d for m, d in zip(self.multiplicities, M24_DIMENSIONS))
 
 
 def _subset_sums(dims):
@@ -64,15 +64,15 @@ def _bits(mask, width):
 
 
 @lru_cache(maxsize=1)
-def _tables(dimensions):
-    """The subset-sum tables of the two halves of ``dimensions``:
+def _tables():
+    """The subset-sum tables of the two halves of the dimensions:
     target-independent, so built by the first search, not at import, and
-    kept for the last dimension tuple searched."""
-    half = len(dimensions) // 2
-    return _subset_sums(dimensions[:half]), _subset_sums(dimensions[half:])
+    kept."""
+    half = len(M24_DIMENSIONS) // 2
+    return _subset_sums(M24_DIMENSIONS[:half]), _subset_sums(M24_DIMENSIONS[half:])
 
 
-def decompose_distinct(target, dimensions=M24_DIMENSIONS):
+def decompose_distinct(target):
     """A subset of the dimensions summing to ``target``, or None.
 
     Meet-in-the-middle (Horowitz-Sahni) over the subset-sum tables of the
@@ -80,9 +80,9 @@ def decompose_distinct(target, dimensions=M24_DIMENSIONS):
     smallest multiplicity vector is returned (zeros preferred in early
     slots, i.e. larger parts win).
     """
-    half = len(dimensions) // 2
-    width = len(dimensions) - half
-    left, right = _tables(tuple(dimensions))
+    half = len(M24_DIMENSIONS) // 2
+    width = len(M24_DIMENSIONS) - half
+    left, right = _tables()
     for s, mask in left.items():  # ascending masks, so the first hit is the smallest
         rest = right.get(target - s)
         if rest is not None:
@@ -90,16 +90,16 @@ def decompose_distinct(target, dimensions=M24_DIMENSIONS):
     return None
 
 
-def decompose_bounded(target, multiplicity_cap, max_witnesses=4,
-                      dimensions=M24_DIMENSIONS):
+def decompose_bounded(target, multiplicity_cap, max_witnesses=4):
     """Exact count of multiplicity vectors with entries <= cap summing to
     ``target``, plus up to ``max_witnesses`` witnesses in lex order."""
     if target < 0:
         return 0, []
-    n = len(dimensions)
+    dims = M24_DIMENSIONS
+    n = len(dims)
     reach = [0] * (n + 1)  # reach[i]: the most that slots i.. can add up to
     for i in range(n - 1, -1, -1):
-        reach[i] = reach[i + 1] + multiplicity_cap * dimensions[i]
+        reach[i] = reach[i + 1] + multiplicity_cap * dims[i]
 
     @lru_cache(maxsize=None)
     def ways(i, remaining):
@@ -107,7 +107,7 @@ def decompose_bounded(target, multiplicity_cap, max_witnesses=4,
             return 1
         if i == n or remaining < 0 or remaining > reach[i]:
             return 0
-        d = dimensions[i]
+        d = dims[i]
         return sum(
             ways(i + 1, remaining - t * d)
             for t in range(min(multiplicity_cap, remaining // d) + 1)
@@ -123,7 +123,7 @@ def decompose_bounded(target, multiplicity_cap, max_witnesses=4,
             if remaining == 0:
                 witnesses.append(DecompositionWitness(tuple(prefix)))
             return
-        d = dimensions[i]
+        d = dims[i]
         for t in range(min(multiplicity_cap, remaining // d) + 1):
             if ways(i + 1, remaining - t * d):
                 walk(i + 1, remaining - t * d, prefix + [t])

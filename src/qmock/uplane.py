@@ -114,14 +114,15 @@ class Z0Polynomial(namedtuple("Z0Polynomial", "coefficients")):
         return d
 
     def evaluate(self, order):
-        """Re-expand the polynomial as a Series to ``order`` q-units."""
+        """Re-expand the polynomial as a Series to ``order`` q-units, one
+        combination over the common denominator of the coefficients."""
         prec = LATTICE_DEN * order
         powers = _z0_powers(prec, self.degree())
-        total = Series.monomial(0, self.coefficients[0], prec=prec)
-        for c, power in zip(self.coefficients[1:], powers[1:]):
-            if c:
-                total = total + power.scale(c)
-        return total
+        powers[0] = Series.one(prec)  # certifies the sum below prec
+        coeffs = [Fraction(c) for c in self.coefficients[: len(powers)]]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return Series.combine(
+            [(c.numerator * (den // c.denominator), p) for c, p in zip(coeffs, powers)], den)
 
 
 def required_mock_prec(m, n):
@@ -252,10 +253,12 @@ def basis_b(degree):
     """Route B's families for every degree <= ``degree``: T Z0hat^j and
     Ehat^k[H(8tau)], j, k = 0..degree."""
     rel = 48 * (degree + 2) + 1  # T * Z0^j * Ehat^k has val -48(j+k+2)
+    h8 = h_series(q_order(Fraction(rel - 24, 8))).rescale_exponents(8, 1)
+    # the rungs read Theta2, Theta3 and eta(8tau) deeper than Z0hat and T do
+    rungs = list(bracket_hat_ladder(h8, degree))
     z0 = z0_hat(q_order(rel - 48))
     tq = theta_quotient_factor(q_order(rel - 48))
-    h8 = h_series(q_order(Fraction(rel - 24, 8))).rescale_exponents(8, 1)
-    return chain(tq, z0, degree), list(bracket_hat_ladder(h8, degree))
+    return chain(tq, z0, degree), rungs
 
 
 def weigh_b(vector, m, n):
@@ -383,7 +386,7 @@ def h_k_family(order, k_max):
     qp_order = h_k_qplus_order(order, k_max)
     qp = q_plus(qp_order)
     h8 = h_series(q_order(Fraction(LATTICE_DEN * qp_order, 8))).rescale_exponents(8, 1)
-    diff = qp - h8.scale(Fraction(1, 12))
+    diff = Series.combine([(12, qp), (-1, h8)], 12)
     return tuple(rung.truncate(prec) for rung in bracket_hat_ladder(diff, k_max))
 
 
@@ -445,7 +448,8 @@ def z0_reduce(f, max_degree):
     for d in range(pole_degree, 0, -1):
         coeffs[d] = c = g.coefficient(-2 * LATTICE_DEN * d)
         if c:
-            g = (g - powers[d].scale(c)).truncate(g.prec)
+            g = Series.combine([(c.denominator, g), (-c.numerator, powers[d])],
+                               c.denominator).truncate(g.prec)
     coeffs[0] = c0 = g.constant_term()
     g = (g - Series.monomial(0, c0, prec=g.prec)).truncate(g.prec)
     if not g.is_zero():

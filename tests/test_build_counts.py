@@ -59,6 +59,16 @@ def builds(monkeypatch):
     return seen
 
 
+def rebuilt(builds):
+    """(name, key) -> the sizes it was built at, for each key built twice."""
+    return {
+        (name, key): [args[-1] for args in calls if args[:-1] == key]
+        for name, calls in builds.items()
+        for key, count in Counter(args[:-1] for args in calls).items()
+        if count > 1
+    }
+
+
 def test_jacobi_builds_q_plus_the_h_k_family_and_the_theta_quotient_once(builds):
     verify.run_suite("jacobi")
     # H_0..H_4 to order 32 read Q+ to 32 + (48 * 4 + 24) / 24 = 41
@@ -76,7 +86,7 @@ def test_genus_builds_each_mu_and_h_once_at_the_deepest_order(builds):
 
 def test_moonshine_builds_its_subset_sum_tables_once(builds):
     verify.run_suite("moonshine")
-    assert builds["_tables"] == [(moonshine.M24_DIMENSIONS,)]
+    assert builds["_tables"] == [()]
 
 
 def direct_h_k(k, order):
@@ -108,10 +118,11 @@ SUITE_ORDERS = [WORKLOAD, WORKLOAD[::-1]] + random.Random(0).sample(
 def test_the_verify_workload_builds_each_shared_series_once(order, builds):
     for suite in order:
         verify.run_suite(suite)
-    rebuilt = {
-        (name, key): count
-        for name, calls in builds.items()
-        for key, count in Counter(args[:-1] for args in calls).items()
-        if count > 1
-    }
-    assert rebuilt == {}
+    assert rebuilt(builds) == {}
+
+
+@pytest.mark.parametrize("degree", [0, 1, 4, 8, 16])
+def test_generating_function_builds_each_series_once(degree, builds):
+    # route B reads Theta2, Theta3 and eta(8tau) deepest in its bracket rungs
+    uplane.generating_function(degree)
+    assert rebuilt(builds) == {}
