@@ -234,7 +234,6 @@ def eisenstein_e2(order):
     return Series.from_pairs(pairs, prec=prec)
 
 
-@order_memo
 def e_star(order):
     """The weight-2 combination 16*Theta2^4 + Theta3^4 (this is E*(4tau))."""
     t2 = theta_big(2, q_order(LATTICE_DEN * order - 72))  # Theta2^4 has val 96
@@ -272,7 +271,6 @@ def modular_a(order):
     return eta_quotient(SPEC_A, order)
 
 
-@order_memo
 def modular_b(order):
     return eta_quotient(SPEC_B, order)
 

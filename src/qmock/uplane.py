@@ -448,10 +448,9 @@ def z0_reduce(f, max_degree):
     for d in range(pole_degree, 0, -1):
         coeffs[d] = c = g.coefficient(-2 * LATTICE_DEN * d)
         if c:
-            g = Series.combine([(c.denominator, g), (-c.numerator, powers[d])],
-                               c.denominator).truncate(g.prec)
+            g = Series.combine([(c.denominator, g), (-c.numerator, powers[d])], c.denominator)
     coeffs[0] = c0 = g.constant_term()
-    g = (g - Series.monomial(0, c0, prec=g.prec)).truncate(g.prec)
+    g = g - Series.monomial(0, c0, prec=g.prec)
     if not g.is_zero():
         raise NotPolynomialInZ0(f"nonzero tail starting at q^{Fraction(g.val(), LATTICE_DEN)}")
     return Z0Polynomial(tuple(coeffs))

@@ -1,8 +1,10 @@
 """The verification battery behind ``qmock verify`` and the acceptance tests.
 
-Each check is a pure function returning a CheckResult; suites are named
-bundles.  Everything is exact arithmetic, so a check either holds
-identically to the stated order or fails with a concrete witness.
+Each check is a pure function of no arguments returning a CheckResult; it
+reads its depth from a module constant, the one ``_build_battery`` reads.
+Suites are named bundles.  Everything is exact arithmetic, so a check
+either holds identically to the stated order or fails with a concrete
+witness.
 
 ``run_suite`` first builds the battery (``_build_battery``): every
 memoised series that more than one check reads, once, at the deepest
@@ -118,7 +120,11 @@ COLUMN_TABLE = {
 
 QPLUS_HEAD = (1, 28, 39, 196, 161)
 
-KERNEL_SUITE_DEGREE = 9  # the ``kernel`` suite's deepest degree
+# the checks' depths: each check and ``_build_battery`` read them when they run
+KERNEL_DEGREE = 8  # kernel-vanishing
+KERNEL_SUITE_DEGREE = 9  # the ``kernel`` suite's deepest degree, parity-vanishing's
+ROUTES_DEGREE = 8
+JACOBI_PREC = 200  # in lattice units
 GENUS_ORDER = 64
 # tau/2 is the half-period where theta_1's quarter-turn count is odd,
 # so it is the one that sees the sign (i^p)^2 = (-1)^p on theta_1^2
@@ -129,6 +135,7 @@ GENUS_POINTS = (
 )
 HK_K_MAX, HK_ORDER = 4, 32
 RESCALE_ORDER = 128
+THETA_CONSISTENCY_ORDER = 96
 Z0_ORDER = 128  # both z0-derivative checks
 
 
@@ -233,42 +240,42 @@ def _nonzero_pairs(vector, total):
     return [(m, n, str(v)) for m, n, v in pairs if v]
 
 
-def check_kernel(max_total=8):
+def check_kernel():
     # D_(m,2n) is linear in the mock: on Q+(tau/8) - H/12 it is the stores' difference
-    h12, qplus = (uplane.route_vectors(route, max_total) for route in (ROUTE_H12, ROUTE_QPLUS))
+    h12, qplus = (uplane.route_vectors(r, KERNEL_DEGREE) for r in (ROUTE_H12, ROUTE_QPLUS))
     bad = []
-    for total in range(max_total + 1):
+    for total in range(KERNEL_DEGREE + 1):
         bad += _nonzero_pairs([q - h for q, h in zip(qplus[total], h12[total])], total)
     return _result(
         "kernel-vanishing",
         not bad,
-        f"D_(m,2n)[Q+(tau/8) - H/12] = 0 for all m+n <= {max_total}",
+        f"D_(m,2n)[Q+(tau/8) - H/12] = 0 for all m+n <= {KERNEL_DEGREE}",
         f"nonzero at {bad}",
     )
 
 
-def check_routes(max_total=8):
+def check_routes():
     try:
-        generating_function(max_total)
+        generating_function(ROUTES_DEGREE)
     except RouteMismatch as exc:
         return CheckResult("route-equivalence", False, str(exc))
     return CheckResult(
         "route-equivalence",
         True,
-        f"tau-variable functional equals the 8tau product formula for m+n <= {max_total}",
+        f"tau-variable functional equals the 8tau product formula for m+n <= {ROUTES_DEGREE}",
     )
 
 
-def check_parity(max_total=KERNEL_SUITE_DEGREE):
+def check_parity():
     bad = []
-    h12, qplus = (uplane.route_vectors(route, max_total) for route in (ROUTE_H12, ROUTE_QPLUS))
-    for total in range(1, max_total + 1, 2):
+    h12, qplus = (uplane.route_vectors(r, KERNEL_SUITE_DEGREE) for r in (ROUTE_H12, ROUTE_QPLUS))
+    for total in range(1, KERNEL_SUITE_DEGREE + 1, 2):
         for route, store in ((ROUTE_QPLUS, qplus), (ROUTE_H12, h12)):
             bad += [(m, n, route, v) for m, n, v in _nonzero_pairs(store[total], total)]
     return _result(
         "parity-vanishing",
         not bad,
-        f"D_(m,2n) = 0 for odd m+n <= {max_total} on both mocks",
+        f"D_(m,2n) = 0 for odd m+n <= {KERNEL_SUITE_DEGREE} on both mocks",
         f"nonzero at {bad}",
     )
 
@@ -276,31 +283,31 @@ def check_parity(max_total=KERNEL_SUITE_DEGREE):
 # ---------------------------------------------------------------- structural
 
 
-def check_jacobi_eta_cube(prec24=200):
-    lhs = eta(1, q_order(prec24 - 2)).pow_int(3)
+def check_jacobi_eta_cube():
+    lhs = eta(1, q_order(JACOBI_PREC - 2)).pow_int(3)
     pairs = []
     n = 0
-    while 12 * n * (n + 1) + 3 < prec24:
+    while 12 * n * (n + 1) + 3 < JACOBI_PREC:
         pairs.append((12 * n * (n + 1) + 3, (-1) ** n * (2 * n + 1)))
         n += 1
-    rhs = Series.from_pairs(pairs, prec=prec24)
-    ok = _agree_to(prec24, lhs, rhs)
+    rhs = Series.from_pairs(pairs, prec=JACOBI_PREC)
+    ok = _agree_to(JACOBI_PREC, lhs, rhs)
     return _result(
         "jacobi-eta-cube",
         ok,
-        f"eta^3 = sum (-1)^n (2n+1) q^(n(n+1)/2 + 1/8) to {prec24} lattice units",
+        f"eta^3 = sum (-1)^n (2n+1) q^(n(n+1)/2 + 1/8) to {JACOBI_PREC} lattice units",
         "coefficient mismatch",
     )
 
 
-def _z0_derivative_sides(order):
-    return z0_hat(order).q_derive(), theta_quotient_factor(order)
+def _z0_derivative_sides():
+    return z0_hat(Z0_ORDER).q_derive(), theta_quotient_factor(Z0_ORDER)
 
 
-def check_z0_derivative_identity(order=Z0_ORDER):
+def check_z0_derivative_identity():
     """The unit-constant form: q dZ0hat/dq = Theta4^9/(Theta2 Theta3 eta(8tau)^3)."""
-    lhs, rhs = _z0_derivative_sides(order)
-    prec = LATTICE_DEN * order
+    lhs, rhs = _z0_derivative_sides()
+    prec = LATTICE_DEN * Z0_ORDER
     if _agree_to(prec, lhs, rhs):
         return CheckResult("z0-derivative-identity", True, "identity holds")
     v = rhs.val()
@@ -314,33 +321,34 @@ def check_z0_derivative_identity(order=Z0_ORDER):
     )
 
 
-def check_z0_derivative_corrected(order=Z0_ORDER):
+def check_z0_derivative_corrected():
     """The exact form: q dZ0hat/dq = -2 * Theta4^9/(Theta2 Theta3 eta(8tau)^3)."""
-    lhs, rhs = _z0_derivative_sides(order)
-    ok = _agree_to(LATTICE_DEN * order, lhs, rhs.scale(-2))
+    lhs, rhs = _z0_derivative_sides()
+    ok = _agree_to(LATTICE_DEN * Z0_ORDER, lhs, rhs.scale(-2))
     return _result(
         "z0-derivative-corrected",
         ok,
-        f"q dZ0hat/dq = -2 * theta quotient to order {order}",
+        f"q dZ0hat/dq = -2 * theta quotient to order {Z0_ORDER}",
         "corrected identity fails",
     )
 
 
-def check_rescale_relations(order=RESCALE_ORDER):
+def check_rescale_relations():
     ok = True
     for j, scale in ((2, 2), (3, 1), (4, 1)):
-        big = theta_big(j, 8 * order).rescale_exponents(1, 8).scale(scale)
-        if not _agree_to(LATTICE_DEN * order, big, theta_nullwert(j, order)):
+        big = theta_big(j, 8 * RESCALE_ORDER).rescale_exponents(1, 8).scale(scale)
+        if not _agree_to(LATTICE_DEN * RESCALE_ORDER, big, theta_nullwert(j, RESCALE_ORDER)):
             ok = False
     return _result(
         "theta-rescale-relations",
         ok,
-        f"theta_2 = 2 Theta_2(tau/8), theta_3/4 = Theta_3/4(tau/8) to order {order}",
+        f"theta_2 = 2 Theta_2(tau/8), theta_3/4 = Theta_3/4(tau/8) to order {RESCALE_ORDER}",
         "a rescale relation fails",
     )
 
 
-def check_theta_construction_consistency(order=96):
+def check_theta_construction_consistency():
+    order = THETA_CONSISTENCY_ORDER
     ok = all(
         _agree_to(LATTICE_DEN * order, theta_big(j, order), theta_big_direct(j, order))
         for j in (2, 3, 4)
@@ -353,34 +361,34 @@ def check_theta_construction_consistency(order=96):
     )
 
 
-def check_hk_reduction(k_max=HK_K_MAX, order=HK_ORDER):
+def check_hk_reduction():
     bad = []
-    for k in range(k_max + 1):
-        hk = h_k_series(k, order)
+    for k in range(HK_K_MAX + 1):
+        hk = h_k_series(k, HK_ORDER)
         poly = z0_reduce(hk, 2 * k + 4)
-        if not _agree_to(LATTICE_DEN * order, poly.evaluate(order), hk):
+        if not _agree_to(LATTICE_DEN * HK_ORDER, poly.evaluate(HK_ORDER), hk):
             bad.append(k)
     return _result(
         "hk-z0-reduction",
         not bad,
-        f"H_k lies in C((q^2)) and reduces to a Z0hat polynomial for k <= {k_max}",
+        f"H_k lies in C((q^2)) and reduces to a Z0hat polynomial for k <= {HK_K_MAX}",
         f"reduction failed for k in {bad}",
     )
 
 
-def check_genus(order=GENUS_ORDER):
-    prec = LATTICE_DEN * order
+def check_genus():
+    prec = LATTICE_DEN * GENUS_ORDER
     bad = []
     for v, label in GENUS_POINTS:
-        if not _agree_to(prec, elliptic_genus_check(v, order), Series.zero(prec)):
+        if not _agree_to(prec, elliptic_genus_check(v, GENUS_ORDER), Series.zero(prec)):
             bad.append(label)
-    z0 = elliptic_genus_theta(V_ZERO, order)
+    z0 = elliptic_genus_theta(V_ZERO, GENUS_ORDER)
     if not _agree_to(prec, z0, Series.monomial(0, 24, prec=prec)):
         bad.append("z=0 constant")
     return _result(
         "elliptic-genus",
         not bad,
-        f"both genus representations agree at the half-periods to order {order}; "
+        f"both genus representations agree at the half-periods to order {GENUS_ORDER}; "
         "the theta ratio at z=0 is the constant 24",
         f"failures: {bad}",
     )
@@ -409,15 +417,6 @@ def check_moonshine():
     )
 
 
-STRUCTURAL_CHECKS = (
-    check_jacobi_eta_cube,
-    check_z0_derivative_identity,
-    check_z0_derivative_corrected,
-    check_rescale_relations,
-    check_theta_construction_consistency,
-    check_hk_reduction,
-)
-
 SUITES = {
     "paper-table": (
         check_mock_coefficients,
@@ -427,19 +426,19 @@ SUITES = {
     ),
     "kernel": (check_kernel, check_parity),
     "routes": (check_routes,),
-    "jacobi": STRUCTURAL_CHECKS,
+    "jacobi": (
+        check_jacobi_eta_cube,
+        check_z0_derivative_identity,
+        check_z0_derivative_corrected,
+        check_rescale_relations,
+        check_theta_construction_consistency,
+        check_hk_reduction,
+    ),
     "genus": (check_genus,),
     "moonshine": (check_moonshine,),
 }
 
-SUITES["all"] = (
-    SUITES["paper-table"]
-    + SUITES["kernel"]
-    + SUITES["routes"]
-    + SUITES["jacobi"]
-    + SUITES["genus"]
-    + SUITES["moonshine"]
-)
+SUITES["all"] = tuple(check for checks in SUITES.values() for check in checks)
 
 
 def run_suite(name):

@@ -1,5 +1,8 @@
 """Acceptance battery: every criterion at its pinned order, zero tolerance.
 
+A check takes no arguments and reads its depth from a ``verify``
+constant, the one the battery reads; each criterion pins those values.
+
 Run with ``pytest tests/test_acceptance.py -s`` to see one PASS/FAIL
 line per criterion.  All arithmetic is exact, so each criterion either
 holds identically or fails with a concrete witness.
@@ -40,26 +43,32 @@ def test_criterion_04_symbolic_columns():
 
 
 def test_criterion_05_kernel_vanishing():
-    _report(5, V.check_kernel(max_total=8))
+    assert V.KERNEL_DEGREE == 8
+    _report(5, V.check_kernel())
 
 
 def test_criterion_06_route_equivalence():
-    _report(6, V.check_routes(max_total=8))
+    assert V.ROUTES_DEGREE == 8
+    _report(6, V.check_routes())
 
 
 def test_criterion_07_structural_identities():
-    unit_constant = V.check_z0_derivative_identity(order=128)
+    assert V.JACOBI_PREC == 200
+    assert V.Z0_ORDER == 128
+    assert V.RESCALE_ORDER == 128
+    assert (V.HK_K_MAX, V.HK_ORDER) == (4, 32)
+    unit_constant = V.check_z0_derivative_identity()
     results = [
-        V.check_jacobi_eta_cube(prec24=200),
-        V.check_z0_derivative_corrected(order=128),
+        V.check_jacobi_eta_cube(),
+        V.check_z0_derivative_corrected(),
         V.CheckResult(
             "z0-unit-constant-refuted",
             not unit_constant.passed
             and unit_constant.detail.endswith("c = -2, not c = 1"),
             f"expected c = 1 refuted with c = -2, got: {unit_constant.detail}",
         ),
-        V.check_rescale_relations(order=128),
-        V.check_hk_reduction(k_max=4, order=32),
+        V.check_rescale_relations(),
+        V.check_hk_reduction(),
     ]
     failed = [r for r in results if not r.passed]
     status = "PASS" if not failed else "FAIL"
@@ -73,7 +82,8 @@ def test_criterion_07_structural_identities():
 
 
 def test_criterion_08_elliptic_genus():
-    _report(8, V.check_genus(order=64))
+    assert V.GENUS_ORDER == 64
+    _report(8, V.check_genus())
 
 
 def test_criterion_09_moonshine():
@@ -81,4 +91,5 @@ def test_criterion_09_moonshine():
 
 
 def test_criterion_10_parity():
-    _report(10, V.check_parity(max_total=9))
+    assert V.KERNEL_SUITE_DEGREE == 9
+    _report(10, V.check_parity())

@@ -6,7 +6,8 @@ Every memoised builder of ``forms``, ``mock`` and ``uplane``, found as
 tests/test_memo.py finds them, and moonshine's subset-sum tables, are
 replaced, in every qmock module that binds them, by a fresh memo of the
 same kind around a counting copy of the unmemoised body, so the memo
-starts empty and each count is one build.
+starts empty and each count is one build.  A call counter in front of
+the memo counts its hits too: every memo serves at least one.
 """
 
 import inspect
@@ -19,7 +20,7 @@ from itertools import permutations
 
 import pytest
 
-from qmock import forms, mock, moonshine, uplane, verify
+from qmock import cli, forms, mock, moonshine, uplane, verify
 from qmock.brackets import bracket_hat
 from qmock.mock import H_POINTS
 from qmock.qseries import degree_memo, order_memo, q_order
@@ -36,27 +37,37 @@ COUNTED = {
 }
 COUNTED[moonshine, "_tables"] = lru_cache(maxsize=1)
 
-RAW = {"q_plus": mock.q_plus.__wrapped__, "h_series": mock.h_series.__wrapped__}
+#: (module, name) -> the unmemoised body of that builder
+RAW = {(module, name): getattr(module, name).__wrapped__ for module, name in COUNTED}
+
+
+def counting(monkeypatch):
+    """name -> the arguments of every build, and name -> the arguments of
+    every call, of each builder, behind a fresh memo."""
+    builds, calls = defaultdict(list), defaultdict(list)
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "qmock"]
+    for (module, name), memo in COUNTED.items():
+        old = getattr(module, name)
+
+        def build(*args, raw=RAW[module, name], name=name):
+            builds[name].append(args)
+            return raw(*args)
+
+        def call(*args, memoised=memo(build), name=name):
+            calls[name].append(args)
+            return memoised(*args)
+
+        for m in modules:
+            for attr, value in list(vars(m).items()):
+                if value is old:
+                    monkeypatch.setattr(m, attr, call)
+    return builds, calls
 
 
 @pytest.fixture
 def builds(monkeypatch):
     """name -> the arguments of every build of that builder."""
-    seen = defaultdict(list)
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "qmock"]
-    for (module, name), memo in COUNTED.items():
-        old = getattr(module, name)
-
-        def counted(*args, raw=old.__wrapped__, name=name):
-            seen[name].append(args)
-            return raw(*args)
-
-        new = memo(counted)
-        for m in modules:
-            for attr, value in list(vars(m).items()):
-                if value is old:
-                    monkeypatch.setattr(m, attr, new)
-    return seen
+    return counting(monkeypatch)[0]
 
 
 def rebuilt(builds):
@@ -94,8 +105,8 @@ def direct_h_k(k, order):
     unmemoised Q+ and H."""
     prec = 24 * order
     need = prec + 48 * k + 24
-    qp = RAW["q_plus"](q_order(need))
-    h8 = RAW["h_series"](q_order(Fraction(need, 8))).rescale_exponents(8, 1)
+    qp = RAW[mock, "q_plus"](q_order(need))
+    h8 = RAW[mock, "h_series"](q_order(Fraction(need, 8))).rescale_exponents(8, 1)
     return bracket_hat(qp - h8.scale(Fraction(1, 12)), k).truncate(prec)
 
 
@@ -126,3 +137,16 @@ def test_generating_function_builds_each_series_once(degree, builds):
     # route B reads Theta2, Theta3 and eta(8tau) deepest in its bracket rungs
     uplane.generating_function(degree)
     assert rebuilt(builds) == {}
+
+
+def test_every_memo_serves_a_hit_on_a_workload(monkeypatch):
+    # each workload behind fresh memos, as the benchmark runs each in its own process
+    workloads = [lambda: cli.main(["table", "--max", "8"]),
+                 lambda: [verify.run_suite(suite) for suite in WORKLOAD]]
+    served = set()
+    for workload in workloads:
+        builds, calls = counting(monkeypatch)
+        workload()
+        served |= {name for name in calls if len(calls[name]) > len(builds[name])}
+    unserved = {name for module, name in COUNTED if module is not moonshine} - served
+    assert unserved == set()

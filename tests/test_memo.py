@@ -22,10 +22,8 @@ MEMOISED = {
     (forms, "theta_nullwert"): [(2,), (3,), (4,)],
     (forms, "theta_big"): [(2,), (3,), (4,)],
     (forms, "eisenstein_e2"): [()],
-    (forms, "e_star"): [()],
     (forms, "z0_hat"): [()],
     (forms, "modular_a"): [()],
-    (forms, "modular_b"): [()],
     (mock, "mu_half_period"): [(V_HALF,), (V_ONE_PLUS_TAU_HALF,), (V_TAU_HALF,)],
     (mock, "h_series"): [()],
     (mock, "q_plus"): [()],

@@ -1,9 +1,12 @@
 """A verify check must fail when either side is certified below the
-precision its detail line states, not pass on the terms both sides have."""
+precision its detail line states, not pass on the terms both sides have.
+Each check takes no arguments: it reads its depth from a module constant."""
+
+import inspect
 
 import pytest
 
-from qmock import brackets, uplane
+from qmock import brackets, mock, uplane
 from qmock import verify as V
 from qmock.qseries import Series
 
@@ -18,31 +21,41 @@ def shortened(fn):
     return short
 
 
+def test_every_check_takes_no_arguments():
+    for check in V.SUITES["all"]:
+        assert not inspect.signature(check).parameters, check.__name__
+
+
+#: check, the side shortened, and the depth constants set for the case.  At
+#: JACOBI_PREC = 200 eta is built to q_order(198) = 9 q-units, 216 lattice
+#: units, so an eta 8 short still certifies 200; at 48 it certifies 40.
 CASES = [
-    (V.check_jacobi_eta_cube, "eta", {"prec24": 48}),
-    (V.check_z0_derivative_corrected, "theta_quotient_factor", {"order": 8}),
-    (V.check_z0_derivative_corrected, "z0_hat", {"order": 8}),
-    (V.check_rescale_relations, "theta_nullwert", {"order": 8}),
-    (V.check_theta_construction_consistency, "theta_big_direct", {"order": 8}),
-    (V.check_hk_reduction, "h_k_series", {"k_max": 1, "order": 8}),
-    (V.check_genus, "elliptic_genus_theta", {"order": 8}),
-    (V.check_genus, "elliptic_genus_check", {"order": 8}),
+    (V.check_jacobi_eta_cube, "eta", {"JACOBI_PREC": 48}),
+    (V.check_z0_derivative_corrected, "theta_quotient_factor", {}),
+    (V.check_z0_derivative_corrected, "z0_hat", {}),
+    (V.check_rescale_relations, "theta_nullwert", {}),
+    (V.check_theta_construction_consistency, "theta_big_direct", {}),
+    (V.check_hk_reduction, "h_k_series", {}),
+    (V.check_genus, "elliptic_genus_theta", {}),
+    (V.check_genus, "elliptic_genus_check", {}),
 ]
 
 
-@pytest.mark.parametrize("check, side, kwargs", [
+@pytest.mark.parametrize("check, side, depths", [
     pytest.param(*case, id=f"{case[0].__name__}-{case[1]}") for case in CASES
 ])
-def test_a_short_side_turns_the_check_red(check, side, kwargs, monkeypatch):
-    assert check(**kwargs).passed
+def test_a_short_side_turns_the_check_red(check, side, depths, monkeypatch):
+    for name, depth in depths.items():
+        monkeypatch.setattr(V, name, depth)
+    assert check().passed
     monkeypatch.setattr(V, side, shortened(getattr(V, side)))
-    assert not check(**kwargs).passed
+    assert not check().passed
 
 
 def test_identity_check_claims_no_constant_on_a_short_side(monkeypatch):
-    assert "c = -2, not c = 1" in V.check_z0_derivative_identity(order=8).detail
+    assert "c = -2, not c = 1" in V.check_z0_derivative_identity().detail
     monkeypatch.setattr(V, "theta_quotient_factor", shortened(V.theta_quotient_factor))
-    result = V.check_z0_derivative_identity(order=8)
+    result = V.check_z0_derivative_identity()
     assert not result.passed
     assert "no constant ratio" in result.detail
 
@@ -111,3 +124,26 @@ def test_a_wrong_bracket_row_turns_the_kernel_check_red(unmemoised, monkeypatch)
     result = V.check_kernel()
     assert not result.passed
     assert result.detail.startswith("nonzero at [(0, 6, ")
+
+
+# The genus check's z = 0 branch reads theta_j(0|tau) as both numerator and
+# denominator, so it sees nothing; the half-periods divide by it too, and
+# each of the two where theta_j(z|tau) does not vanish sees it.
+
+
+@pytest.mark.parametrize("j, red", [
+    (2, ["z=tau/2", "z=(1+tau)/2"]),
+    (3, ["z=1/2", "z=tau/2"]),
+    (4, ["z=1/2", "z=(1+tau)/2"]),
+])
+def test_a_wrong_theta_nullwert_turns_the_genus_check_red(j, red, monkeypatch):
+    theta_nullwert = mock.theta_nullwert
+
+    def wrong(i, order):  # theta_j(0|tau) + 5q
+        right = theta_nullwert(i, order)
+        return right + Series.monomial(24, 5, prec=right.prec) if i == j else right
+
+    monkeypatch.setattr(mock, "theta_nullwert", wrong)
+    result = V.check_genus()
+    assert not result.passed
+    assert result.detail == f"failures: {red}"
