@@ -30,7 +30,7 @@ Each power family (X^j, W_j, T Z0hat^j) is one ``qseries.chain``.
 One loop, ``_constant_terms``, pairs them and stores the alternating sums
 b_{t,n} = sum_(k<=n) (-1)^k C(n,k) c_{t,k}, n = 0..t, as the vector b_t.
 ``ROUTE_TABLE`` names every route once: route A on H/12 (``ROUTE_H12``)
-and on Q+(tau/8) (``ROUTE_QPLUS``), whose equality is the kernel check,
+and on Q+(tau/8) (``ROUTE_QPLUS``), whose difference is ``kernel_check``,
 and route B (``ROUTE_FINAL``), each with its families and its weight.
 ``route_vectors`` keeps one store per route; the stores and the theta
 family are monotone in degree (``degree_memo``), serve a smaller degree
@@ -44,12 +44,8 @@ over ``_z0_powers``, the chain Z0hat^0..Z0hat^D and the one place that
 sets Z0hat's working order; ``Z0Polynomial.evaluate`` sums over the same
 table.
 Every Phi_{m,2n} of degree t is a nonzero scalar times the one entry
-b_{t,n}.  The weights are diagonal, so a vector is zero exactly when the
-value of every pair of its degree is zero: checking vectors is no weaker
-than checking pairs.  The routes' scalars differ by 3 * 2^(2t+5), so they
-agree on every pair of degree t exactly when b^B_t = 3 * 2^(2t+5) * b^A_t.
-Any disagreement between the routes is a hard RouteMismatch error: this
-cross-check is the module's main self-validation.
+b_{t,n}.  Any disagreement between the routes is a hard RouteMismatch
+error: this cross-check is the module's main self-validation.
 
 Working orders follow the rules in ``qseries``, with no safety margin.
 Route A's term of degree t has valuation val(M+) - 3(2t+3); X and W_k
@@ -371,19 +367,14 @@ def format_z(records):
 # the Z0hat polynomial mechanism
 
 
-def h_k_qplus_order(order, k_max):
-    """The q-order of the Q+ that ``h_k_family(order, k_max)`` reads: rung k
-    certifies its operand's prec - 48k - 24, so rung k_max needs the
-    operand to LATTICE_DEN * order + 48 k_max + 24 lattice units."""
-    return q_order(LATTICE_DEN * order + 48 * k_max + 24)
-
-
 @degree_memo
 def h_k_family(order, k_max):
     """H_0, ..., H_k_max, each certified to ``order`` q-units, from one
-    ``bracket_hat_ladder`` on one Q+(tau) - H(8tau)/12 built for k_max."""
+    ``bracket_hat_ladder`` on one Q+(tau) - H(8tau)/12 built for k_max: rung
+    k certifies its operand's prec - 48k - 24, so rung k_max needs Q+ to
+    prec + 48 k_max + 24 lattice units."""
     prec = LATTICE_DEN * order
-    qp_order = h_k_qplus_order(order, k_max)
+    qp_order = q_order(prec + 48 * k_max + 24)
     qp = q_plus(qp_order)
     h8 = h_series(q_order(Fraction(LATTICE_DEN * qp_order, 8))).rescale_exponents(8, 1)
     diff = Series.combine([(12, qp), (-1, h8)], 12)
@@ -397,7 +388,7 @@ def h_k_series(k, order):
     out = h_k_family(order, k)[k]
     bad = [e for e in out.support() if e % (2 * LATTICE_DEN)]
     if bad:
-        raise QSeriesError(
+        raise OddExponent(
             f"H_{k} has an odd-exponent term at lattice {bad[0]}; "
             "the kernel mechanism would be broken"
         )

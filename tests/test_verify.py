@@ -6,7 +6,7 @@ import inspect
 
 import pytest
 
-from qmock import brackets, mock, uplane
+from qmock import brackets, cli, mock, uplane
 from qmock import verify as V
 from qmock.qseries import Series
 
@@ -24,6 +24,13 @@ def shortened(fn):
 def test_every_check_takes_no_arguments():
     for check in V.SUITES["all"]:
         assert not inspect.signature(check).parameters, check.__name__
+
+
+def test_verify_reads_uplane_only_through_its_public_calls():
+    # the route stores and the H_k ladder are uplane's layout, not verify's
+    private = {"uplane", "route_vectors", "h_k_family", "weigh_a", "h_k_qplus_order",
+               "_nonzero_pairs"}
+    assert private.isdisjoint(vars(V))
 
 
 #: check, the side shortened, and the depth constants set for the case.  At
@@ -147,3 +154,45 @@ def test_a_wrong_theta_nullwert_turns_the_genus_check_red(j, red, monkeypatch):
     result = V.check_genus()
     assert not result.passed
     assert result.detail == f"failures: {red}"
+
+
+# A wrong H_k is a failed reduction, reported as such, not an exception
+# that stops the battery: q added to H_2 leaves C((q^2)), and q^4 added to
+# H_3 leaves a tail no Z0hat polynomial clears.
+
+
+def wrong_h_k(k, lattice):
+    """``uplane.h_k_family`` with q^(lattice/24) added to H_k."""
+    family = uplane.h_k_family
+
+    def h_k_family(order, k_max):
+        out = family(order, k_max)
+        if k_max < k:
+            return out
+        wrong = out[k] + Series.monomial(lattice, 1, prec=out[k].prec)
+        return out[:k] + (wrong,) + out[k + 1:]
+
+    return h_k_family
+
+
+H_K_MUTANTS = [pytest.param(2, 24, id="q-in-H_2"), pytest.param(3, 96, id="q^4-in-H_3")]
+
+
+@pytest.mark.parametrize("k, lattice", H_K_MUTANTS)
+def test_a_wrong_h_k_turns_the_reduction_check_red(k, lattice, monkeypatch):
+    assert V.check_hk_reduction().passed
+    monkeypatch.setattr(uplane, "h_k_family", wrong_h_k(k, lattice))
+    result = V.check_hk_reduction()
+    assert result.passed is False
+    assert result.detail == f"reduction failed for k in [{k}]"
+
+
+@pytest.mark.parametrize("k, lattice", H_K_MUTANTS)
+def test_a_wrong_h_k_still_prints_every_jacobi_check(k, lattice, monkeypatch, capsys):
+    monkeypatch.setattr(uplane, "h_k_family", wrong_h_k(k, lattice))
+    code = cli.main(["verify", "--suite", "jacobi"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [line.split()[0] for line in lines[:-1]] == ["PASS", "FAIL", "PASS", "PASS", "PASS", "FAIL"]
+    assert lines[-2] == f"FAIL hk-z0-reduction: reduction failed for k in [{k}]"
+    assert lines[-1] == "4/6 checks passed"
