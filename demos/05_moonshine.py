@@ -2,9 +2,10 @@
 
 The first five coefficients are themselves dimensions of irreducible
 representations of the Mathieu group M24; the next two are small sums
-of dimensions.  The search machinery is exact and deterministic:
-subset witnesses come from a meet-in-the-middle scan of two integer
-subset-sum tables, counts from a bounded-multiplicity dynamic program.
+of dimensions.  The search machinery is exact and deterministic: one
+bitset table of the sums each suffix of the dimension list can reach
+guides the witnesses, picked slot by slot in lex order, and a count is
+one coefficient of a polynomial product held as a single big integer.
 """
 
 from qmock import M24_DIMENSIONS, a_coefficients, decompose_bounded, decompose_distinct

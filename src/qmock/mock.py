@@ -189,8 +189,9 @@ def elliptic_genus_theta(v, order):
         den = theta_nullwert(j, q_order(prec - 2 * lo + 3 * v_den))
         # at the origin the numerator is den itself: theta_j(0|tau), same order
         p, num = (0, den) if v == V_ZERO else theta_char(a, b, v, q_order(prec - lo + 2 * v_den))
-        # (i^p)^2 = (-1)^p; num / den * num / den is never a dense square
-        terms.append((-8 if p % 2 else 8, num / den * num / den))
+        # (i^p)^2 = (-1)^p; the square is of the sparse theta sum num, and
+        # the dense quotients by den are never multiplied together
+        terms.append((-8 if p % 2 else 8, num * num / den / den))
     return Series.combine(terms)
 
 

@@ -7,18 +7,17 @@ nondecreasing order (repeated dimensions are distinct slots), and ties
 are broken by the lexicographically smallest vector, which makes every
 output deterministic.
 
-Subset witnesses come from a meet-in-the-middle search (Horowitz-Sahni)
-over the subset-sum tables of the two halves of the dimension list: each
-distinct sum mapped to its smallest subset mask, built by doubling, so
-only the winning pair of masks is turned into a multiplicity vector.  The
-tables do not depend on the target, so the first search builds them and
-later searches reuse them.  Counts come from a bounded-multiplicity
-dynamic program that drops every state whose remaining target exceeds
-what the remaining slots can reach.
+Each search builds one table and keeps nothing: bit r of ``reach[i]`` is
+set when the dimensions i.. with multiplicities <= cap can sum to r.
+Witnesses are picked slot by slot, smallest multiplicity first, keeping a
+choice only when the slots after it still reach the remainder, so they
+come out in lex order and every branch taken ends in a witness.  Counts
+are the x^target coefficient of prod_d (1 + x^d + ... + x^(cap d)), one
+Python integer with one digit per exponent.
 """
 
 from collections import namedtuple
-from functools import lru_cache
+from itertools import islice
 
 #: dimensions of the 26 irreducible representations of M24, ascending
 M24_DIMENSIONS = (
@@ -43,97 +42,66 @@ class DecompositionWitness(namedtuple("DecompositionWitness", "multiplicities"))
         return sum(m * d for m, d in zip(self.multiplicities, M24_DIMENSIONS))
 
 
-def _subset_sums(dims):
-    """Each distinct subset sum of ``dims`` mapped to its smallest mask, in
-    ascending mask order.  Bit i of a mask, counted from the most significant
-    of len(dims) bits, selects dims[i], so ascending masks are ascending lex
-    order.  Built by doubling: every mask with the new highest bit comes
-    after every mask without it, so a sum already met keeps its mask."""
-    best = {0: 0}
-    bit = 1
+def _reach(target, cap):
+    """The suffix-reachability table of ``target`` at ``cap``, or None when
+    no vector reaches ``target``: bit r <= target of ``reach[i]`` is set when
+    slots i.. with multiplicities <= cap can sum to r."""
+    dims = M24_DIMENSIONS
+    if not 0 <= target <= cap * sum(dims):
+        return None
+    low = (1 << (target + 1)) - 1  # bits 0..target
+    reach = [1]
     for d in reversed(dims):
-        for s, mask in list(best.items()):
-            best.setdefault(s + d, mask | bit)
-        bit <<= 1
-    return best
+        after = row = reach[-1]
+        # OR, never add: two shifts may set one bit, and the carry would set
+        # a bit that no sum reaches
+        for t in range(1, min(cap, target // d) + 1):
+            row |= after << (t * d)
+        reach.append(row & low)
+    reach.reverse()
+    return reach if reach[0] >> target & 1 else None
 
 
-def _bits(mask, width):
-    """The multiplicity tuple of a subset mask, most significant bit first."""
-    return tuple((mask >> (width - 1 - i)) & 1 for i in range(width))
-
-
-@lru_cache(maxsize=1)
-def _tables():
-    """The subset-sum tables of the two halves of the dimensions:
-    target-independent, so built by the first search, not at import, and
-    kept."""
-    half = len(M24_DIMENSIONS) // 2
-    return _subset_sums(M24_DIMENSIONS[:half]), _subset_sums(M24_DIMENSIONS[half:])
+def _witnesses(reach, cap, i, remaining):
+    """The multiplicity vectors of slots i.. summing to ``remaining``, which
+    ``reach[i]`` reaches, in lex order: every branch taken ends in one."""
+    dims = M24_DIMENSIONS
+    if i == len(dims):
+        yield ()
+        return
+    for t in range(min(cap, remaining // dims[i]) + 1):
+        rest = remaining - t * dims[i]
+        if reach[i + 1] >> rest & 1:
+            for tail in _witnesses(reach, cap, i + 1, rest):
+                yield (t,) + tail
 
 
 def decompose_distinct(target):
-    """A subset of the dimensions summing to ``target``, or None.
-
-    Meet-in-the-middle (Horowitz-Sahni) over the subset-sum tables of the
-    two 13-element halves; among all witnesses the lexicographically
-    smallest multiplicity vector is returned (zeros preferred in early
-    slots, i.e. larger parts win).
-    """
-    half = len(M24_DIMENSIONS) // 2
-    width = len(M24_DIMENSIONS) - half
-    left, right = _tables()
-    for s, mask in left.items():  # ascending masks, so the first hit is the smallest
-        rest = right.get(target - s)
-        if rest is not None:
-            return DecompositionWitness(_bits(mask, half) + _bits(rest, width))
-    return None
+    """A subset of the dimensions summing to ``target``, or None: the
+    lexicographically smallest multiplicity vector (zeros preferred in
+    early slots, i.e. larger parts win)."""
+    reach = _reach(target, 1)
+    if reach is None:
+        return None
+    return DecompositionWitness(next(_witnesses(reach, 1, 0, target)))
 
 
 def decompose_bounded(target, multiplicity_cap, max_witnesses=4):
     """Exact count of multiplicity vectors with entries <= cap summing to
     ``target``, plus up to ``max_witnesses`` witnesses in lex order."""
-    if target < 0:
+    cap = multiplicity_cap
+    reach = _reach(target, cap)
+    if reach is None:
         return 0, []
-    dims = M24_DIMENSIONS
-    n = len(dims)
-    reach = [0] * (n + 1)  # reach[i]: the most that slots i.. can add up to
-    for i in range(n - 1, -1, -1):
-        reach[i] = reach[i + 1] + multiplicity_cap * dims[i]
-
-    @lru_cache(maxsize=None)
-    def ways(i, remaining):
-        if remaining == 0 and i == n:
-            return 1
-        if i == n or remaining < 0 or remaining > reach[i]:
-            return 0
-        d = dims[i]
-        return sum(
-            ways(i + 1, remaining - t * d)
-            for t in range(min(multiplicity_cap, remaining // d) + 1)
-        )
-
-    count = ways(0, target)
-    witnesses = []
-
-    def walk(i, remaining, prefix):
-        if len(witnesses) >= max_witnesses:
-            return
-        if i == n:
-            if remaining == 0:
-                witnesses.append(DecompositionWitness(tuple(prefix)))
-            return
-        d = dims[i]
-        for t in range(min(multiplicity_cap, remaining // d) + 1):
-            if ways(i + 1, remaining - t * d):
-                walk(i + 1, remaining - t * d, prefix + [t])
-                if len(witnesses) >= max_witnesses:
-                    return
-
-    if count and max_witnesses > 0:
-        walk(0, target, [])
-    ways.cache_clear()
-    return count, witnesses
+    # prod_d (1 + x^d + ... + x^(cap d)) to x^target, one digit per exponent;
+    # a digit never overflows, as no coefficient exceeds (cap + 1)^26
+    width = ((cap + 1) ** len(M24_DIMENSIONS)).bit_length()
+    low = (1 << (width * (target + 1))) - 1  # digits 0..target
+    poly = 1
+    for d in M24_DIMENSIONS:
+        poly = sum(poly << (width * t * d) for t in range(min(cap, target // d) + 1)) & low
+    found = islice(_witnesses(reach, cap, 0, target), max(max_witnesses, 0))
+    return poly >> (width * target), [DecompositionWitness(w) for w in found]
 
 
 #: the explicit two- and six-part decompositions of A_6 and A_7

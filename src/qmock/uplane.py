@@ -194,11 +194,11 @@ def functional_vector(mplus, t, k_max):
     return _constant_terms(*basis_a(mplus, t, k_max), t)
 
 
-def weigh_a(vector, m, n):
-    """D_{m,2n} from entry n of a route A vector of degree m + n (the
-    weight does not depend on m)."""
+def weigh_a(entry, m, n):
+    """D_{m,2n} from ``entry``, entry n of a route A vector of degree m + n
+    (the weight does not depend on m)."""
     scalar = -Fraction(2 * math.factorial(2 * n), math.factorial(n) * 6**n)
-    return scalar * vector[n]
+    return scalar * entry
 
 
 def u_plane_coefficient(mplus, m, n):
@@ -216,7 +216,7 @@ def u_plane_coefficient(mplus, m, n):
             f"got {mplus.prec}",
             needed=need,
         )
-    return weigh_a(functional_vector(mplus, m + n, n), m, n)
+    return weigh_a(functional_vector(mplus, m + n, n)[n], m, n)
 
 
 def column_extract(m, n, k_max):
@@ -257,13 +257,13 @@ def basis_b(degree):
     return chain(tq, z0, degree), rungs
 
 
-def weigh_b(vector, m, n):
-    """Phi_{m,2n} from entry n of a route B vector of degree m + n."""
+def weigh_b(entry, m, n):
+    """Phi_{m,2n} from ``entry``, entry n of a route B vector of degree m + n."""
     scalar = -Fraction(
         math.factorial(2 * n),
         math.factorial(n) * 2 ** (2 * m + 3 * n + 4) * 3 ** (n + 1),
     )
-    return scalar * vector[n]
+    return scalar * entry
 
 
 def _on_mock(mock):
@@ -293,7 +293,7 @@ def donaldson_phi(m, n, route):
     if route not in ROUTE_TABLE:
         raise ValueError(f"unknown route {route!r}")
     _check_pair(m, n)
-    return ROUTE_TABLE[route][1](route_vectors(route, m + n)[m + n], m, n)
+    return ROUTE_TABLE[route][1](route_vectors(route, m + n)[m + n][n], m, n)
 
 
 def phi_route_a(m, n):
@@ -307,8 +307,11 @@ def phi_route_b(m, n):
 
 
 def kernel_check(m, n):
-    """D_{m,2n} on Q+(tau/8) - H(tau)/12 by linearity; zero for every m, n."""
-    return donaldson_phi(m, n, ROUTE_QPLUS) - donaldson_phi(m, n, ROUTE_H12)
+    """D_{m,2n} on Q+(tau/8) - H(tau)/12 by linearity: one weight on the
+    difference of the two routes' entries; zero for every m, n."""
+    _check_pair(m, n)
+    qplus, h12 = (route_vectors(route, m + n)[m + n][n] for route in (ROUTE_QPLUS, ROUTE_H12))
+    return weigh_a(qplus - h12, m, n)
 
 
 def generating_function(max_total_degree):

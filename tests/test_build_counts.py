@@ -3,11 +3,11 @@ order (or depth) it asks for, and serves the rest from the memo.  Across
 suites, every memoised series is built once, whichever suite runs first.
 
 Every memoised builder of ``forms``, ``mock`` and ``uplane``, found as
-tests/test_memo.py finds them, and moonshine's subset-sum tables, are
-replaced, in every qmock module that binds them, by a fresh memo of the
-same kind around a counting copy of the unmemoised body, so the memo
-starts empty and each count is one build.  A call counter in front of
-the memo counts its hits too: every memo serves at least one.
+tests/test_memo.py finds them, is replaced, in every qmock module that
+binds it, by a fresh memo of the same kind around a counting copy of the
+unmemoised body, so the memo starts empty and each count is one build.
+A call counter in front of the memo counts its hits too: every memo
+serves at least one.
 """
 
 import inspect
@@ -15,12 +15,11 @@ import random
 import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations
 
 import pytest
 
-from qmock import cli, forms, mock, moonshine, uplane, verify
+from qmock import cli, forms, mock, uplane, verify
 from qmock.brackets import bracket_hat
 from qmock.mock import H_POINTS
 from qmock.qseries import degree_memo, order_memo, q_order
@@ -35,7 +34,6 @@ COUNTED = {
     for name, value in vars(module).items()
     if hasattr(value, "__wrapped__") and value.__module__ == module.__name__
 }
-COUNTED[moonshine, "_tables"] = lru_cache(maxsize=1)
 
 #: (module, name) -> the unmemoised body of that builder
 RAW = {(module, name): getattr(module, name).__wrapped__ for module, name in COUNTED}
@@ -95,11 +93,6 @@ def test_genus_builds_each_mu_and_h_once_at_the_deepest_order(builds):
     assert builds["mu_half_period"] == [(v, 65) for v in H_POINTS]
 
 
-def test_moonshine_builds_its_subset_sum_tables_once(builds):
-    verify.run_suite("moonshine")
-    assert builds["_tables"] == [()]
-
-
 def direct_h_k(k, order):
     """H_k on its own, as the top rung of a ladder built for k alone from
     unmemoised Q+ and H."""
@@ -148,5 +141,5 @@ def test_every_memo_serves_a_hit_on_a_workload(monkeypatch):
         builds, calls = counting(monkeypatch)
         workload()
         served |= {name for name in calls if len(calls[name]) > len(builds[name])}
-    unserved = {name for module, name in COUNTED if module is not moonshine} - served
+    unserved = {name for _, name in COUNTED} - served
     assert unserved == set()

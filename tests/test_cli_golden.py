@@ -60,6 +60,10 @@ def sweep_calls():
         for flags in ([], ["--cap", "1"], ["--cap", "1", "--distinct", "--max-witnesses", "2"]):
             for fmt in ("json", "plain"):
                 calls.append(["moonshine", "--n", str(n), *flags, "--format", fmt])
+    # bounded counts past cap 1, and a target above cap * sum of the dimensions
+    calls.append(["moonshine", "--n", "7", "--cap", "2", "--format", "json"])
+    calls.append(["moonshine", "--n", "8", "--cap", "2", "--max-witnesses", "2", "--format", "plain"])
+    calls.append(["moonshine", "--n", "40", "--cap", "3"])
     return calls
 
 

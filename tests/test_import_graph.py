@@ -48,8 +48,3 @@ def test_import_adds_no_source_reading_stdlib_module(module):
     assert module in added
     assert added.isdisjoint(HEAVY_STDLIB), sorted(added & set(HEAVY_STDLIB))
 
-
-def test_import_builds_no_subset_sum_table():
-    # moonshine's search tables are built by the first search, not at import
-    code = "import qmock.cli, qmock.moonshine as m; print(m._tables.cache_info().currsize)"
-    assert run_python(code).strip() == "0"

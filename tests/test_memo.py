@@ -2,14 +2,16 @@
 be exactly what a direct computation at that order gives.  The
 degree-monotone memo serves a smaller degree as a prefix."""
 
+import ast
 import random
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from qmock import forms, mock, uplane
+from qmock import forms, mock, qseries, uplane
 from qmock.forms import V_HALF, V_ONE_PLUS_TAU_HALF, V_TAU_HALF
 from qmock.qseries import Series, degree_memo, order_memo
 
@@ -51,6 +53,19 @@ def test_every_memoised_function_is_checked():
         if hasattr(value, "__wrapped__") and value.__module__ == module.__name__
     }
     assert found == set(MEMOISED) | DEGREE_MEMOISED
+
+
+def test_no_module_memoises_through_functools():
+    # order_memo and degree_memo are the only memos in the package
+    caches = {"lru_cache", "cache"}
+    used = set()
+    for path in sorted(Path(qseries.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                used |= {(path.name, alias.name) for alias in node.names if alias.name in caches}
+            elif isinstance(node, ast.Attribute) and node.attr in caches:
+                used.add((path.name, node.attr))
+    assert used == set()
 
 
 @pytest.mark.parametrize("module, name, key", [

@@ -1,6 +1,7 @@
 """M24 dimension decompositions: witnesses, counts, determinism."""
 
-from itertools import combinations
+from collections import defaultdict
+from itertools import combinations, product
 
 import pytest
 
@@ -54,15 +55,9 @@ def brute_force_lex_smallest(target, dims):
 
 @pytest.fixture
 def over(monkeypatch):
-    """Search over another dimension tuple: the module's list is swapped,
-    and its subset-sum tables dropped, for the test alone."""
-    def swap(dims):
-        monkeypatch.setattr(moonshine, "M24_DIMENSIONS", tuple(dims))
-        moonshine._tables.cache_clear()
-
-    yield swap
-    monkeypatch.undo()
-    moonshine._tables.cache_clear()
+    """Search over another dimension tuple: the module's list is swapped
+    for the test alone."""
+    return lambda dims: monkeypatch.setattr(moonshine, "M24_DIMENSIONS", tuple(dims))
 
 
 def assert_lex_smallest(over, dims, targets):
@@ -82,7 +77,7 @@ def test_witness_is_lexicographically_smallest(over):
 
 
 def test_witness_is_lexicographically_smallest_unequal_halves(over):
-    # a 13-dimension prefix splits into halves of widths 6 and 7
+    # a 13-dimension prefix: an odd number of slots
     assert_lex_smallest(over, M24_DIMENSIONS[:13], (24, 276, 1035, 700, 2070, 4000, 5000))
 
 
@@ -107,8 +102,8 @@ def _first_bounded_witness(target):
     ids=["A1-A10", "total-dimension", "stride-0-1200"],
 )
 def test_distinct_matches_first_bounded_witness(targets):
-    # the subset-sum search against the exhaustive cap-1 walk, which
-    # yields witnesses in lex order: both give the lex-smallest subset
+    # the one-witness search against the first of the cap-1 witnesses,
+    # which come in lex order: both give the lex-smallest subset
     for target in targets:
         got = decompose_distinct(target)
         assert (got.multiplicities if got else ()) == _first_bounded_witness(target)
@@ -145,3 +140,36 @@ def test_witnesses_in_lex_order_and_valid():
     vecs = [w.multiplicities for w in witnesses]
     assert vecs == sorted(vecs)
     assert all(w.total() == 1058 for w in witnesses)
+
+
+def brute_force_bounded(dims, cap):
+    """target -> every multiplicity vector with entries <= cap summing to
+    it, in lex order (``product`` yields lex order)."""
+    found = defaultdict(list)
+    for vec in product(range(cap + 1), repeat=len(dims)):
+        found[sum(t * d for t, d in zip(vec, dims))].append(vec)
+    return found
+
+
+@pytest.mark.parametrize("width, cap", [(10, 0), (10, 1), (10, 2), (9, 2), (8, 3)])
+def test_bounded_matches_exhaustive_enumeration(over, width, cap):
+    dims = M24_DIMENSIONS[:width]
+    found = brute_force_bounded(dims, cap)
+    over(dims)
+    top = cap * sum(dims)
+    for target in [-1, 0, 1, 2, top - 1, top, top + 1, *range(3, top, 11)]:
+        count, witnesses = decompose_bounded(target, cap, max_witnesses=3)
+        assert count == len(found[target]), target
+        assert [w.multiplicities for w in witnesses] == found[target][:3], target
+
+
+@pytest.mark.parametrize("n, counts", [
+    (4, (54, 340)),
+    (5, (123, 7682)),
+    (6, (3025, 732395)),
+    (7, (1927, 19896507)),
+    (8, (0, 36370423)),
+])
+def test_bounded_counts_of_a4_to_a8(n, counts):
+    target = a_coefficients(8)[n]
+    assert tuple(decompose_bounded(target, cap, max_witnesses=0)[0] for cap in (1, 2)) == counts
