@@ -27,7 +27,7 @@ certifies m8.prec - 48k - 24 whatever k is.
 
 from collections import deque
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .qseries import Series, chain, q_order
 from .forms import eisenstein_e2, eta, theta_big
@@ -35,11 +35,7 @@ from .forms import eisenstein_e2, eta, theta_big
 
 def double_factorial(m):
     """m!! with the convention (-1)!! = 0!! = 1."""
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
+    return prod(range(m, 1, -2))
 
 
 def _gamma_weights(k_max):

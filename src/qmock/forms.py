@@ -211,27 +211,15 @@ def theta_big_direct(j, order):
     return Series.from_pairs(pairs, prec=prec)
 
 
-def _sigma1(n):
-    # trial division is plenty at the orders used here
-    s = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            s += d
-            if d != n // d:
-                s += n // d
-        d += 1
-    return s
-
-
 @order_memo
 def eisenstein_e2(order):
-    """E2(tau) = 1 - 24 * sum sigma_1(n) q^n."""
-    prec = LATTICE_DEN * order
-    pairs = [(0, 1)]
-    for n in range(1, order):
-        pairs.append((LATTICE_DEN * n, -24 * _sigma1(n)))
-    return Series.from_pairs(pairs, prec=prec)
+    """E2(tau) = 1 - 24 * sum sigma_1(n) q^n, sigma_1 from one divisor sieve."""
+    sigma = [0] * order
+    for d in range(1, order):
+        for n in range(d, order, d):
+            sigma[n] += d
+    pairs = [(0, 1)] + [(LATTICE_DEN * n, -24 * sigma[n]) for n in range(1, order)]
+    return Series.from_pairs(pairs, prec=LATTICE_DEN * order)
 
 
 def e_star(order):

@@ -31,6 +31,12 @@ is certified below P once each f_i has prec >= P - val(F) + val(f_i);
 ``q_order`` rounds that up to q-units.  Every family of powers comes from
 ``chain``, one product per power, certified as ``pow_int`` certifies.
 
+Printing.  ``str(series)`` is ``signed_sum`` of its terms, each a
+coefficient times q to its exponent in q-units, followed by
+``+ O(q^(prec))``: ``-q^-1 + 3 + 1/2*q^(5/24) + O(q^(2))``.  ``signed_sum``
+is the one printer of signed sums in the package; the Z(p,S) line of
+``qmock table`` prints through it too.
+
 All values are immutable after construction and all operations are pure
 functions, so series may be freely shared between threads.
 """
@@ -148,6 +154,27 @@ def _decimal_digits(n):
     while n >= 10**digits:
         digits += 1
     return digits
+
+
+def _power(symbol, e):
+    if e == 1:
+        return symbol
+    return f"{symbol}^{e}" if e.denominator == 1 else f"{symbol}^({e})"
+
+
+def signed_sum(terms):
+    """The text ``c1*m1 + c2*m2 - ...`` of ``terms``, pairs of a nonzero
+    rational c and a monomial given as [(symbol, exponent), ...], or "" for
+    no terms.  A factor of exponent 0 is dropped, exponent 1 prints the bare
+    symbol and a non-integer exponent is parenthesised; a coefficient of +-1
+    is dropped before a monomial, and a negative one turns its joining sign."""
+    out = []
+    for c, factors in terms:
+        mono = "*".join([_power(sym, e) for sym, e in factors if e])
+        mag = abs(c)
+        out.append((" - " if out else "-") if c.numerator < 0 else (" + " if out else ""))
+        out.append(mono if mono and mag == 1 else f"{mag}*{mono}" if mono else str(mag))
+    return "".join(out)
 
 
 def _names_over_long_coefficients(method):
@@ -535,30 +562,10 @@ class Series:
 
     @_names_over_long_coefficients
     def __str__(self):
-        parts = []
-        for e, x in zip(self._exps, self._nums):
-            cs = str(Fraction(x, self._den))
-            exp = Fraction(e, LATTICE_DEN)
-            if exp == 0:
-                mono = ""
-            elif exp == 1:
-                mono = "q"
-            elif exp.denominator == 1:
-                mono = f"q^{exp}"
-            else:
-                mono = f"q^({exp})"
-            if mono:
-                term = mono if cs == "1" else (f"-{mono}" if cs == "-1" else f"{cs}*{mono}")
-            else:
-                term = cs
-            parts.append(term)
+        body = signed_sum((Fraction(x, self._den), [("q", Fraction(e, LATTICE_DEN))])
+                          for e, x in zip(self._exps, self._nums))
         tail = f"O(q^({Fraction(self.prec, LATTICE_DEN)}))"
-        if not parts:
-            return tail
-        joined = parts[0]
-        for p in parts[1:]:
-            joined += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return f"{joined} + {tail}"
+        return f"{body} + {tail}" if body else tail
 
     # ------------------------------------------------------------------
     # JSON wire format

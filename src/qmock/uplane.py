@@ -70,6 +70,7 @@ from .qseries import (
     degree_memo,
     order_memo,
     q_order,
+    signed_sum,
 )
 from .forms import eta, theta_big, theta_nullwert, z0_hat
 from .mock import h_series, mock_from_coefficients, q_plus, q_plus_rescaled
@@ -346,24 +347,12 @@ def generating_function(max_total_degree):
 
 def format_z(records):
     """Z(p,S) = sum Phi_{m,2n} p^m/m! S^(2n)/(2n)! as a plain string."""
-    terms = ""
+    terms = []
     for rec in records:
         c = rec.value / (math.factorial(rec.m) * math.factorial(2 * rec.n))
-        if not c:
-            continue
-        factors = []
-        if rec.m == 1:
-            factors.append("p")
-        elif rec.m > 1:
-            factors.append(f"p^{rec.m}")
-        if rec.n:
-            factors.append(f"S^{2 * rec.n}")
-        if abs(c) != 1 or not factors:
-            factors.insert(0, str(abs(c)))
-        terms += (" - " if c < 0 else " + ") + "*".join(factors)
-    if not terms:
-        return "Z(p,S) = 0"
-    return "Z(p,S) = " + ("-" if terms[1] == "-" else "") + terms[3:]
+        if c:
+            terms.append((c, [("p", rec.m), ("S", 2 * rec.n)]))
+    return "Z(p,S) = " + (signed_sum(terms) or "0")
 
 
 # ----------------------------------------------------------------------

@@ -268,9 +268,9 @@ def divisor_sum(n):
 
 
 def test_e2_lead_and_divisor_oracle():
-    e2 = eisenstein_e2(12)
+    e2 = eisenstein_e2(300)
     assert e2.coefficient(0) == 1
-    for n in range(1, 12):
+    for n in range(1, 300):
         assert q_coeff(e2, n) == -24 * divisor_sum(n)
 
 
