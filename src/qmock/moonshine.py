@@ -13,13 +13,11 @@ Witnesses are picked slot by slot, smallest multiplicity first, keeping a
 choice only when the slots after it still reach the remainder, so they
 come out in lex order and every branch taken ends in a witness.  Counts
 are the x^target coefficient of prod_d (1 + x^d + ... + x^(cap d)), one
-Python integer with one digit per exponent.  Both the table rows and the
-count's factors are joins of cap + 1 shifts, made in O(log cap) joins.
+Python integer with one digit per exponent.
 """
 
 from collections import namedtuple
 from itertools import islice
-from operator import add, or_
 
 #: dimensions of the 26 irreducible representations of M24, ascending
 M24_DIMENSIONS = (
@@ -44,18 +42,6 @@ class DecompositionWitness(namedtuple("DecompositionWitness", "multiplicities"))
         return sum(m * d for m, d in zip(self.multiplicities, M24_DIMENSIONS))
 
 
-def _join_shifts(x, step, count, join):
-    """join(x, x << step, ..., x << ((count - 1) * step)) for count >= 1 in
-    O(log count) joins: ``out`` holds the first k shifts, and each further
-    bit of count doubles k, then adds one shift when the bit is set."""
-    out, k = x, 1
-    for bit in bin(count)[3:]:
-        out, k = join(out, out << (k * step)), 2 * k
-        if bit == "1":
-            out, k = join(x, out << step), k + 1
-    return out
-
-
 def _reach(target, cap):
     """The suffix-reachability table of ``target`` at ``cap``, or None when
     no vector reaches ``target``: bit r <= target of ``reach[i]`` is set when
@@ -66,9 +52,12 @@ def _reach(target, cap):
     low = (1 << (target + 1)) - 1  # bits 0..target
     reach = [1]
     for d in reversed(dims):
+        after = row = reach[-1]
         # OR, never add: two shifts may set one bit, and the carry would set
         # a bit that no sum reaches
-        reach.append(_join_shifts(reach[-1], d, min(cap, target // d) + 1, or_) & low)
+        for t in range(1, min(cap, target // d) + 1):
+            row |= after << (t * d)
+        reach.append(row & low)
     reach.reverse()
     return reach if reach[0] >> target & 1 else None
 
@@ -110,7 +99,7 @@ def decompose_bounded(target, multiplicity_cap, max_witnesses=4):
     low = (1 << (width * (target + 1))) - 1  # digits 0..target
     poly = 1
     for d in M24_DIMENSIONS:
-        poly = _join_shifts(poly, width * d, min(cap, target // d) + 1, add) & low
+        poly = sum(poly << (width * t * d) for t in range(min(cap, target // d) + 1)) & low
     found = islice(_witnesses(reach, cap, 0, target), max(max_witnesses, 0))
     return poly >> (width * target), [DecompositionWitness(w) for w in found]
 

@@ -33,9 +33,10 @@ is certified below P once each f_i has prec >= P - val(F) + val(f_i);
 
 Printing.  ``str(series)`` is ``signed_sum`` of its terms, each a
 coefficient times q to its exponent in q-units, followed by
-``+ O(q^(prec))``: ``-q^-1 + 3 + 1/2*q^(5/24) + O(q^(2))``.  ``signed_sum``
-is the one printer of signed sums in the package; the Z(p,S) line of
-``qmock table`` prints through it too.
+``+ O(q^(prec))``: ``-q^-1 + 3 + 1/2*q^(5/24) + O(q^(2))``.  The Z(p,S)
+line of ``qmock table`` prints through ``signed_sum`` too, so the two share
+one rule for signs, unit coefficients and exponents.  (``qmock reduce-z0``
+keeps its own parenthesised ``(c)*Z0hat^d`` form, which turns no signs.)
 
 All values are immutable after construction and all operations are pure
 functions, so series may be freely shared between threads.
@@ -171,9 +172,11 @@ def signed_sum(terms):
     out = []
     for c, factors in terms:
         mono = "*".join([_power(sym, e) for sym, e in factors if e])
-        mag = abs(c)
-        out.append((" - " if out else "-") if c.numerator < 0 else (" + " if out else ""))
-        out.append(mono if mono and mag == 1 else f"{mag}*{mono}" if mono else str(mag))
+        s = str(c)
+        neg = s[0] == "-"
+        mag = s[1:] if neg else s
+        out.append((" - " if out else "-") if neg else (" + " if out else ""))
+        out.append(mag if not mono else mono if mag == "1" else f"{mag}*{mono}")
     return "".join(out)
 
 

@@ -151,8 +151,7 @@ def brute_force_bounded(dims, cap):
     return found
 
 
-@pytest.mark.parametrize("width, cap", [(10, 0), (10, 1), (10, 2), (9, 2), (8, 3), (6, 5),
-                                        (5, 7)])
+@pytest.mark.parametrize("width, cap", [(10, 0), (10, 1), (10, 2), (9, 2), (8, 3)])
 def test_bounded_matches_exhaustive_enumeration(over, width, cap):
     dims = M24_DIMENSIONS[:width]
     found = brute_force_bounded(dims, cap)
