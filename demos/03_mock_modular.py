@@ -1,8 +1,9 @@
 """The mock-modular layer: Appell-Lerch sums, H(tau), and Q+.
 
-H(tau) is assembled purely from the Appell-Lerch sum mu at the three
-half-periods 1/2, (1+tau)/2, tau/2; the famous coefficients 45, 231,
-770, ... come out of exact arithmetic, not a lookup table.
+H(tau) is built from Eguchi-Hikami's identity eta^3 H = -2 E2 + 48 F2,
+and the Appell-Lerch sum mu at the three half-periods 1/2, (1+tau)/2,
+tau/2 gives it again; the famous coefficients 45, 231, 770, ... come out
+of exact arithmetic, not a lookup table.
 """
 
 from fractions import Fraction
@@ -16,6 +17,7 @@ from qmock import (
     q_plus_rescaled,
 )
 from qmock.forms import V_HALF, V_ONE_PLUS_TAU_HALF, V_TAU_HALF
+from qmock.qseries import Series
 
 # The three specialisations of mu.  Each is real: the prefactor
 # i * e^(pi i r) and theta_1's phase are the same power of i and cancel.
@@ -27,6 +29,8 @@ for v, label in ((V_HALF, "1/2"), (V_ONE_PLUS_TAU_HALF, "(1+tau)/2"),
 # H(tau) = -8 times their sum: the leading term is -2 q^(-1/8) and the
 # integer coefficients A_n sit at integer offsets above it.
 h = h_series(9)
+assert h == Series.combine([(-8, mu_half_period(v, 9))
+                           for v in (V_HALF, V_ONE_PLUS_TAU_HALF, V_TAU_HALF)])
 print("H(tau) =", h.truncate(24 * 4))
 print("A_n    =", a_coefficients(8))
 

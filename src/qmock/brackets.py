@@ -18,6 +18,11 @@ a_j = a_(j-1) * 24/(2j-1), a_0 = 1.  The powers E2^(-j) and E2^k, and
 one ``qseries.chain``: one product per power.  E^0[M] is M, so a ladder
 of order 0 builds no E2.
 ``cohen_bracket`` and ``bracket_hat`` are the top rung of a ladder.
+``bracket_hat_ladder`` puts the 8tau prefactors on a plain ladder of
+m8(tau/8), not on m8, so one ladder on H serves both routes of the
+invariant layer: route A reads it scaled by 1/12 as the ladder of H/12
+(the bracket is linear), route B under those prefactors
+(``uplane.h_ladder``).
 
 Precision follows the rules in ``qseries``: E2 is built to the operand's
 prec - val and has valuation 0, so E2^(-1) is certified as far as E2 and
@@ -82,20 +87,20 @@ def bracket_ladder(m_series, k_max):
         yield e2_k * Series.combine(zip(_row(k, weights), u), big)
 
 
-def bracket_hat_ladder(m8, k_max):
-    """Yield eta(8tau)^3 / (Theta2*Theta3)^(2k+2) * E^k[m8] for k = 0..k_max,
-    the bracket taken in the 8tau variable as the plain bracket of
-    m8(tau/8) rescaled by 8 and cut back to m8's prec (m8 must be a series
-    in q^8, LatticeError otherwise); the building blocks of the kernel
-    mechanism and of route B."""
-    m = m8.rescale_exponents(1, 8)
-    rel = max(1, m8.prec - m8.min_exp)  # 1 keeps Theta2 invertible for a zero m8
+def bracket_hat_ladder(ladder, prec):
+    """Yield eta(8tau)^3 / (Theta2*Theta3)^(2k+2) * E^k[m8] for k = 0..K from
+    the plain ``ladder`` E^0[m], ..., E^K[m] (a sequence) of m = m8(tau/8):
+    the bracket in the 8tau variable is the plain rung rescaled by 8 and
+    cut back to ``prec``, m8's prec.  The building blocks of the kernel
+    mechanism and of route B; taking the ladder, not m8, lets route B read
+    the one ladder on H that route A reads too."""
+    rel = max(1, prec - 8 * ladder[0].min_exp)  # 1 keeps Theta2 invertible for a zero m8
     eta8_cubed = eta(8, q_order(rel + 8)).pow_int(3)
     t23 = theta_big(2, q_order(rel + 24)) * theta_big(3, q_order(rel))
     step = t23.pow_int(-2)
-    prefactors = chain(eta8_cubed * step, step, k_max)
-    for prefactor, bracket in zip(prefactors, bracket_ladder(m, k_max)):
-        yield prefactor * bracket.rescale_exponents(8, 1).truncate(m8.prec)
+    prefactors = chain(eta8_cubed * step, step, len(ladder) - 1)
+    for prefactor, bracket in zip(prefactors, ladder):
+        yield prefactor * bracket.rescale_exponents(8, 1).truncate(prec)
 
 
 def _top(ladder):
@@ -110,5 +115,8 @@ def cohen_bracket(m_series, k):
 
 def bracket_hat(m8, k):
     """eta(8tau)^3 / (Theta2*Theta3)^(2k+2) times the bracket of an
-    8tau-variable operand, the top rung of ``bracket_hat_ladder``."""
-    return _top(bracket_hat_ladder(m8, k))
+    8tau-variable operand, the top rung of ``bracket_hat_ladder`` on the
+    ladder of m8(tau/8) (m8 must be a series in q^8, LatticeError
+    otherwise)."""
+    ladder = tuple(bracket_ladder(m8.rescale_exponents(1, 8), k))
+    return _top(bracket_hat_ladder(ladder, m8.prec))

@@ -116,6 +116,15 @@ def eta(k, order):
     return _eta_lattice(k, LATTICE_DEN * order)
 
 
+@order_memo
+def eta_cube(order):
+    """eta(tau)^3 to the given order in q-units: the cube of ``eta``'s
+    pentagonal sum, which keeps eta's prec - val, so eta certified 2
+    lattice units short of the order is enough.  Jacobi's sparse sum for
+    eta^3 is the ``jacobi-eta-cube`` oracle, not a second builder."""
+    return eta(1, q_order(LATTICE_DEN * order - 2)).pow_int(3).truncate(LATTICE_DEN * order)
+
+
 def eta_quotient(spec, order):
     """Exact expansion of an eta quotient to ``order`` q-units."""
     prec_target = LATTICE_DEN * order
@@ -270,7 +279,7 @@ def modular_a_sieved(residue, order):
 
 NAMED_FORMS = {
     "eta": lambda order: eta(1, order),
-    "eta3": lambda order: eta(1, q_order(24 * order - 2)).pow_int(3).truncate(24 * order),
+    "eta3": eta_cube,
     "theta2": lambda order: theta_nullwert(2, order),
     "theta3": lambda order: theta_nullwert(3, order),
     "theta4": lambda order: theta_nullwert(4, order),

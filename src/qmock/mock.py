@@ -1,8 +1,11 @@
 """The mock-modular layer: Appell-Lerch sums, H(tau), and the Q+ series.
 
-H(tau) is assembled exclusively from the Appell-Lerch sum mu specialised
-at the three half-periods 1/2, (1+tau)/2, tau/2; its coefficient table
-is never used as an input, only as a test oracle.  The companion series
+H(tau) is built from Eguchi-Hikami's identity eta^3 H = -2 E2 + 48 F2
+(``h_series``); its coefficient table is never used as an input, only as
+a test oracle.  The Appell-Lerch sum mu specialised at the three
+half-periods 1/2, (1+tau)/2, tau/2 gives H as well, and is its oracle:
+the elliptic-genus check reads the three mu with the production H, and
+tier-1 compares -8 times their sum with H, prec included.  The companion series
 Q+(tau) is assembled from sieved eta quotients and a mock theta sum, and
 Q+(tau/8) - H(tau)/12 spans the kernel of the constant-term functional
 in the invariant layer.  Every mock here, H, Q+ and the explicit mocks
@@ -15,8 +18,8 @@ there, so mu is exact at every half-period, not only at s = 0 and 1/2.
 mu, H and Q+ sit on ``qseries.order_memo``: each is built once at the
 deepest order asked so far, and a smaller order (Q+(tau/8) at order N
 reads Q+ at 8N) is served as a truncation.  ``genus_mock_order`` and
-``genus_eta_order`` name the orders the genus reads mu, H and eta at, so
-a caller can ask for the deepest ones first.
+``genus_eta_order`` name the orders the genus reads mu, H and eta^3 at,
+so a caller can ask for the deepest ones first.
 """
 
 from fractions import Fraction
@@ -30,7 +33,8 @@ from .forms import (
     V_TAU_HALF,
     V_ZERO,
     below,
-    eta,
+    eisenstein_e2,
+    eta_cube,
     modular_a_sieved,
     modular_b,
     theta_char,
@@ -93,12 +97,30 @@ H_POINTS = (V_HALF, V_ONE_PLUS_TAU_HALF, V_TAU_HALF)
 
 @order_memo
 def h_series(order):
-    """H(tau) = -8 * [mu(1/2) + mu((1+tau)/2) + mu(tau/2)].
+    """H(tau) = (-2 E2(tau) + 48 F2(tau)) / eta(tau)^3, with
+    F2 = sum_(r>s>0, r-s odd) (-1)^r s q^(rs/2): Eguchi-Hikami,
+    "Superconformal algebras and mock theta functions 2" (2009), as quoted
+    in Eguchi-Ooguri-Tachikawa, arXiv:1004.0956.  It equals
+    -8 * [mu(1/2) + mu((1+tau)/2) + mu(tau/2)], prec included.
 
-    The result is certified to have integer coefficients; the graded
-    coefficients live at exponents -1/8 + k/2 and vanish for odd k.
+    The numerator has valuation 0 and eta^3 valuation 3, so H to P lattice
+    units takes the numerator to P + 3 and eta^3 to P + 6; F2's inner sum
+    over r stops at the numerator's precision.  The result is certified
+    to have integer coefficients; the graded coefficients live at
+    exponents -1/8 + k/2 and vanish for odd k.
     """
-    h = Series.combine([(-8, mu_half_period(v, order)) for v in H_POINTS])
+    prec = LATTICE_DEN * order
+    work = q_order(prec + 3)
+    bound = LATTICE_DEN * work
+    pairs = []  # the term (r, s) of F2 sits at q^(rs/2), 12rs lattice units
+    s = 1
+    while 12 * s * (s + 1) < bound:
+        pairs += [(12 * r * s, -s if r % 2 else s)
+                  for r in range(s + 1, (bound - 1) // (12 * s) + 1, 2)]
+        s += 1
+    f2 = Series.from_pairs(pairs, prec=bound)
+    numerator = Series.combine([(-2, eisenstein_e2(work)), (48, f2)])
+    h = (numerator / eta_cube(q_order(prec + 6))).truncate(prec)
     for e in h.support():
         if h.coefficient(e).denominator != 1:
             raise QSeriesError(f"H(tau) coefficient at lattice {e} is not an integer")
@@ -202,14 +224,14 @@ def genus_mock_order(v, order):
 
 
 def genus_eta_order(v, order):
-    """The q-order of the eta that ``elliptic_genus_mock(v, order)`` reads:
-    eta^3, of valuation 3, divides s theta_1^2 with s = 24 mu(v) + H and
-    keeps eta's prec - val; val s is at least the smaller of val mu(v)
-    and val H (exactly that unless their leading terms cancel)."""
+    """The q-order of the eta^3 that ``elliptic_genus_mock(v, order)`` reads:
+    eta^3, of valuation 3, divides s theta_1^2 with s = 24 mu(v) + H, so it
+    needs prec + 6 - val(s theta_1^2); val s is at least the smaller of
+    val mu(v) and val H (exactly that unless their leading terms cancel)."""
     v = HalfPeriodPoint(*v)
     s_order = genus_mock_order(v, order)
     val_s = min(mu_half_period(v, s_order).min_exp, h_series(s_order).min_exp)
-    return q_order(LATTICE_DEN * order - 2 * theta_char_val(1, v) + 4 - val_s)
+    return q_order(LATTICE_DEN * order - 2 * theta_char_val(1, v) + 6 - val_s)
 
 
 def elliptic_genus_mock(v, order):
@@ -221,8 +243,7 @@ def elliptic_genus_mock(v, order):
     s_order = genus_mock_order(v, order)
     s = Series.combine([(24, mu_half_period(v, s_order)), (1, h_series(s_order))])
     p, t1 = theta_char(1, 1, v, q_order(prec - theta_char_val(1, v) + 3 - s.min_exp))
-    eta3 = eta(1, genus_eta_order(v, order)).pow_int(3)
-    genus = s * t1 * t1 / eta3
+    genus = s * t1 * t1 / eta_cube(genus_eta_order(v, order))
     return (-genus if p % 2 else genus).truncate(prec)  # (i^p)^2 = (-1)^p
 
 

@@ -34,15 +34,21 @@ and on Q+(tau/8) (``ROUTE_QPLUS``), whose difference is ``kernel_check``,
 and route B (``ROUTE_FINAL``), each with its families and its weight.
 ``route_vectors`` keeps one store per route; the stores and the theta
 family are monotone in degree (``degree_memo``), serve a smaller degree
-as a prefix and are replaced only by a deeper build.  So is the Z0hat
-mechanism's ``h_k_family``, keyed by order: H_0..H_K from one
-``bracket_hat_ladder``, so that H_k of a smaller k is served from the
-deepest K asked.  Route B's factor T, ``theta_quotient_factor``, sits on
-``order_memo`` like the series it is built from.
+as a prefix and are replaced only by a deeper build.  So is ``h_ladder``,
+keyed by order: the one bracket ladder on H, which route A on H/12 reads
+with each rung scaled by 1/12 and route B under its 8tau prefactors
+(``bracket_hat_ladder`` takes a plain ladder); at every degree both
+routes ask for H at the same order, so ``generating_function`` builds
+one ladder.  So is the Z0hat mechanism's ``h_k_family``, keyed by
+order: H_0..H_K from one ``bracket_hat_ladder``, so that H_k of a
+smaller k is served from the deepest K asked.  Route B's factor T,
+``theta_quotient_factor``, sits on ``order_memo`` like the series it is
+built from.
 ``z0_reduce`` writes H_k as a polynomial in Z0hat by one descending sweep
 over ``_z0_powers``, the chain Z0hat^0..Z0hat^D and the one place that
 sets Z0hat's working order; ``Z0Polynomial.evaluate`` sums over the same
-table.
+chain, which ``degree_memo`` keeps (keyed by prec, a tuple, never
+changed in place), so a reduction and its evaluation build it once.
 Every Phi_{m,2n} of degree t is a nonzero scalar times the one entry
 b_{t,n}.  Any disagreement between the routes is a hard RouteMismatch
 error: this cross-check is the module's main self-validation.
@@ -114,8 +120,8 @@ class Z0Polynomial(namedtuple("Z0Polynomial", "coefficients")):
         """Re-expand the polynomial as a Series to ``order`` q-units, one
         combination over the common denominator of the coefficients."""
         prec = LATTICE_DEN * order
-        powers = _z0_powers(prec, self.degree())
-        powers[0] = Series.one(prec)  # certifies the sum below prec
+        # Z0hat^0 as the one to prec certifies the sum below prec
+        powers = (Series.one(prec), *_z0_powers(prec, self.degree())[1:])
         coeffs = [Fraction(c) for c in self.coefficients[: len(powers)]]
         den = math.lcm(*(c.denominator for c in coeffs))
         return Series.combine(
@@ -174,17 +180,19 @@ def theta_family(degree):
     return tuple(zip(chain(x.pow_int(0), x, degree), chain(first, step, degree)))
 
 
-def basis_a(mock, degree, k_max):
-    """Route A's families on ``mock`` for every degree <= ``degree``: the
-    powers X^j and the rungs W_k E^k[mock], k = 0..k_max, so that
-    c_{t,k} = CT[X^(t-k) * W_k E^k[mock]].  Theta2, of val 3, is needed to
-    1 - val(mock) + 3(2 degree + 3) + 3 lattice units; the family taken is
-    the deepest (at least degree and k_max) whose order 6D + 16 rounds to
-    that q-order, so that requests of one q-order share one family."""
-    need = 1 - mock.min_exp + 3 * (2 * degree + 3) + 3
-    order = q_order(max(need, 6 * max(degree, k_max) + 16))
+def basis_a(ladder, degree):
+    """Route A's families on a mock for every degree <= ``degree``, from
+    the mock's bracket ``ladder`` E^0[mock], ..., E^K[mock] (a sequence;
+    rung 0 is the mock): the powers X^j and the rungs W_k E^k[mock],
+    k = 0..K, so that c_{t,k} = CT[X^(t-k) * W_k E^k[mock]].  Theta2, of
+    val 3, is needed to 1 - val(mock) + 3(2 degree + 3) + 3 lattice units;
+    the family taken is the deepest (at least degree and K) whose order
+    6D + 16 rounds to that q-order, so that requests of one q-order share
+    one family."""
+    need = 1 - ladder[0].min_exp + 3 * (2 * degree + 3) + 3
+    order = q_order(max(need, 6 * max(degree, len(ladder) - 1) + 16))
     family = theta_family((LATTICE_DEN * order - 16) // 6)
-    rungs = [w * e for (_, w), e in zip(family, bracket_ladder(mock, k_max))]
+    rungs = [w * e for (_, w), e in zip(family, ladder)]
     return [x for x, _ in family], rungs
 
 
@@ -192,7 +200,7 @@ def functional_vector(mplus, t, k_max):
     """Route A's constant terms c_{t,k}[M+], k = 0..k_max, of degree t:
     c_{t,k} = CT[theta4^9 S^(t-k) (theta2 theta3)^(-(2t+3)) E^k[M+]] with
     S = theta2^4 + theta3^4.  M+ must meet ``required_mock_prec``."""
-    return _constant_terms(*basis_a(mplus, t, k_max), t)
+    return _constant_terms(*basis_a(tuple(bracket_ladder(mplus, k_max)), t), t)
 
 
 def weigh_a(entry, m, n):
@@ -246,13 +254,23 @@ def theta_quotient_factor(order):
     return t4.pow_int(9) / t2 / t3 / eta83
 
 
+@degree_memo
+def h_ladder(order, k_max):
+    """E^0[H], ..., E^k_max[H] on H built to ``order`` q-units: the one
+    bracket ladder on H.  Route A reads it with each rung scaled by 1/12
+    as the ladder of H/12, and route B under its 8tau prefactors; both ask
+    for it at the same order, since at every degree D
+    ``mock_order_for(D, 0)`` = q_order((48D + 73)/8)."""
+    return tuple(bracket_ladder(h_series(order), k_max))
+
+
 def basis_b(degree):
     """Route B's families for every degree <= ``degree``: T Z0hat^j and
     Ehat^k[H(8tau)], j, k = 0..degree."""
     rel = 48 * (degree + 2) + 1  # T * Z0^j * Ehat^k has val -48(j+k+2)
-    h8 = h_series(q_order(Fraction(rel - 24, 8))).rescale_exponents(8, 1)
+    ladder = h_ladder(q_order(Fraction(rel - 24, 8)), degree)  # H(8tau) to rel - 24
     # the rungs read Theta2, Theta3 and eta(8tau) deeper than Z0hat and T do
-    rungs = list(bracket_hat_ladder(h8, degree))
+    rungs = list(bracket_hat_ladder(ladder, 8 * ladder[0].prec))
     z0 = z0_hat(q_order(rel - 48))
     tq = theta_quotient_factor(q_order(rel - 48))
     return chain(tq, z0, degree), rungs
@@ -267,16 +285,24 @@ def weigh_b(entry, m, n):
     return scalar * entry
 
 
-def _on_mock(mock):
-    """Route A's families, for every degree <= D, on ``mock(order)`` built
-    to the order that degree D needs."""
-    return lambda degree: basis_a(mock(mock_order_for(degree, 0)), degree, degree)
+def _on_ladder(ladder):
+    """Route A's families, for every degree <= D, on the rungs
+    ``ladder(order, D)`` of a mock built to the order that degree D needs."""
+    return lambda degree: basis_a(ladder(mock_order_for(degree, 0), degree), degree)
+
+
+def _h12_ladder(order, k_max):
+    return tuple(rung.scale(Fraction(1, 12)) for rung in h_ladder(order, k_max))
+
+
+def _qplus_ladder(order, k_max):
+    return tuple(bracket_ladder(q_plus_rescaled(order), k_max))
 
 
 #: route label -> (its families for every degree <= D, its weight)
 ROUTE_TABLE = {
-    ROUTE_H12: (_on_mock(lambda order: h_series(order).scale(Fraction(1, 12))), weigh_a),
-    ROUTE_QPLUS: (_on_mock(q_plus_rescaled), weigh_a),
+    ROUTE_H12: (_on_ladder(_h12_ladder), weigh_a),
+    ROUTE_QPLUS: (_on_ladder(_qplus_ladder), weigh_a),
     ROUTE_FINAL: (basis_b, weigh_b),
 }
 
@@ -370,7 +396,8 @@ def h_k_family(order, k_max):
     qp = q_plus(qp_order)
     h8 = h_series(q_order(Fraction(LATTICE_DEN * qp_order, 8))).rescale_exponents(8, 1)
     diff = Series.combine([(12, qp), (-1, h8)], 12)
-    return tuple(rung.truncate(prec) for rung in bracket_hat_ladder(diff, k_max))
+    ladder = tuple(bracket_ladder(diff.rescale_exponents(1, 8), k_max))
+    return tuple(rung.truncate(prec) for rung in bracket_hat_ladder(ladder, diff.prec))
 
 
 def h_k_series(k, order):
@@ -387,13 +414,15 @@ def h_k_series(k, order):
     return out
 
 
+@degree_memo
 def _z0_powers(prec, degree):
     """Z0hat^0, ..., Z0hat^degree, each certified at least below ``prec``:
     Z0hat^d, of valuation -48d, keeps Z0hat's prec - val, so Z0hat^d needs
     Z0hat at prec + 48(d - 1), and the top power sets the build (degree 0
-    builds none: Z0hat^0 is 1)."""
+    builds none: Z0hat^0 is 1).  A tuple: ``z0_reduce`` and
+    ``Z0Polynomial.evaluate`` read the one memoised chain."""
     z0 = z0_hat(q_order(prec + 48 * (degree - 1))) if degree else Series.one(prec)
-    return chain(z0.pow_int(0), z0, degree)
+    return tuple(chain(z0.pow_int(0), z0, degree))
 
 
 def z0_reduce(f, max_degree):

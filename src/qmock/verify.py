@@ -31,7 +31,7 @@ from .forms import (
     V_ONE_PLUS_TAU_HALF,
     V_TAU_HALF,
     V_ZERO,
-    eta,
+    eta_cube,
     theta_big,
     theta_big_direct,
     theta_nullwert,
@@ -41,7 +41,6 @@ from .mock import (
     a_coefficients,
     elliptic_genus_check,
     elliptic_genus_theta,
-    genus_eta_order,
     genus_mock_order,
     h_series,
     q_plus_rescaled,
@@ -146,9 +145,10 @@ def _build_battery():
     builds that read it shallower; every later read is served from the
     memo as a prefix, in any suite and in any order.  Each build is the
     public call of its deepest reader."""
-    # H, and with it the three mu: the genus at z = tau/2 and (1+tau)/2
+    # H at the genus's deepest order (z = tau/2 and (1+tau)/2), and with it E2
+    # and eta^3 one q-unit deeper, past their other readers; the genus reads
+    # each mu, H's oracle, at one order, so no mu is built here
     h_series(max(genus_mock_order(v, GENUS_ORDER) for v, _ in GENUS_POINTS))
-    eta(1, max(genus_eta_order(v, GENUS_ORDER) for v, _ in GENUS_POINTS))
     for j in (2, 3, 4):  # the rescale relations read the deepest of both thetas
         theta_nullwert(j, RESCALE_ORDER)
         theta_big(j, 8 * RESCALE_ORDER)
@@ -280,7 +280,7 @@ def check_parity():
 
 
 def check_jacobi_eta_cube():
-    lhs = eta(1, q_order(JACOBI_PREC - 2)).pow_int(3)
+    lhs = eta_cube(q_order(JACOBI_PREC))
     pairs = []
     n = 0
     while 12 * n * (n + 1) + 3 < JACOBI_PREC:
@@ -359,7 +359,8 @@ def check_theta_construction_consistency():
 
 def check_hk_reduction():
     bad = []
-    for k in range(HK_K_MAX + 1):
+    # the deepest pole first: its reduction builds the Z0hat chain the others read
+    for k in range(HK_K_MAX, -1, -1):
         try:  # an H_k outside C((q^2)), or not a polynomial in Z0hat, is a failure
             hk = h_k_series(k, HK_ORDER)
             ok = _agree_to(LATTICE_DEN * HK_ORDER, z0_reduce(hk, 2 * k + 4).evaluate(HK_ORDER), hk)
@@ -371,7 +372,7 @@ def check_hk_reduction():
         "hk-z0-reduction",
         not bad,
         f"H_k lies in C((q^2)) and reduces to a Z0hat polynomial for k <= {HK_K_MAX}",
-        f"reduction failed for k in {bad}",
+        f"reduction failed for k in {sorted(bad)}",
     )
 
 

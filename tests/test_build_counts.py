@@ -21,7 +21,7 @@ import pytest
 
 from qmock import cli, forms, mock, uplane, verify
 from qmock.brackets import bracket_hat
-from qmock.mock import H_POINTS
+from qmock.forms import V_HALF, V_ONE_PLUS_TAU_HALF, V_TAU_HALF
 from qmock.qseries import degree_memo, order_memo, q_order
 
 #: the memo kind of a builder, by the least size its memo serves
@@ -88,9 +88,11 @@ def test_jacobi_builds_q_plus_the_h_k_family_and_the_theta_quotient_once(builds)
 
 def test_genus_builds_each_mu_and_h_once_at_the_deepest_order(builds):
     verify.run_suite("genus")
-    # z = tau/2 and (1+tau)/2 read mu and H at order 65, z = 1/2 at 64
+    # z = tau/2 and (1+tau)/2 read mu and H at order 65, z = 1/2 at 64; H comes
+    # from Eguchi-Hikami, so each mu is built by the genus check that reads it
     assert builds["h_series"] == [(65,)]
-    assert builds["mu_half_period"] == [(v, 65) for v in H_POINTS]
+    assert builds["mu_half_period"] == [(V_HALF, 64), (V_TAU_HALF, 65),
+                                        (V_ONE_PLUS_TAU_HALF, 65)]
 
 
 def direct_h_k(k, order):
@@ -130,6 +132,30 @@ def test_generating_function_builds_each_series_once(degree, builds):
     # route B reads Theta2, Theta3 and eta(8tau) deepest in its bracket rungs
     uplane.generating_function(degree)
     assert rebuilt(builds) == {}
+
+
+def test_routes_a_and_b_ask_for_h_at_one_order():
+    # route A on H/12 reads H at mock_order_for(D, 0), route B reads H(8tau)
+    # to 48D + 73 lattice units; the one key lets both read one H ladder
+    for degree in range(2001):
+        assert uplane.mock_order_for(degree, 0) == q_order(Fraction(48 * degree + 73, 8))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 4, 8, 16])
+def test_generating_function_builds_the_h_ladder_once_for_both_routes(degree, monkeypatch):
+    builds, calls = counting(monkeypatch)
+    uplane.generating_function(degree)
+    assert builds["h_ladder"] == [(uplane.mock_order_for(degree, 0), degree)]
+    assert len(calls["h_ladder"]) == 2
+
+
+def test_the_z0hat_reduction_builds_its_power_chain_once(monkeypatch):
+    # H_0..H_4 to order 32 have poles of degree 1..5; z0_reduce and evaluate
+    # read each from the one chain built for the deepest
+    builds, calls = counting(monkeypatch)
+    verify.run_suite("jacobi")
+    assert builds["_z0_powers"] == [(24 * 32, 5)]
+    assert len(calls["_z0_powers"]) == 10
 
 
 def test_every_memo_serves_a_hit_on_a_workload(monkeypatch):

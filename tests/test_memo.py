@@ -21,6 +21,7 @@ POINT_NAMES = {V_HALF: "half", V_ONE_PLUS_TAU_HALF: "onetauhalf", V_TAU_HALF: "t
 #: it is checked at
 MEMOISED = {
     (forms, "eta"): [(1,), (4,), (8,), (16,)],
+    (forms, "eta_cube"): [()],
     (forms, "theta_nullwert"): [(2,), (3,), (4,)],
     (forms, "theta_big"): [(2,), (3,), (4,)],
     (forms, "eisenstein_e2"): [()],
@@ -34,7 +35,8 @@ MEMOISED = {
 
 #: uplane's degree-memoised builders, whose served prefixes
 #: tests/test_degree_store.py and tests/test_build_counts.py check
-DEGREE_MEMOISED = {(uplane, "route_vectors"), (uplane, "theta_family"), (uplane, "h_k_family")}
+DEGREE_MEMOISED = {(uplane, "route_vectors"), (uplane, "theta_family"), (uplane, "h_k_family"),
+                   (uplane, "h_ladder"), (uplane, "_z0_powers")}
 
 WARM_ORDER = 32
 

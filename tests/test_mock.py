@@ -100,6 +100,14 @@ def test_h_series_matches_table():
     assert a_coefficients(8) == A_TABLE
 
 
+@pytest.mark.parametrize("order", [*range(-3, 65), 1024, 4096])
+def test_eguchi_hikami_h_equals_the_mu_sum(order, unmemoised):
+    # H is built from eta^3 H = -2 E2 + 48 F2; the three mu at the
+    # half-periods are its oracle, also where the order certifies no term
+    from_mu = Series.combine([(-8, mock.mu_half_period(v, order)) for v in mock.H_POINTS])
+    assert mock.h_series(order).to_json_obj() == from_mu.to_json_obj()
+
+
 def h_with(monkeypatch, exp24, extra, modules):
     """H with ``extra`` added at lattice exponent ``exp24``, as read
     through ``h_series`` in each of ``modules``."""

@@ -34,10 +34,10 @@ def test_verify_reads_uplane_only_through_its_public_calls():
 
 
 #: check, the side shortened, and the depth constants set for the case.  At
-#: JACOBI_PREC = 200 eta is built to q_order(198) = 9 q-units, 216 lattice
-#: units, so an eta 8 short still certifies 200; at 48 it certifies 40.
+#: JACOBI_PREC = 200 eta^3 is built to q_order(200) = 9 q-units, 216 lattice
+#: units, so an eta^3 8 short still certifies 200; at 48 it certifies 40.
 CASES = [
-    (V.check_jacobi_eta_cube, "eta", {"JACOBI_PREC": 48}),
+    (V.check_jacobi_eta_cube, "eta_cube", {"JACOBI_PREC": 48}),
     (V.check_z0_derivative_corrected, "theta_quotient_factor", {}),
     (V.check_z0_derivative_corrected, "z0_hat", {}),
     (V.check_rescale_relations, "theta_nullwert", {}),
@@ -116,6 +116,22 @@ def test_a_wrong_h_turns_the_kernel_check_red(unmemoised, monkeypatch):
     result = V.check_kernel()
     assert not result.passed
     assert result.detail.startswith("nonzero at [(0, 2, ")
+
+
+def test_a_wrong_h_turns_the_genus_and_mock_coefficient_checks_red(monkeypatch):
+    # H comes from Eguchi-Hikami; the genus check reads the three mu against
+    # it, so mu checks the production H in every verify run
+    h_series = mock.h_series
+
+    def wrong_h(order):  # H + 2 q^(23/8): A_3 off by one, at lattice 69
+        return h_series(order) + Series.monomial(69, 2, prec=24 * order)
+
+    for module in (mock, uplane, V):
+        monkeypatch.setattr(module, "h_series", wrong_h)
+    results = {r.name: r for suite in ("paper-table", "genus") for r in V.run_suite(suite)}
+    assert not results["mock-coefficients"].passed
+    assert "mismatches [(3, 771, 770)]" in results["mock-coefficients"].detail
+    assert results["elliptic-genus"].detail == "failures: ['z=1/2', 'z=tau/2', 'z=(1+tau)/2']"
 
 
 def test_a_wrong_bracket_row_turns_the_kernel_check_red(unmemoised, monkeypatch):
