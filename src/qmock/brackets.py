@@ -26,11 +26,11 @@ invariant layer: route A reads it scaled by 1/12 as the ladder of H/12
 
 Precision follows the rules in ``qseries``: E2 is built to the operand's
 prec - val and has valuation 0, so E2^(-1) is certified as far as E2 and
-every bracket certifies exactly the operand's prec; ``bracket_hat``
-certifies m8.prec - 48k - 24 whatever k is.
+every bracket certifies exactly the operand's prec.  Hat rung k on the
+ladder of m certifies 8 m.prec - 48k - 24 whatever k is; ``bracket_hat``
+cuts it to m8.prec - 48k - 24, as m = m8(tau/8) rounds m8.prec up.
 """
 
-from collections import deque
 from fractions import Fraction
 from math import comb, prod
 
@@ -68,13 +68,12 @@ def bracket_coefficients(k):
 
 
 def bracket_ladder(m_series, k_max):
-    """Yield E^0[M], ..., E^k_max[M] in order; E^0[M] is M itself, yielded
-    before E2 is built, so k_max = 0 builds no E2."""
+    """The tuple E^0[M], ..., E^k_max[M]; E^0[M] is M itself, so k_max = 0
+    builds no E2."""
     if k_max < 0:
         raise ValueError("bracket order k must be nonnegative")
-    yield m_series
     if not k_max:
-        return
+        return (m_series,)
     e2 = eisenstein_e2(q_order(m_series.prec - m_series.min_exp))  # E2 needs this
     e2_inv = e2.invert()
     u = [m_series]
@@ -83,40 +82,36 @@ def bracket_ladder(m_series, k_max):
         deriv = deriv.q_derive()
         u.append(deriv * e2_inv_j)
     weights, big = _gamma_weights(k_max)
-    for k, e2_k in enumerate(chain(e2, e2, k_max - 1), 1):
-        yield e2_k * Series.combine(zip(_row(k, weights), u), big)
+    return (m_series, *(e2_k * Series.combine(zip(_row(k, weights), u), big)
+                        for k, e2_k in enumerate(chain(e2, e2, k_max - 1), 1)))
 
 
-def bracket_hat_ladder(ladder, prec):
-    """Yield eta(8tau)^3 / (Theta2*Theta3)^(2k+2) * E^k[m8] for k = 0..K from
-    the plain ``ladder`` E^0[m], ..., E^K[m] (a sequence) of m = m8(tau/8):
-    the bracket in the 8tau variable is the plain rung rescaled by 8 and
-    cut back to ``prec``, m8's prec.  The building blocks of the kernel
+def bracket_hat_ladder(ladder):
+    """The tuple eta(8tau)^3 / (Theta2*Theta3)^(2k+2) * E^k[m8], k = 0..K,
+    from the plain ``ladder`` E^0[m], ..., E^K[m] of m = m8(tau/8): the
+    bracket in the 8tau variable is the plain rung rescaled by 8, and rung
+    k certifies 8 m.prec - 48k - 24.  The building blocks of the kernel
     mechanism and of route B; taking the ladder, not m8, lets route B read
     the one ladder on H that route A reads too."""
-    rel = max(1, prec - 8 * ladder[0].min_exp)  # 1 keeps Theta2 invertible for a zero m8
+    rel = max(1, 8 * (ladder[0].prec - ladder[0].min_exp))  # 1: Theta2 invertible for m8 = 0
     eta8_cubed = eta(8, q_order(rel + 8)).pow_int(3)
     t23 = theta_big(2, q_order(rel + 24)) * theta_big(3, q_order(rel))
     step = t23.pow_int(-2)
     prefactors = chain(eta8_cubed * step, step, len(ladder) - 1)
-    for prefactor, bracket in zip(prefactors, ladder):
-        yield prefactor * bracket.rescale_exponents(8, 1).truncate(prec)
-
-
-def _top(ladder):
-    return deque(ladder, maxlen=1)[0]
+    return tuple(prefactor * bracket.rescale_exponents(8, 1)
+                 for prefactor, bracket in zip(prefactors, ladder))
 
 
 def cohen_bracket(m_series, k):
     """E^k[M]: sum_j c_{k,j} * E2^(k-j) * (q d/dq)^j M, the top rung of
     ``bracket_ladder``."""
-    return _top(bracket_ladder(m_series, k))
+    return bracket_ladder(m_series, k)[-1]
 
 
 def bracket_hat(m8, k):
     """eta(8tau)^3 / (Theta2*Theta3)^(2k+2) times the bracket of an
     8tau-variable operand, the top rung of ``bracket_hat_ladder`` on the
-    ladder of m8(tau/8) (m8 must be a series in q^8, LatticeError
-    otherwise)."""
-    ladder = tuple(bracket_ladder(m8.rescale_exponents(1, 8), k))
-    return _top(bracket_hat_ladder(ladder, m8.prec))
+    ladder of m8(tau/8), cut to m8.prec - 48k - 24 (m8 must be a series in
+    q^8, LatticeError otherwise)."""
+    top = bracket_hat_ladder(bracket_ladder(m8.rescale_exponents(1, 8), k))[-1]
+    return top.truncate(m8.prec - 48 * k - 24)

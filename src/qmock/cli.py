@@ -134,16 +134,12 @@ def cmd_moonshine(args, out):
     count, witnesses = (None, []) if args.cap is None else decompose_bounded(
         target, args.cap, args.max_witnesses)
     rows = [list(w.multiplicities) for w in witnesses]
-
-    def report():
-        yield f"A_{args.n} = {target}"
-        if distinct:
-            yield "distinct: " + (" + ".join(map(str, dims)) if dims else "none")
-        if args.cap is not None:
-            yield f"count (cap {args.cap}): {count}"
-            yield from (f"witness: {row}" for row in rows)
-
-    return render(out, args.format, to_plain=report, to_json=lambda: {
+    lines = [f"A_{args.n} = {target}"]
+    if distinct:
+        lines.append("distinct: " + (" + ".join(map(str, dims)) if dims else "none"))
+    if args.cap is not None:
+        lines += [f"count (cap {args.cap}): {count}", *(f"witness: {row}" for row in rows)]
+    return render(out, args.format, to_plain=lambda: lines, to_json=lambda: {
         "bounded_count": None if count is None else str(count),
         "distinct_witness": dims, "n": args.n, "target": target, "witnesses": rows})
 

@@ -84,14 +84,16 @@ V_ZERO = HalfPeriodPoint(Fraction(0), Fraction(0))
 
 
 def below(exponent, start, bound):
-    """Each integer n with exponent(n) < bound, for an exponent that does
+    """The integers n with exponent(n) < bound, for an exponent that does
     not fall going outward from ``start`` or from ``start - 1``: a convex
     one with its minimum at either.  Both sides are scanned outward, each
     up to its first exponent >= bound."""
+    out = []
     for n, step in ((start, 1), (start - 1, -1)):
         while exponent(n) < bound:
-            yield n
+            out.append(n)
             n += step
+    return out
 
 
 def _eta_lattice(k, prec):

@@ -15,11 +15,12 @@ The Lerch sum's n-th summand starts at an exponent convex in n and least
 at n = -s, where v = r + s*tau; ``forms.below`` scans it outward from
 there, so mu is exact at every half-period, not only at s = 0 and 1/2.
 
-mu, H and Q+ sit on ``qseries.order_memo``: each is built once at the
+H and Q+ sit on ``qseries.order_memo``: each is built once at the
 deepest order asked so far, and a smaller order (Q+(tau/8) at order N
-reads Q+ at 8N) is served as a truncation.  ``genus_mock_order`` and
-``genus_eta_order`` name the orders the genus reads mu, H and eta^3 at,
-so a caller can ask for the deepest ones first.
+reads Q+ at 8N) is served as a truncation.  mu is not memoised: the
+genus reads each mu once.  ``genus_mock_order`` names the order the
+genus reads mu and H at, so a caller can build H there first; eta^3's
+order is read off the sum 24 mu + H the genus holds.
 """
 
 from fractions import Fraction
@@ -47,7 +48,6 @@ class PoleAtArgument(QSeriesError):
     """mu(z; tau) or 1/theta_1(z|tau) evaluated at a lattice point z."""
 
 
-@order_memo
 def mu_half_period(v, order):
     """The Appell-Lerch sum mu(v; tau) for v = r + s*tau, r,s in (1/2)Z.
 
@@ -223,17 +223,6 @@ def genus_mock_order(v, order):
     return q_order(LATTICE_DEN * order - 2 * theta_char_val(1, HalfPeriodPoint(*v)) + 3)
 
 
-def genus_eta_order(v, order):
-    """The q-order of the eta^3 that ``elliptic_genus_mock(v, order)`` reads:
-    eta^3, of valuation 3, divides s theta_1^2 with s = 24 mu(v) + H, so it
-    needs prec + 6 - val(s theta_1^2); val s is at least the smaller of
-    val mu(v) and val H (exactly that unless their leading terms cancel)."""
-    v = HalfPeriodPoint(*v)
-    s_order = genus_mock_order(v, order)
-    val_s = min(mu_half_period(v, s_order).min_exp, h_series(s_order).min_exp)
-    return q_order(LATTICE_DEN * order - 2 * theta_char_val(1, v) + 6 - val_s)
-
-
 def elliptic_genus_mock(v, order):
     """theta_1(z|tau)^2 / eta^3 * (24 mu(z;tau) + H(tau)) at z = v."""
     v = HalfPeriodPoint(*v)
@@ -242,8 +231,10 @@ def elliptic_genus_mock(v, order):
     prec = LATTICE_DEN * order
     s_order = genus_mock_order(v, order)
     s = Series.combine([(24, mu_half_period(v, s_order)), (1, h_series(s_order))])
-    p, t1 = theta_char(1, 1, v, q_order(prec - theta_char_val(1, v) + 3 - s.min_exp))
-    genus = s * t1 * t1 / eta_cube(genus_eta_order(v, order))
+    v_t1 = theta_char_val(1, v)
+    p, t1 = theta_char(1, 1, v, q_order(prec - v_t1 + 3 - s.min_exp))
+    # eta^3, of valuation 3, divides s theta_1^2, so it needs prec + 6 - val(s theta_1^2)
+    genus = s * t1 * t1 / eta_cube(q_order(prec - 2 * v_t1 + 6 - s.min_exp))
     return (-genus if p % 2 else genus).truncate(prec)  # (i^p)^2 = (-1)^p
 
 

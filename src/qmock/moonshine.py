@@ -17,7 +17,6 @@ Python integer with one digit per exponent.
 """
 
 from collections import namedtuple
-from itertools import islice
 
 #: dimensions of the 26 irreducible representations of M24, ascending
 M24_DIMENSIONS = (
@@ -62,18 +61,19 @@ def _reach(target, cap):
     return reach if reach[0] >> target & 1 else None
 
 
-def _witnesses(reach, cap, i, remaining):
-    """The multiplicity vectors of slots i.. summing to ``remaining``, which
-    ``reach[i]`` reaches, in lex order: every branch taken ends in one."""
+def _witnesses(reach, cap, i, remaining, limit):
+    """The first ``limit`` multiplicity vectors, in lex order, of slots i..
+    summing to ``remaining``, which ``reach[i]`` reaches: every branch taken
+    ends in one, so the search stops after ``limit`` branches."""
     dims = M24_DIMENSIONS
     if i == len(dims):
-        yield ()
-        return
+        return [()]
+    out = []
     for t in range(min(cap, remaining // dims[i]) + 1):
         rest = remaining - t * dims[i]
-        if reach[i + 1] >> rest & 1:
-            for tail in _witnesses(reach, cap, i + 1, rest):
-                yield (t,) + tail
+        if len(out) < limit and reach[i + 1] >> rest & 1:
+            out += [(t,) + tail for tail in _witnesses(reach, cap, i + 1, rest, limit - len(out))]
+    return out
 
 
 def decompose_distinct(target):
@@ -83,7 +83,7 @@ def decompose_distinct(target):
     reach = _reach(target, 1)
     if reach is None:
         return None
-    return DecompositionWitness(next(_witnesses(reach, 1, 0, target)))
+    return DecompositionWitness(_witnesses(reach, 1, 0, target, 1)[0])
 
 
 def decompose_bounded(target, multiplicity_cap, max_witnesses=4):
@@ -100,7 +100,7 @@ def decompose_bounded(target, multiplicity_cap, max_witnesses=4):
     poly = 1
     for d in M24_DIMENSIONS:
         poly = sum(poly << (width * t * d) for t in range(min(cap, target // d) + 1)) & low
-    found = islice(_witnesses(reach, cap, 0, target), max(max_witnesses, 0))
+    found = _witnesses(reach, cap, 0, target, max_witnesses)
     return poly >> (width * target), [DecompositionWitness(w) for w in found]
 
 

@@ -510,7 +510,7 @@ class Series:
         LatticeError is raised.  Precision rescales the same way, rounded
         up when ``den`` does not divide it, so a 1/8-then-8 round trip can
         claim up to 7 more lattice units than its input.  That is true
-        only for a series in q^8, so callers truncate back.
+        only for a series in q^8; ``brackets.bracket_hat`` truncates back.
         """
         if num < 1 or den < 1:
             raise ValueError("rescale factors must be positive integers")
@@ -630,13 +630,13 @@ class Series:
 
 
 def chain(first, step, n):
-    """[first * step^j for j = 0..n], one product per j: every family of
-    powers in the package.  Each product keeps prec - val, so
+    """The tuple first * step^j, j = 0..n, one product per j: every family
+    of powers in the package.  Each product keeps prec - val, so
     ``chain(x.pow_int(0), x, n)[j]`` equals ``x.pow_int(j)``, prec too."""
     out = [first]
     for _ in range(n):
         out.append(out[-1] * step)
-    return out
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------

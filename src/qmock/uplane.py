@@ -37,13 +37,14 @@ family are monotone in degree (``degree_memo``), serve a smaller degree
 as a prefix and are replaced only by a deeper build.  So is ``h_ladder``,
 keyed by order: the one bracket ladder on H, which route A on H/12 reads
 with each rung scaled by 1/12 and route B under its 8tau prefactors
-(``bracket_hat_ladder`` takes a plain ladder); at every degree both
-routes ask for H at the same order, so ``generating_function`` builds
-one ladder.  So is the Z0hat mechanism's ``h_k_family``, keyed by
-order: H_0..H_K from one ``bracket_hat_ladder``, so that H_k of a
-smaller k is served from the deepest K asked.  Route B's factor T,
-``theta_quotient_factor``, sits on ``order_memo`` like the series it is
-built from.
+(``bracket_hat_ladder`` takes a plain ladder and reads its precision off
+it); both routes ask for H at ``mock_order_for(D, 0)``, so
+``generating_function`` builds one ladder.  So is the Z0hat mechanism's
+``h_k_family``, keyed by order: H_0..H_K from one ``bracket_hat_ladder``
+on the ladder of Q+(tau/8) - H/12, so that H_k of a smaller k is served
+from the deepest K asked.  Every memoised family is a tuple.  Route B's
+factor T, ``theta_quotient_factor``, sits on ``order_memo`` like the
+series it is built from.
 ``z0_reduce`` writes H_k as a polynomial in Z0hat by one descending sweep
 over ``_z0_powers``, the chain Z0hat^0..Z0hat^D and the one place that
 sets Z0hat's working order; ``Z0Polynomial.evaluate`` sums over the same
@@ -59,8 +60,9 @@ keep the thetas' prec - val, so the family of depth D, from thetas built
 to 6D + 16 lattice units, certifies degree D on H/12 (val -3, built to
 ``required_mock_prec(D, 0)``); a deeper pole takes a deeper family.
 Every route B term has valuation -48(t+2) lattice units; with
-R = 48(D+2) + 1, T and Z0hat are built to R - 48 and H(8tau) to R - 24
-(``bracket_hat`` keeps its operand's prec - val whatever k is).
+R = 48(D+2) + 1, T and Z0hat are built to R - 48, and H(8tau), needed to
+R - 24 = 8(6D + 9) + 1, is H at route A's order, 6D + 10 (each hat rung
+keeps its operand's prec - val whatever k is).
 """
 
 import math
@@ -200,7 +202,7 @@ def functional_vector(mplus, t, k_max):
     """Route A's constant terms c_{t,k}[M+], k = 0..k_max, of degree t:
     c_{t,k} = CT[theta4^9 S^(t-k) (theta2 theta3)^(-(2t+3)) E^k[M+]] with
     S = theta2^4 + theta3^4.  M+ must meet ``required_mock_prec``."""
-    return _constant_terms(*basis_a(tuple(bracket_ladder(mplus, k_max)), t), t)
+    return _constant_terms(*basis_a(bracket_ladder(mplus, k_max), t), t)
 
 
 def weigh_a(entry, m, n):
@@ -259,18 +261,17 @@ def h_ladder(order, k_max):
     """E^0[H], ..., E^k_max[H] on H built to ``order`` q-units: the one
     bracket ladder on H.  Route A reads it with each rung scaled by 1/12
     as the ladder of H/12, and route B under its 8tau prefactors; both ask
-    for it at the same order, since at every degree D
-    ``mock_order_for(D, 0)`` = q_order((48D + 73)/8)."""
-    return tuple(bracket_ladder(h_series(order), k_max))
+    for it at ``mock_order_for(D, 0)``."""
+    return bracket_ladder(h_series(order), k_max)
 
 
 def basis_b(degree):
     """Route B's families for every degree <= ``degree``: T Z0hat^j and
     Ehat^k[H(8tau)], j, k = 0..degree."""
     rel = 48 * (degree + 2) + 1  # T * Z0^j * Ehat^k has val -48(j+k+2)
-    ladder = h_ladder(q_order(Fraction(rel - 24, 8)), degree)  # H(8tau) to rel - 24
+    # H(8tau) is needed to rel - 24 = 8(6D + 9) + 1, so H to route A's 6D + 10;
     # the rungs read Theta2, Theta3 and eta(8tau) deeper than Z0hat and T do
-    rungs = list(bracket_hat_ladder(ladder, 8 * ladder[0].prec))
+    rungs = bracket_hat_ladder(h_ladder(mock_order_for(degree, 0), degree))
     z0 = z0_hat(q_order(rel - 48))
     tq = theta_quotient_factor(q_order(rel - 48))
     return chain(tq, z0, degree), rungs
@@ -296,7 +297,7 @@ def _h12_ladder(order, k_max):
 
 
 def _qplus_ladder(order, k_max):
-    return tuple(bracket_ladder(q_plus_rescaled(order), k_max))
+    return bracket_ladder(q_plus_rescaled(order), k_max)
 
 
 #: route label -> (its families for every degree <= D, its weight)
@@ -388,16 +389,13 @@ def format_z(records):
 @degree_memo
 def h_k_family(order, k_max):
     """H_0, ..., H_k_max, each certified to ``order`` q-units, from one
-    ``bracket_hat_ladder`` on one Q+(tau) - H(8tau)/12 built for k_max: rung
-    k certifies its operand's prec - 48k - 24, so rung k_max needs Q+ to
-    prec + 48 k_max + 24 lattice units."""
+    ``bracket_hat_ladder`` on the ladder of one Q+(tau/8) - H(tau)/12 built
+    for k_max: rung k certifies 8 times its operand's prec - 48k - 24, so
+    rung k_max needs Q+ to prec + 48 k_max + 24 lattice units."""
     prec = LATTICE_DEN * order
-    qp_order = q_order(prec + 48 * k_max + 24)
-    qp = q_plus(qp_order)
-    h8 = h_series(q_order(Fraction(LATTICE_DEN * qp_order, 8))).rescale_exponents(8, 1)
-    diff = Series.combine([(12, qp), (-1, h8)], 12)
-    ladder = tuple(bracket_ladder(diff.rescale_exponents(1, 8), k_max))
-    return tuple(rung.truncate(prec) for rung in bracket_hat_ladder(ladder, diff.prec))
+    qp8 = q_plus(q_order(prec + 48 * k_max + 24)).rescale_exponents(1, 8)
+    diff = Series.combine([(12, qp8), (-1, h_series(q_order(qp8.prec)))], 12)
+    return tuple(rung.truncate(prec) for rung in bracket_hat_ladder(bracket_ladder(diff, k_max)))
 
 
 def h_k_series(k, order):
@@ -422,7 +420,7 @@ def _z0_powers(prec, degree):
     builds none: Z0hat^0 is 1).  A tuple: ``z0_reduce`` and
     ``Z0Polynomial.evaluate`` read the one memoised chain."""
     z0 = z0_hat(q_order(prec + 48 * (degree - 1))) if degree else Series.one(prec)
-    return tuple(chain(z0.pow_int(0), z0, degree))
+    return chain(z0.pow_int(0), z0, degree)
 
 
 def z0_reduce(f, max_degree):

@@ -39,13 +39,19 @@ COUNTED = {
 RAW = {(module, name): getattr(module, name).__wrapped__ for module, name in COUNTED}
 
 
+def rebind(monkeypatch, old, new):
+    """Replace ``old`` by ``new`` in every qmock module that binds it."""
+    for m in [m for name, m in sys.modules.items() if name.split(".")[0] == "qmock"]:
+        for attr, value in list(vars(m).items()):
+            if value is old:
+                monkeypatch.setattr(m, attr, new)
+
+
 def counting(monkeypatch):
     """name -> the arguments of every build, and name -> the arguments of
     every call, of each builder, behind a fresh memo."""
     builds, calls = defaultdict(list), defaultdict(list)
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "qmock"]
     for (module, name), memo in COUNTED.items():
-        old = getattr(module, name)
 
         def build(*args, raw=RAW[module, name], name=name):
             builds[name].append(args)
@@ -55,10 +61,7 @@ def counting(monkeypatch):
             calls[name].append(args)
             return memoised(*args)
 
-        for m in modules:
-            for attr, value in list(vars(m).items()):
-                if value is old:
-                    monkeypatch.setattr(m, attr, call)
+        rebind(monkeypatch, getattr(module, name), call)
     return builds, calls
 
 
@@ -86,13 +89,20 @@ def test_jacobi_builds_q_plus_the_h_k_family_and_the_theta_quotient_once(builds)
     assert builds["theta_quotient_factor"] == [(128,)]
 
 
-def test_genus_builds_each_mu_and_h_once_at_the_deepest_order(builds):
+def test_genus_builds_each_mu_and_h_once_at_the_deepest_order(builds, monkeypatch):
+    mu_calls = []
+
+    def mu(v, order, raw=mock.mu_half_period):
+        mu_calls.append((v, order))
+        return raw(v, order)
+
+    monkeypatch.setattr(mock, "mu_half_period", mu)
     verify.run_suite("genus")
     # z = tau/2 and (1+tau)/2 read mu and H at order 65, z = 1/2 at 64; H comes
-    # from Eguchi-Hikami, so each mu is built by the genus check that reads it
+    # from Eguchi-Hikami, and mu, not memoised, is built once by the genus
+    # check that reads it
     assert builds["h_series"] == [(65,)]
-    assert builds["mu_half_period"] == [(V_HALF, 64), (V_TAU_HALF, 65),
-                                        (V_ONE_PLUS_TAU_HALF, 65)]
+    assert mu_calls == [(V_HALF, 64), (V_TAU_HALF, 65), (V_ONE_PLUS_TAU_HALF, 65)]
 
 
 def direct_h_k(k, order):
@@ -135,8 +145,8 @@ def test_generating_function_builds_each_series_once(degree, builds):
 
 
 def test_routes_a_and_b_ask_for_h_at_one_order():
-    # route A on H/12 reads H at mock_order_for(D, 0), route B reads H(8tau)
-    # to 48D + 73 lattice units; the one key lets both read one H ladder
+    # both routes read the H ladder at mock_order_for(D, 0); route B needs
+    # H(8tau) to 48D + 73 lattice units, and that order is the least that covers it
     for degree in range(2001):
         assert uplane.mock_order_for(degree, 0) == q_order(Fraction(48 * degree + 73, 8))
 
@@ -169,3 +179,31 @@ def test_every_memo_serves_a_hit_on_a_workload(monkeypatch):
         served |= {name for name in calls if len(calls[name]) > len(builds[name])}
     unserved = {name for _, name in COUNTED} - served
     assert unserved == set()
+
+
+def frozen(value):
+    """True when no list, dict or set sits in ``value`` or the tuples in it."""
+    if isinstance(value, tuple):
+        return all(frozen(item) for item in value)
+    return not isinstance(value, (list, dict, set))
+
+
+def test_every_degree_memoised_family_is_a_tuple(monkeypatch):
+    # a memoised family is served to every later reader, so none may hold a
+    # list that one reader could change under the next; each builder sits
+    # behind a fresh memo, so every one is called
+    results = defaultdict(list)
+    memoised = {(module, name) for (module, name), memo in COUNTED.items() if memo is degree_memo}
+    for module, name in memoised:
+
+        def call(*args, fresh=degree_memo(RAW[module, name]), name=name):
+            results[name].append(out := fresh(*args))
+            return out
+
+        rebind(monkeypatch, getattr(module, name), call)
+    cli.main(["table", "--max", "8"])
+    for suite in WORKLOAD:
+        verify.run_suite(suite)
+    assert set(results) == {name for _, name in memoised}
+    for name, served in results.items():
+        assert all(isinstance(out, tuple) and frozen(out) for out in served), name

@@ -257,7 +257,7 @@ def test_ladder_equals_bracket_at_exact_prec(operand, scale):
 def test_hat_ladder_equals_bracket_hat_at_exact_prec(operand):
     m8 = OPERANDS[operand](8)
     plain = tuple(bracket_ladder(m8.rescale_exponents(1, 8), LADDER_DEPTH))
-    ladder = list(bracket_hat_ladder(plain, m8.prec))
+    ladder = bracket_hat_ladder(plain)
     assert len(ladder) == LADDER_DEPTH + 1
     for k, rung in enumerate(ladder):
         want = reference_bracket_hat(m8, k)

@@ -12,10 +12,7 @@ from pathlib import Path
 import pytest
 
 from qmock import forms, mock, qseries, uplane
-from qmock.forms import V_HALF, V_ONE_PLUS_TAU_HALF, V_TAU_HALF
 from qmock.qseries import Series, degree_memo, order_memo
-
-POINT_NAMES = {V_HALF: "half", V_ONE_PLUS_TAU_HALF: "onetauhalf", V_TAU_HALF: "tauhalf"}
 
 #: every memoised function, with the keys (arguments before the order)
 #: it is checked at
@@ -27,7 +24,6 @@ MEMOISED = {
     (forms, "eisenstein_e2"): [()],
     (forms, "z0_hat"): [()],
     (forms, "modular_a"): [()],
-    (mock, "mu_half_period"): [(V_HALF,), (V_ONE_PLUS_TAU_HALF,), (V_TAU_HALF,)],
     (mock, "h_series"): [()],
     (mock, "q_plus"): [()],
     (uplane, "theta_quotient_factor"): [()],
@@ -72,7 +68,7 @@ def test_no_module_memoises_through_functools():
 
 @pytest.mark.parametrize("module, name, key", [
     pytest.param(module, name, key,
-                 id="-".join([name, *(str(POINT_NAMES.get(k, k)) for k in key)]))
+                 id="-".join([name, *map(str, key)]))
     for (module, name), keys in MEMOISED.items() for key in keys
 ])
 def test_served_orders_equal_direct_computation(module, name, key):
