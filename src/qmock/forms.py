@@ -109,7 +109,6 @@ def _eta_lattice(k, prec):
                              prec=prec)
 
 
-@order_memo
 def eta(k, order):
     """q-expansion of eta(k*tau) to the given order in q-units; order 0
     certifies the empty prefix."""
@@ -222,7 +221,6 @@ def theta_big_direct(j, order):
     return Series.from_pairs(pairs, prec=prec)
 
 
-@order_memo
 def eisenstein_e2(order):
     """E2(tau) = 1 - 24 * sum sigma_1(n) q^n, sigma_1 from one divisor sieve."""
     sigma = [0] * order
@@ -265,18 +263,12 @@ SPEC_A = EtaQuotientSpec(((4, 8), (8, -7)))  # eta(4t)^8 / eta(8t)^7
 SPEC_B = EtaQuotientSpec(((8, 5), (16, -4)))  # eta(8t)^5 / eta(16t)^4
 
 
-@order_memo
 def modular_a(order):
     return eta_quotient(SPEC_A, order)
 
 
 def modular_b(order):
     return eta_quotient(SPEC_B, order)
-
-
-def modular_a_sieved(residue, order):
-    """The part of modular_a supported on exponents = residue mod 8."""
-    return modular_a(order).sieve(residue, 8)
 
 
 NAMED_FORMS = {
@@ -293,6 +285,6 @@ NAMED_FORMS = {
     "Z0hat": z0_hat,
     "A": modular_a,
     "B": modular_b,
-    "A38": lambda order: modular_a_sieved(3, order),
-    "A78": lambda order: modular_a_sieved(7, order),
+    "A38": lambda order: modular_a(order).sieve(3, 8),  # A's terms at q^(3 mod 8)
+    "A78": lambda order: modular_a(order).sieve(7, 8),
 }

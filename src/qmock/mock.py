@@ -36,7 +36,7 @@ from .forms import (
     below,
     eisenstein_e2,
     eta_cube,
-    modular_a_sieved,
+    modular_a,
     modular_b,
     theta_char,
     theta_char_val,
@@ -176,7 +176,8 @@ def q_plus(order):
     """
     prec = LATTICE_DEN * order
     work = q_order(prec)  # at least 1: the q^-1 pole lies below any prec <= 0
-    s = Series.combine([(-7, modular_a_sieved(3, work)), (3, modular_a_sieved(7, work)),
+    a = modular_a(work)  # built once, sieved twice
+    s = Series.combine([(-7, a.sieve(3, 8)), (3, a.sieve(7, 8)),
                         (-1, modular_b(work)), (8, mock_theta_m(work))], 2)
     return s.truncate(prec)
 

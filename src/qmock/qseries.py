@@ -74,6 +74,13 @@ class InsufficientPrecision(QSeriesError):
         self.needed = needed  # lattice units of prec that would suffice
 
 
+def _lattice(x, what):
+    """``x`` if it is an int (a bool is not), else LatticeError naming it."""
+    if type(x) is not int:
+        raise LatticeError(f"{what} must be an int of lattice units, got {x!r}")
+    return x
+
+
 def _rational(x):
     if type(x) is Fraction:
         return x
@@ -242,13 +249,13 @@ class Series:
 
     @classmethod
     def zero(cls, prec):
-        return _series(prec, [], [], 1)
+        return _series(_lattice(prec, "prec"), [], [], 1)
 
     @classmethod
     def monomial(cls, exp24, coeff=1, *, prec):
         """c * q^(exp24/24), known up to (but excluding) prec."""
         coeff = _rational(coeff)
-        if exp24 >= prec or not coeff:
+        if _lattice(exp24, "exponent") >= _lattice(prec, "prec") or not coeff:
             return cls.zero(prec)
         return _series(prec, [exp24], [coeff.numerator], coeff.denominator)
 
@@ -259,8 +266,12 @@ class Series:
     @classmethod
     def from_pairs(cls, pairs, *, prec):
         """Series from (exp24, coefficient) pairs; later pairs accumulate.
-        Plain ints are used as they are, other rationals as Fractions."""
-        exact = ((e, c if type(c) is int else _rational(c)) for e, c in pairs)
+        Plain ints are used as they are, other rationals as Fractions.  An
+        exponent or prec that is not an int raises LatticeError, here and in
+        ``zero`` and ``monomial``."""
+        _lattice(prec, "prec")
+        exact = ((e if type(e) is int else _lattice(e, "exponent"),
+                  c if type(c) is int else _rational(c)) for e, c in pairs)
         return _series(prec, *_rational_terms([(e, c) for e, c in exact if e < prec and c]))
 
     # ------------------------------------------------------------------

@@ -44,7 +44,7 @@ it); both routes ask for H at ``mock_order_for(D, 0)``, so
 on the ladder of Q+(tau/8) - H/12, so that H_k of a smaller k is served
 from the deepest K asked.  Every memoised family is a tuple.  Route B's
 factor T, ``theta_quotient_factor``, sits on ``order_memo`` like the
-series it is built from.
+Theta_j it is built from.
 ``z0_reduce`` writes H_k as a polynomial in Z0hat by one descending sweep
 over ``_z0_powers``, the chain Z0hat^0..Z0hat^D and the one place that
 sets Z0hat's working order; ``Z0Polynomial.evaluate`` sums over the same
@@ -399,17 +399,10 @@ def h_k_family(order, k_max):
 
 
 def h_k_series(k, order):
-    """H_k(q) = eta(8tau)^3/(Theta2 Theta3)^(2k+2) * E^k[Q+(tau) - H(8tau)/12],
-    certified to ``order`` q-units; always lands in C((q^2)).  It is entry
-    k of ``h_k_family``, which serves a smaller k from a deeper build."""
-    out = h_k_family(order, k)[k]
-    bad = [e for e in out.support() if e % (2 * LATTICE_DEN)]
-    if bad:
-        raise OddExponent(
-            f"H_{k} has an odd-exponent term at lattice {bad[0]}; "
-            "the kernel mechanism would be broken"
-        )
-    return out
+    """H_k(q) = eta(8tau)^3/(Theta2 Theta3)^(2k+2) * E^k[Q+(tau) - H(8tau)/12]
+    to ``order`` q-units: entry k of ``h_k_family``, which serves a smaller k
+    from a deeper build.  ``z0_reduce`` checks that it lies in C((q^2))."""
+    return h_k_family(order, k)[k]
 
 
 @degree_memo

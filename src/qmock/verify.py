@@ -145,17 +145,17 @@ def _build_battery():
     builds that read it shallower; every later read is served from the
     memo as a prefix, in any suite and in any order.  Each build is the
     public call of its deepest reader."""
-    # H at the genus's deepest order (z = tau/2 and (1+tau)/2), and with it E2
-    # and eta^3 one q-unit deeper, past their other readers; the genus reads
-    # each mu, H's oracle, at one order, so no mu is built here
+    # H at the genus's deepest order (z = tau/2 and (1+tau)/2), and with it
+    # eta^3 one q-unit deeper, past its other readers; the genus reads each
+    # mu, H's oracle, at one order, so no mu is built here
     h_series(max(genus_mock_order(v, GENUS_ORDER) for v, _ in GENUS_POINTS))
     for j in (2, 3, 4):  # the rescale relations read the deepest of both thetas
         theta_nullwert(j, RESCALE_ORDER)
         theta_big(j, 8 * RESCALE_ORDER)
-    # T reads eta(8tau), and Z0hat E*, deeper than the H_k ladder and route B
+    # T and Z0hat at the z0-derivative checks' order, past route B and the H_k reduction
     theta_quotient_factor(Z0_ORDER)
     z0_hat(Z0_ORDER)
-    # H_0..H_4 read Q+ to 41, and E2 deeper than route A's ladders
+    # H_0..H_4 read Q+ to 41
     h_k_series(HK_K_MAX, HK_ORDER)
     for route in (ROUTE_H12, ROUTE_QPLUS):  # and with them route A's theta family
         donaldson_phi(0, KERNEL_SUITE_DEGREE, route)

@@ -11,6 +11,7 @@ from qmock.qseries import QSeriesError, Series
 from qmock.forms import (
     EtaQuotientSpec,
     HalfPeriodPoint,
+    NAMED_FORMS,
     PhaseError,
     SPEC_A,
     SPEC_B,
@@ -20,7 +21,6 @@ from qmock.forms import (
     eta,
     eta_quotient,
     modular_a,
-    modular_a_sieved,
     modular_b,
     theta_big,
     theta_big_direct,
@@ -66,11 +66,11 @@ def test_modular_b_expansion():
 
 
 def test_sieved_a_series():
-    a38 = modular_a_sieved(3, 16)
+    a38 = NAMED_FORMS["A38"](16)
     assert q_coeff(a38, 3) == -8
     assert q_coeff(a38, 11) == -56
     assert all((e // 24) % 8 == 3 for e in a38.support())
-    a78 = modular_a_sieved(7, 20)
+    a78 = NAMED_FORMS["A78"](20)
     assert q_coeff(a78, -1) == 1
     assert q_coeff(a78, 7) == 27
     assert q_coeff(a78, 15) == 105
@@ -231,9 +231,17 @@ def test_eta_equals_the_sum_over_a_fixed_window(k, order):
         e = k * (1 + 12 * j * (3 * j - 1))
         if e < prec:
             want[e] = want.get(e, 0) + (-1) ** j
-    got = eta.__wrapped__(k, order)  # computed afresh, not served from the memo
+    got = eta(k, order)
     assert got.prec == prec
     assert {e: got.coefficient(e) for e in got.support()} == {e: c for e, c in want.items() if c}
+
+
+def test_eta_certifies_the_empty_prefix_and_rejects_a_negative_order():
+    empty = eta(1, 0)
+    assert empty.prec == 0 and empty.is_zero()
+    assert str(empty) == "O(q^(0))"
+    with pytest.raises(ValueError):
+        eta(1, -1)
 
 
 def test_theta_char_rejects_deep_denominators():

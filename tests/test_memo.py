@@ -17,13 +17,10 @@ from qmock.qseries import Series, degree_memo, order_memo
 #: every memoised function, with the keys (arguments before the order)
 #: it is checked at
 MEMOISED = {
-    (forms, "eta"): [(1,), (4,), (8,), (16,)],
     (forms, "eta_cube"): [()],
     (forms, "theta_nullwert"): [(2,), (3,), (4,)],
     (forms, "theta_big"): [(2,), (3,), (4,)],
-    (forms, "eisenstein_e2"): [()],
     (forms, "z0_hat"): [()],
-    (forms, "modular_a"): [()],
     (mock, "h_series"): [()],
     (mock, "q_plus"): [()],
     (uplane, "theta_quotient_factor"): [()],
@@ -79,13 +76,20 @@ def test_served_orders_equal_direct_computation(module, name, key):
 
 
 def test_nonpositive_orders_bypass_the_memo():
-    forms.eta(1, WARM_ORDER)
+    computed = []
+
+    def build(order):
+        computed.append(order)
+        return forms.eta_cube.__wrapped__(order)
+
+    eta_cube = order_memo(build)
+    eta_cube(WARM_ORDER)
     # order 0 certifies the empty prefix, as every named series does
-    empty = forms.eta(1, 0)
+    empty = eta_cube(0)
     assert empty.prec == 0 and empty.is_zero()
     assert str(empty) == "O(q^(0))"
-    with pytest.raises(ValueError):
-        forms.eta(1, -1)
+    assert wire(eta_cube(-1)) == wire(forms.eta_cube(-1))
+    assert computed == [WARM_ORDER, 0, -1]
     mock.h_series(WARM_ORDER)
     assert str(mock.q_plus(0)) == "q^-1 + O(q^(0))"
 

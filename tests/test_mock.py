@@ -223,6 +223,21 @@ def test_q_plus_zero_order_empty():
     assert str(q_plus_rescaled(0)) == "q^(-1/8) + O(q^(0))"
 
 
+@pytest.mark.parametrize("order", [0, 1, 32])
+def test_a_q_plus_build_builds_a_once(order, monkeypatch):
+    # A_{3,8} and A_{7,8} are two sieves of one build of A
+    calls = []
+
+    def modular_a(work, raw=mock.modular_a):
+        calls.append(work)
+        return raw(work)
+
+    monkeypatch.setattr(mock, "modular_a", modular_a)
+    qp = q_plus.__wrapped__(order)
+    assert calls == [max(1, order)]
+    assert qp == q_plus(order)
+
+
 @pytest.mark.parametrize("order", range(17))
 @pytest.mark.parametrize("name", sorted({**NAMED_FORMS, **NAMED_MOCKS}))
 def test_named_series_certify_only_true_coefficients(name, order, unmemoised):

@@ -249,6 +249,29 @@ def test_from_pairs_rejects_non_rationals(coeff):
         S([(0, 1), (72, coeff)], 48)  # also beyond prec
 
 
+OFF_LATTICE = [Fraction(1, 2), Fraction(24), 1.5, 24.0, True, "24", None]
+
+
+@pytest.mark.parametrize("bad", OFF_LATTICE, ids=repr)
+def test_public_constructors_reject_a_non_int_exponent(bad):
+    for build in (lambda: Series.monomial(bad, 1, prec=24),
+                  lambda: S([(0, 1), (bad, 1)], 24),
+                  lambda: S([(bad, 1)], -48)):  # also beyond prec
+        with pytest.raises(LatticeError) as exc:
+            build()
+        assert str(exc.value) == f"exponent must be an int of lattice units, got {bad!r}"
+
+
+@pytest.mark.parametrize("bad", OFF_LATTICE, ids=repr)
+def test_public_constructors_reject_a_non_int_prec(bad):
+    for build in (lambda: Series.zero(bad), lambda: Series.one(bad),
+                  lambda: Series.monomial(0, 1, prec=bad), lambda: S([(0, 1)], bad),
+                  lambda: S([], bad)):
+        with pytest.raises(LatticeError) as exc:
+            build()
+        assert str(exc.value) == f"prec must be an int of lattice units, got {bad!r}"
+
+
 # ---------------------------------------------------------------- ring laws
 
 

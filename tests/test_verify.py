@@ -191,7 +191,8 @@ def wrong_h_k(k, lattice):
     return h_k_family
 
 
-H_K_MUTANTS = [pytest.param(2, 24, id="q-in-H_2"), pytest.param(3, 96, id="q^4-in-H_3")]
+H_K_MUTANTS = [pytest.param(2, 24, id="q-in-H_2"), pytest.param(3, 96, id="q^4-in-H_3"),
+               pytest.param(4, 24, id="q-in-H_4")]
 
 
 @pytest.mark.parametrize("k, lattice", H_K_MUTANTS)
