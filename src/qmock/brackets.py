@@ -20,9 +20,9 @@ of order 0 builds no E2.
 ``cohen_bracket`` and ``bracket_hat`` are the top rung of a ladder.
 ``bracket_hat_ladder`` puts the 8tau prefactors on a plain ladder of
 m8(tau/8), not on m8, so one ladder on H serves both routes of the
-invariant layer: route A reads it scaled by 1/12 as the ladder of H/12
-(the bracket is linear), route B under those prefactors
-(``uplane.h_ladder``).
+invariant layer: route A on H/12 pairs its rungs as they stand (the
+functional is linear, so the 1/12 sits in its weight), route B under
+those prefactors (``uplane.h_ladder``).
 
 Precision follows the rules in ``qseries``: E2 is built to the operand's
 prec - val and has valuation 0, so E2^(-1) is certified as far as E2 and

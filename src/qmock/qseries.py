@@ -310,9 +310,10 @@ class Series:
 
         Below the valuation the series is entire, so 0 is returned; at or
         beyond prec nothing is certified and InsufficientPrecision is
-        raised, carrying the lattice precision that would suffice.
+        raised, carrying the lattice precision that would suffice.  An
+        exponent that is not an int raises LatticeError.
         """
-        if exp24 >= self.prec:
+        if _lattice(exp24, "exponent") >= self.prec:
             raise InsufficientPrecision(
                 f"coefficient at lattice exponent {exp24} requested, but series "
                 f"is only certified below {self.prec}",
@@ -327,8 +328,9 @@ class Series:
         return self.coefficient(0)
 
     def truncate(self, prec):
-        """Restrict certification to exponents below ``prec``."""
-        if prec >= self.prec:
+        """Restrict certification to exponents below ``prec``, an int
+        (anything else raises LatticeError)."""
+        if _lattice(prec, "prec") >= self.prec:
             return self
         n = bisect_left(self._exps, prec)
         return _pack(prec, self._exps[:n], self._nums[:n], self._den)

@@ -21,7 +21,7 @@ power family and a rung family that do not depend on t:
 * route A: X^j and W_k E^k[M+], X = (theta2^4+theta3^4)/(theta2 theta3)^2
   and W_k = theta4^9 (theta2 theta3)^(-3-2k), so c^A_{t,k} =
   CT[X^(t-k) * W_k E^k[M+]].  One mock-free ``theta_family`` (X^j, W_j)
-  serves every mock: H/12, Q+(tau/8) and the column probes;
+  serves every mock: H, Q+(tau/8) and the column probes;
 * route B: T Z0hat^j and Ehat^k[H(8tau)], so that
   c^B_{t,k} = CT[T Z0hat^(t-k) * Ehat^k[H(8tau)]].
 
@@ -32,11 +32,13 @@ b_{t,n} = sum_(k<=n) (-1)^k C(n,k) c_{t,k}, n = 0..t, as the vector b_t.
 ``ROUTE_TABLE`` names every route once: route A on H/12 (``ROUTE_H12``)
 and on Q+(tau/8) (``ROUTE_QPLUS``), whose difference is ``kernel_check``,
 and route B (``ROUTE_FINAL``), each with its families and its weight.
+The functional is linear in the mock, so ``ROUTE_H12`` pairs H itself
+and its weight carries the 1/12.
 ``route_vectors`` keeps one store per route; the stores and the theta
 family are monotone in degree (``degree_memo``), serve a smaller degree
 as a prefix and are replaced only by a deeper build.  So is ``h_ladder``,
-keyed by order: the one bracket ladder on H, which route A on H/12 reads
-with each rung scaled by 1/12 and route B under its 8tau prefactors
+keyed by order: the one bracket ladder on H, whose rungs route A pairs as
+they stand and route B reads under its 8tau prefactors
 (``bracket_hat_ladder`` takes a plain ladder and reads its precision off
 it); both routes ask for H at ``mock_order_for(D, 0)``, so
 ``generating_function`` builds one ladder.  So is the Z0hat mechanism's
@@ -57,7 +59,7 @@ error: this cross-check is the module's main self-validation.
 Working orders follow the rules in ``qseries``, with no safety margin.
 Route A's term of degree t has valuation val(M+) - 3(2t+3); X and W_k
 keep the thetas' prec - val, so the family of depth D, from thetas built
-to 6D + 16 lattice units, certifies degree D on H/12 (val -3, built to
+to 6D + 16 lattice units, certifies degree D on H (val -3, built to
 ``required_mock_prec(D, 0)``); a deeper pole takes a deeper family.
 Every route B term has valuation -48(t+2) lattice units; with
 R = 48(D+2) + 1, T and Z0hat are built to R - 48, and H(8tau), needed to
@@ -188,21 +190,12 @@ def basis_a(ladder, degree):
     rung 0 is the mock): the powers X^j and the rungs W_k E^k[mock],
     k = 0..K, so that c_{t,k} = CT[X^(t-k) * W_k E^k[mock]].  Theta2, of
     val 3, is needed to 1 - val(mock) + 3(2 degree + 3) + 3 lattice units;
-    the family taken is the deepest (at least degree and K) whose order
-    6D + 16 rounds to that q-order, so that requests of one q-order share
-    one family."""
+    the family taken is the shallowest, at least degree and K deep, whose
+    order 6D + 16 reaches that."""
     need = 1 - ladder[0].min_exp + 3 * (2 * degree + 3) + 3
-    order = q_order(max(need, 6 * max(degree, len(ladder) - 1) + 16))
-    family = theta_family((LATTICE_DEN * order - 16) // 6)
+    family = theta_family(max(degree, len(ladder) - 1, -((16 - need) // 6)))
     rungs = [w * e for (_, w), e in zip(family, ladder)]
     return [x for x, _ in family], rungs
-
-
-def functional_vector(mplus, t, k_max):
-    """Route A's constant terms c_{t,k}[M+], k = 0..k_max, of degree t:
-    c_{t,k} = CT[theta4^9 S^(t-k) (theta2 theta3)^(-(2t+3)) E^k[M+]] with
-    S = theta2^4 + theta3^4.  M+ must meet ``required_mock_prec``."""
-    return _constant_terms(*basis_a(bracket_ladder(mplus, k_max), t), t)
 
 
 def weigh_a(entry, m, n):
@@ -213,7 +206,10 @@ def weigh_a(entry, m, n):
 
 
 def u_plane_coefficient(mplus, m, n):
-    """The constant-term functional D_{m,2n} applied to a mock M+.
+    """The constant-term functional D_{m,2n} applied to a mock M+: the
+    weight times entry n of route A's alternating sums over
+    c_{m+n,k}[M+] = CT[theta4^9 S^(m+n-k) (theta2 theta3)^(-(2m+2n+3)) E^k[M+]],
+    k = 0..n, S = theta2^4 + theta3^4.
 
     The precision requirement is computed from the pole budget before
     any series work; a mock that is too short raises
@@ -227,7 +223,8 @@ def u_plane_coefficient(mplus, m, n):
             f"got {mplus.prec}",
             needed=need,
         )
-    return weigh_a(functional_vector(mplus, m + n, n)[n], m, n)
+    t = m + n
+    return weigh_a(_constant_terms(*basis_a(bracket_ladder(mplus, n), t), t)[n], m, n)
 
 
 def column_extract(m, n, k_max):
@@ -259,9 +256,9 @@ def theta_quotient_factor(order):
 @degree_memo
 def h_ladder(order, k_max):
     """E^0[H], ..., E^k_max[H] on H built to ``order`` q-units: the one
-    bracket ladder on H.  Route A reads it with each rung scaled by 1/12
-    as the ladder of H/12, and route B under its 8tau prefactors; both ask
-    for it at ``mock_order_for(D, 0)``."""
+    bracket ladder on H.  Route A on H/12 pairs its rungs as they stand
+    (``ROUTE_H12``'s weight carries the 1/12), and route B reads them under
+    its 8tau prefactors; both ask for it at ``mock_order_for(D, 0)``."""
     return bracket_ladder(h_series(order), k_max)
 
 
@@ -286,24 +283,14 @@ def weigh_b(entry, m, n):
     return scalar * entry
 
 
-def _on_ladder(ladder):
-    """Route A's families, for every degree <= D, on the rungs
-    ``ladder(order, D)`` of a mock built to the order that degree D needs."""
-    return lambda degree: basis_a(ladder(mock_order_for(degree, 0), degree), degree)
-
-
-def _h12_ladder(order, k_max):
-    return tuple(rung.scale(Fraction(1, 12)) for rung in h_ladder(order, k_max))
-
-
-def _qplus_ladder(order, k_max):
-    return bracket_ladder(q_plus_rescaled(order), k_max)
-
-
-#: route label -> (its families for every degree <= D, its weight)
+#: route label -> (its families for every degree <= D, its weight), looked up
+#: at call time; route A reads a mock built to the order degree D needs, and
+#: on H/12 pairs H's own ladder, with the 1/12 in its weight
 ROUTE_TABLE = {
-    ROUTE_H12: (_on_ladder(_h12_ladder), weigh_a),
-    ROUTE_QPLUS: (_on_ladder(_qplus_ladder), weigh_a),
+    ROUTE_H12: (lambda d: basis_a(h_ladder(mock_order_for(d, 0), d), d),
+                lambda entry, m, n: weigh_a(entry / 12, m, n)),
+    ROUTE_QPLUS: (lambda d: basis_a(bracket_ladder(q_plus_rescaled(mock_order_for(d, 0)), d), d),
+                  weigh_a),
     ROUTE_FINAL: (basis_b, weigh_b),
 }
 
@@ -336,10 +323,11 @@ def phi_route_b(m, n):
 
 def kernel_check(m, n):
     """D_{m,2n} on Q+(tau/8) - H(tau)/12 by linearity: one weight on the
-    difference of the two routes' entries; zero for every m, n."""
+    difference of route A's entries on Q+(tau/8) and on H / 12; zero for
+    every m, n."""
     _check_pair(m, n)
-    qplus, h12 = (route_vectors(route, m + n)[m + n][n] for route in (ROUTE_QPLUS, ROUTE_H12))
-    return weigh_a(qplus - h12, m, n)
+    qplus, h = (route_vectors(route, m + n)[m + n][n] for route in (ROUTE_QPLUS, ROUTE_H12))
+    return weigh_a(qplus - h / 12, m, n)
 
 
 def generating_function(max_total_degree):

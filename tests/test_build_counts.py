@@ -159,6 +159,29 @@ def test_generating_function_builds_the_h_ladder_once_for_both_routes(degree, mo
     assert len(calls["h_ladder"]) == 2
 
 
+@pytest.mark.parametrize("degree", [0, 1, 4, 8, 16])
+def test_both_routes_pair_the_same_h_ladder_rungs(degree, monkeypatch):
+    # route A on H/12 pairs H's rungs as they stand (its weight carries the
+    # 1/12), so it hands on the very rung objects route B reads
+    counting(monkeypatch)
+    handed = {}
+    basis_a, hat_ladder = uplane.basis_a, uplane.bracket_hat_ladder
+
+    def route_a(ladder, d):
+        handed["A"] = ladder
+        return basis_a(ladder, d)
+
+    def route_b(ladder):
+        handed["B"] = ladder
+        return hat_ladder(ladder)
+
+    monkeypatch.setattr(uplane, "basis_a", route_a)
+    monkeypatch.setattr(uplane, "bracket_hat_ladder", route_b)
+    uplane.generating_function(degree)
+    assert len(handed["A"]) == len(handed["B"]) == degree + 1
+    assert all(a is b for a, b in zip(handed["A"], handed["B"]))
+
+
 def test_the_z0hat_reduction_builds_its_power_chain_once(monkeypatch):
     # H_0..H_4 to order 32 have poles of degree 1..5; z0_reduce and evaluate
     # read each from the one chain built for the deepest

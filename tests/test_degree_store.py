@@ -57,8 +57,9 @@ def fresh(route, t, monkeypatch):
 
 def test_generating_function_builds_each_basis_once(builds):
     uplane.generating_function(8)
-    # degree 8 needs thetas to q-order 3, which certify a family of depth 9
-    assert builds == {ROUTE_H12: [8], ROUTE_FINAL: [8], "theta": [9]}
+    # degree 8 needs thetas to 64 lattice units, which the family of depth 8
+    # (6*8 + 16) certifies
+    assert builds == {ROUTE_H12: [8], ROUTE_FINAL: [8], "theta": [8]}
 
 
 @pytest.mark.parametrize("store", sorted(ROUTES))

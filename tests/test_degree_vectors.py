@@ -30,7 +30,8 @@ from qmock.uplane import (
     ROUTE_FINAL,
     ROUTE_H12,
     ROUTE_QPLUS,
-    functional_vector,
+    _constant_terms,
+    basis_a,
     kernel_check,
     mock_order_for,
     phi_route_a,
@@ -129,6 +130,12 @@ def h12(order):
     return h_series(order).scale(Fraction(1, 12))
 
 
+def pairings(mock, t, k_max):
+    """Route A's alternating sums on ``mock`` at degree t over k_max + 1
+    rungs, past ``u_plane_coefficient``'s precision guard."""
+    return _constant_terms(*basis_a(bracket_ladder(mock, k_max), t), t)
+
+
 # ------------------------------------------------------------------ routes
 
 
@@ -156,14 +163,15 @@ def test_u_plane_coefficient_matches_the_per_pair_reference(mock):
 
 @pytest.mark.parametrize("t", range(MAX_DEGREE + 1))
 def test_vectors_of_degree_t(t):
-    # c^B_t = 3 * 2^(2t+5) * c^A_t entry by entry, zero for odd t; the
-    # kernel's vector, the difference of route A's two stores, is zero
+    # ROUTE_H12's store holds route A on H: c^B_t = 2^(2t+3) * c^A_t[H]
+    # entry by entry, zero for odd t; the kernel's vector, route A on Q+(tau/8)
+    # less route A on H/12, is zero
     a, b = route_vectors(ROUTE_H12, t)[t], route_vectors(ROUTE_FINAL, t)[t]
     assert len(a) == len(b) == t + 1
-    assert all(cb == 3 * 2 ** (2 * t + 5) * ca for ca, cb in zip(a, b))
+    assert all(cb == 2 ** (2 * t + 3) * ca for ca, cb in zip(a, b))
     if t % 2:
         assert not any(a) and not any(b)
-    assert not any(q - h for q, h in zip(route_vectors(ROUTE_QPLUS, t)[t], a))
+    assert not any(12 * q - h for q, h in zip(route_vectors(ROUTE_QPLUS, t)[t], a))
 
 
 def deep_pole(order):
@@ -184,20 +192,20 @@ def test_mocks_at_exactly_the_required_prec_match_the_reference(mock):
         series = EDGE_MOCKS[mock](required_mock_prec(m, n))
         want = reference_u_plane_coefficient(series, m, n)
         assert u_plane_coefficient(series, m, n) == want, (m, n)
-        assert functional_vector(series, m + n, n)[: n + 1] == functional_vector(
+        assert pairings(series, m + n, n)[: n + 1] == pairings(
             series, m + n, m + n)[: n + 1], (m, n)
 
 
 def test_a_deep_pole_asks_for_a_deeper_theta_family(monkeypatch):
-    # at degree 8, H/12 needs thetas to 64 lattice units (q-order 3, depth
-    # 9) and the pole at q^(-17/8) to 112 (q-order 5, depth 17)
+    # at degree 8, H/12 needs thetas to 64 lattice units (depth 8: 6*8 + 16)
+    # and the pole at q^(-17/8) to 112 (depth 16)
     depths = []
     family = uplane.theta_family
     monkeypatch.setattr(uplane, "theta_family", lambda d: depths.append(d) or family(d))
     order = mock_order_for(MAX_DEGREE, 0)
     for mock in (h12(order), deep_pole(order)):
-        functional_vector(mock, MAX_DEGREE, MAX_DEGREE)
-    assert depths == [9, 17]
+        u_plane_coefficient(mock, 0, MAX_DEGREE)
+    assert depths == [8, 16]
 
 
 @pytest.mark.parametrize("mock", sorted(EDGE_MOCKS))
@@ -211,7 +219,7 @@ def test_one_lattice_unit_short_raises_with_the_required_prec(mock):
         # the guard is up front; the pairing itself sees the constant term
         # certified one lattice unit too short
         with pytest.raises(InsufficientPrecision) as pairing:
-            functional_vector(series, m + n, n)
+            pairings(series, m + n, n)
         assert pairing.value.needed == 1, (m, n)
 
 
@@ -220,9 +228,10 @@ def test_qplus_and_kernel_stores_equal_per_degree_functional_vectors(t):
     order = mock_order_for(t, 0)
     qplus = q_plus_rescaled(order)
     stored = route_vectors(ROUTE_QPLUS, t)[t]
-    assert stored == functional_vector(qplus, t, t) == route_vectors(ROUTE_H12, t)[t]
-    kernel = functional_vector(qplus - h12(order), t, t)
-    difference = tuple(q - h for q, h in zip(stored, route_vectors(ROUTE_H12, t)[t]))
+    on_h12 = tuple(h / 12 for h in route_vectors(ROUTE_H12, t)[t])
+    assert stored == pairings(qplus, t, t) == on_h12
+    kernel = pairings(qplus - h12(order), t, t)
+    difference = tuple(q - h for q, h in zip(stored, on_h12))
     assert difference == kernel and not any(kernel)
 
 

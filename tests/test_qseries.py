@@ -272,6 +272,27 @@ def test_public_constructors_reject_a_non_int_prec(bad):
         assert str(exc.value) == f"prec must be an int of lattice units, got {bad!r}"
 
 
+#: (method, argument, what it names): an off-lattice prec once printed
+#: "1 + O(q^(37/48))" and wrote "prec": true, and an off-lattice exponent
+#: read the constant term or 0
+OFF_LATTICE_READS = [
+    ("truncate", Fraction(37, 2), "prec"),
+    ("truncate", True, "prec"),
+    ("coefficient", 0.0, "exponent"),
+    ("coefficient", Fraction(1, 2), "exponent"),
+] + [(method, bad, what) for method, what in (("truncate", "prec"), ("coefficient", "exponent"))
+     for bad in OFF_LATTICE]
+
+
+@pytest.mark.parametrize("method, bad, what", OFF_LATTICE_READS,
+                         ids=[f"{m}-{b!r}" for m, b, _ in OFF_LATTICE_READS])
+def test_truncate_and_coefficient_reject_an_off_lattice_argument(method, bad, what):
+    s = S([(0, 1), (24, 2)], 96)
+    with pytest.raises(LatticeError) as exc:
+        getattr(s, method)(bad)
+    assert str(exc.value) == f"{what} must be an int of lattice units, got {bad!r}"
+
+
 # ---------------------------------------------------------------- ring laws
 
 

@@ -3,7 +3,7 @@
 ``cli.ROUTES`` maps the ``--via`` choices to route labels, and the
 per-pair entry points are ``donaldson_phi`` on their own route.  Route B's
 families are route A's at tau/8 up to powers of 2, so its vectors are
-route A's on H/12 scaled by 2^(2t+3) * 12.
+route A's on H, the vectors ``ROUTE_H12`` stores, scaled by 2^(2t+3).
 """
 
 import pytest
@@ -63,4 +63,4 @@ def test_route_b_vectors_are_route_a_vectors_scaled():
     a, b = (route_vectors(route, 12) for route in (ROUTE_H12, ROUTE_FINAL))
     for t in range(13):
         for n in range(t + 1):
-            assert b[t][n] == 2 ** (2 * t + 3) * 12 * a[t][n], (t, n)
+            assert b[t][n] == 2 ** (2 * t + 3) * a[t][n], (t, n)

@@ -354,7 +354,7 @@ def test_negative_input_is_rejected_before_any_store_read(call, args, named, mon
     def unread(*_):
         raise AssertionError("store read")
 
-    for name in ("route_vectors", "functional_vector"):
+    for name in ("route_vectors", "bracket_ladder"):
         monkeypatch.setattr(uplane, name, unread)
     with pytest.raises(ValueError, match="must be nonnegative") as exc:
         call(*args)
