@@ -19,10 +19,10 @@ one ``qseries.chain``: one product per power.  E^0[M] is M, so a ladder
 of order 0 builds no E2.
 ``cohen_bracket`` and ``bracket_hat`` are the top rung of a ladder.
 ``bracket_hat_ladder`` puts the 8tau prefactors on a plain ladder of
-m8(tau/8), not on m8, so one ladder on H serves both routes of the
-invariant layer: route A on H/12 pairs its rungs as they stand (the
-functional is linear, so the 1/12 sits in its weight), route B under
-those prefactors (``uplane.h_ladder``).
+m8(tau/8), not on m8; ``uplane.h_k_family`` builds H_k from it.  The
+invariant layer's route B takes no hat rung: its factor T cancels the
+eta(8tau)^3, so it rescales the plain ladder on H (``uplane.h_ladder``)
+under Theta4^9 (Theta2 Theta3)^(-2k-3) instead.
 
 Precision follows the rules in ``qseries``: E2 is built to the operand's
 prec - val and has valuation 0, so E2^(-1) is certified as far as E2 and
@@ -90,9 +90,8 @@ def bracket_hat_ladder(ladder):
     """The tuple eta(8tau)^3 / (Theta2*Theta3)^(2k+2) * E^k[m8], k = 0..K,
     from the plain ``ladder`` E^0[m], ..., E^K[m] of m = m8(tau/8): the
     bracket in the 8tau variable is the plain rung rescaled by 8, and rung
-    k certifies 8 m.prec - 48k - 24.  The building blocks of the kernel
-    mechanism and of route B; taking the ladder, not m8, lets route B read
-    the one ladder on H that route A reads too."""
+    k certifies 8 m.prec - 48k - 24.  The building blocks of the Z0hat
+    mechanism's H_k; T times rung k on H's ladder is route B's rung k."""
     rel = max(1, 8 * (ladder[0].prec - ladder[0].min_exp))  # 1: Theta2 invertible for m8 = 0
     eta8_cubed = eta(8, q_order(rel + 8)).pow_int(3)
     t23 = theta_big(2, q_order(rel + 24)) * theta_big(3, q_order(rel))

@@ -111,7 +111,10 @@ def _eta_lattice(k, prec):
 
 def eta(k, order):
     """q-expansion of eta(k*tau) to the given order in q-units; order 0
-    certifies the empty prefix."""
+    certifies the empty prefix.  k must be a positive int: the scan needs
+    exponents that climb going outward."""
+    if type(k) is not int or k < 1:
+        raise ValueError(f"eta multiplier must be a positive int, got {k!r}")
     if order < 0:
         raise ValueError("order must be nonnegative")
     return _eta_lattice(k, LATTICE_DEN * order)

@@ -371,11 +371,18 @@ class Series:
         The one linear-combination kernel: ``+``, ``-`` and ``scale`` are
         thin calls to it.  The result is certified below the smallest
         prec; terms that cancel are dropped, so it starts at its own
-        valuation.
+        valuation.  A coefficient or ``den`` that is not an int (a bool is
+        not) raises TypeError naming it, and no pairs raise ValueError.
         """
+        pairs = list(pairs)
+        if not pairs:
+            raise ValueError("Series.combine needs at least one (coefficient, series) pair")
+        for x in (den, *(c for c, _ in pairs)):
+            if type(x) is not int:
+                raise TypeError(f"Series.combine takes int coefficients and denominator, "
+                                f"got {x!r}")
         if den < 1:
             raise ValueError("the common denominator must be a positive integer")
-        pairs = list(pairs)
         prec = min(s.prec for _, s in pairs)
         live = [(c, s) for c, s in pairs if c]
         if len(live) == 1:  # one series: scale its numerators, no accumulation

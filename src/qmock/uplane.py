@@ -10,10 +10,11 @@ t = m+n and on k; only the scalar weights depend on (m, n):
   and the functional D_{m,2n}[M+] = -2 (2n)!/(n! 6^n) sum_k (-1)^k C(n,k) c^A_{t,k};
 
 * route B works in the 8tau variable: c^B_{t,k} is the constant term of
-  the closed product  T * Z0^(t-k) * Ehat^k[H(8tau)]  with
+  the paper's product  T * Z0^(t-k) * Ehat^k[H(8tau)]  with
   T = Theta4^9/(Theta2 Theta3 eta(8tau)^3), and
   Phi_{m,2n} = -(2n)!/(n! 2^(2m+3n+4) 3^(n+1)) sum_k (-1)^k C(n,k) c^B_{t,k}.
-  (T equals -1/2 * q d/dq Z0hat; the two routes balance with T as the factor.)
+  Ehat^k carries eta(8tau)^3 (Theta2 Theta3)^(-2k-2), so the two eta(8tau)^3
+  cancel: T Ehat^k[H(8tau)] = Theta4^9 (Theta2 Theta3)^(-2k-3) E^k[H](8tau).
 
 Each term is a constant-term pairing CT[a * b] = sum_e a_e b_(-e) of a
 power family and a rung family that do not depend on t:
@@ -22,12 +23,12 @@ power family and a rung family that do not depend on t:
   and W_k = theta4^9 (theta2 theta3)^(-3-2k), so c^A_{t,k} =
   CT[X^(t-k) * W_k E^k[M+]].  One mock-free ``theta_family`` (X^j, W_j)
   serves every mock: H, Q+(tau/8) and the column probes;
-* route B: T Z0hat^j and Ehat^k[H(8tau)], so that
-  c^B_{t,k} = CT[T Z0hat^(t-k) * Ehat^k[H(8tau)]].
+* route B: Z0hat^j and T Ehat^k[H(8tau)], built as route A's weights on
+  Theta_j (``_weights``) times E^k[H](8tau), with no T, eta(8tau) or hat
+  ladder (T serves ``verify``'s derivative checks, the hat ladder H_k).
 
-Each power family (X^j, W_j, T Z0hat^j) is one ``qseries.chain``.
-
-One loop, ``_constant_terms``, pairs them and stores the alternating sums
+Each power family (X^j, W_j, Z0hat^j) is one ``qseries.chain``.  One
+loop, ``_constant_terms``, pairs the families and stores the alternating sums
 b_{t,n} = sum_(k<=n) (-1)^k C(n,k) c_{t,k}, n = 0..t, as the vector b_t.
 ``ROUTE_TABLE`` names every route once: route A on H/12 (``ROUTE_H12``)
 and on Q+(tau/8) (``ROUTE_QPLUS``), whose difference is ``kernel_check``,
@@ -38,19 +39,16 @@ and its weight carries the 1/12.
 family are monotone in degree (``degree_memo``), serve a smaller degree
 as a prefix and are replaced only by a deeper build.  So is ``h_ladder``,
 keyed by order: the one bracket ladder on H, whose rungs route A pairs as
-they stand and route B reads under its 8tau prefactors
-(``bracket_hat_ladder`` takes a plain ladder and reads its precision off
-it); both routes ask for H at ``mock_order_for(D, 0)``, so
-``generating_function`` builds one ladder.  So is the Z0hat mechanism's
-``h_k_family``, keyed by order: H_0..H_K from one ``bracket_hat_ladder``
-on the ladder of Q+(tau/8) - H/12, so that H_k of a smaller k is served
-from the deepest K asked.  Every memoised family is a tuple.  Route B's
-factor T, ``theta_quotient_factor``, sits on ``order_memo`` like the
-Theta_j it is built from.
+they stand and route B rescales to 8tau under its weights; both routes
+ask for H at ``mock_order_for(D, 0)``, so ``generating_function`` builds
+one ladder.  So is the Z0hat mechanism's ``h_k_family``, keyed by order:
+H_0..H_K from one ``bracket_hat_ladder`` on the ladder of
+Q+(tau/8) - H/12, so that H_k of a smaller k is served from the deepest K
+asked.  Every memoised family is a tuple.
 ``z0_reduce`` writes H_k as a polynomial in Z0hat by one descending sweep
 over ``_z0_powers``, the chain Z0hat^0..Z0hat^D and the one place that
-sets Z0hat's working order; ``Z0Polynomial.evaluate`` sums over the same
-chain, which ``degree_memo`` keeps (keyed by prec, a tuple, never
+sets Z0hat's working order; ``Z0Polynomial.evaluate`` and route B read the
+same chain, which ``degree_memo`` keeps (keyed by prec, a tuple, never
 changed in place), so a reduction and its evaluation build it once.
 Every Phi_{m,2n} of degree t is a nonzero scalar times the one entry
 b_{t,n}.  Any disagreement between the routes is a hard RouteMismatch
@@ -61,10 +59,10 @@ Route A's term of degree t has valuation val(M+) - 3(2t+3); X and W_k
 keep the thetas' prec - val, so the family of depth D, from thetas built
 to 6D + 16 lattice units, certifies degree D on H (val -3, built to
 ``required_mock_prec(D, 0)``); a deeper pole takes a deeper family.
-Every route B term has valuation -48(t+2) lattice units; with
-R = 48(D+2) + 1, T and Z0hat are built to R - 48, and H(8tau), needed to
-R - 24 = 8(6D + 9) + 1, is H at route A's order, 6D + 10 (each hat rung
-keeps its operand's prec - val whatever k is).
+Route B's rung k has valuation -48k - 96, so Z0hat^j, paired with rungs
+to k = D - j, is asked below 48(D - j) + 97 (``_z0_powers(97, D)``); with
+R = 48(D+2) + 1 the weights read Theta2 to R + 24, Theta3 and Theta4 to R,
+and H(8tau), needed to R - 24 = 8(6D + 9) + 1, is H at route A's 6D + 10.
 """
 
 import math
@@ -169,19 +167,23 @@ def _constant_terms(powers, rungs, t):
     return tuple(sums)
 
 
+def _weights(t2, t3, t4, degree):
+    """The weights t4^9 (t2 t3)^(-3-2k), k = 0..degree, and their step
+    (t2 t3)^(-2): route A's W_k on theta_j, route B's on Theta_j."""
+    p_inv = (t2 * t3).invert()
+    step = p_inv * p_inv
+    return chain(t4.pow_int(9) * p_inv * step, step, degree), step
+
+
 @degree_memo
 def theta_family(degree):
     """Route A's mock-free family for every degree <= ``degree``: the pairs
     (X^j, W_j), j = 0..degree, from thetas built to 6 degree + 16 lattice
     units (X and W_j as in the module docstring)."""
-    order = q_order(6 * degree + 16)
-    t2 = theta_nullwert(2, order)
-    t3 = theta_nullwert(3, order)
-    p_inv = (t2 * t3).invert()
-    step = p_inv * p_inv
+    t2, t3, t4 = (theta_nullwert(j, q_order(6 * degree + 16)) for j in (2, 3, 4))
+    weights, step = _weights(t2, t3, t4, degree)
     x = (t2.pow_int(4) + t3.pow_int(4)) * step
-    first = theta_nullwert(4, order).pow_int(9) * p_inv * step
-    return tuple(zip(chain(x.pow_int(0), x, degree), chain(first, step, degree)))
+    return tuple(zip(chain(x.pow_int(0), x, degree), weights))
 
 
 def basis_a(ladder, degree):
@@ -241,9 +243,9 @@ def column_extract(m, n, k_max):
 
 @order_memo
 def theta_quotient_factor(order):
-    """Theta4^9 / (Theta2 Theta3 eta(8tau)^3), the 8tau-variable factor
-    that converts the theta prefactor into Z0hat powers.  It equals
-    -1/2 * q d/dq Z0hat exactly."""
+    """T = Theta4^9 / (Theta2 Theta3 eta(8tau)^3), the paper's route B factor
+    and the right side of ``verify``'s z0-derivative checks: it equals
+    -1/2 * q d/dq Z0hat exactly.  Route B builds no T: its eta(8tau)^3 cancels Ehat^k's."""
     prec = LATTICE_DEN * order
     # val T = -48; Theta4, Theta2, Theta3 and eta(8tau) have val 0, 24, 0, 8
     t4 = theta_big(4, q_order(prec + 48))
@@ -258,20 +260,18 @@ def h_ladder(order, k_max):
     """E^0[H], ..., E^k_max[H] on H built to ``order`` q-units: the one
     bracket ladder on H.  Route A on H/12 pairs its rungs as they stand
     (``ROUTE_H12``'s weight carries the 1/12), and route B reads them under
-    its 8tau prefactors; both ask for it at ``mock_order_for(D, 0)``."""
+    its 8tau weights; both ask for it at ``mock_order_for(D, 0)``."""
     return bracket_ladder(h_series(order), k_max)
 
 
 def basis_b(degree):
-    """Route B's families for every degree <= ``degree``: T Z0hat^j and
-    Ehat^k[H(8tau)], j, k = 0..degree."""
-    rel = 48 * (degree + 2) + 1  # T * Z0^j * Ehat^k has val -48(j+k+2)
-    # H(8tau) is needed to rel - 24 = 8(6D + 9) + 1, so H to route A's 6D + 10;
-    # the rungs read Theta2, Theta3 and eta(8tau) deeper than Z0hat and T do
-    rungs = bracket_hat_ladder(h_ladder(mock_order_for(degree, 0), degree))
-    z0 = z0_hat(q_order(rel - 48))
-    tq = theta_quotient_factor(q_order(rel - 48))
-    return chain(tq, z0, degree), rungs
+    """Route B's families for every degree <= ``degree``: Z0hat^j and
+    Theta4^9 (Theta2 Theta3)^(-2k-3) E^k[H](8tau) = T Ehat^k[H(8tau)]."""
+    rel = 48 * (degree + 2) + 1  # Z0^j * rung k has val -48(j+k+2)
+    t2 = theta_big(2, q_order(rel + 24))  # val Theta2 = 24, val Theta3 = val Theta4 = 0
+    weights, _ = _weights(t2, theta_big(3, q_order(rel)), theta_big(4, q_order(rel)), degree)
+    rungs = zip(weights, h_ladder(mock_order_for(degree, 0), degree))
+    return _z0_powers(97, degree), [w * e.rescale_exponents(8, 1) for w, e in rungs]
 
 
 def weigh_b(entry, m, n):
@@ -398,8 +398,8 @@ def _z0_powers(prec, degree):
     """Z0hat^0, ..., Z0hat^degree, each certified at least below ``prec``:
     Z0hat^d, of valuation -48d, keeps Z0hat's prec - val, so Z0hat^d needs
     Z0hat at prec + 48(d - 1), and the top power sets the build (degree 0
-    builds none: Z0hat^0 is 1).  A tuple: ``z0_reduce`` and
-    ``Z0Polynomial.evaluate`` read the one memoised chain."""
+    builds none: Z0hat^0 is 1).  The one Z0hat working order; a tuple:
+    ``z0_reduce``, ``Z0Polynomial.evaluate`` and route B read the one chain."""
     z0 = z0_hat(q_order(prec + 48 * (degree - 1))) if degree else Series.one(prec)
     return chain(z0.pow_int(0), z0, degree)
 

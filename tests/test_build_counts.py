@@ -19,7 +19,7 @@ from itertools import permutations
 
 import pytest
 
-from qmock import cli, forms, mock, uplane, verify
+from qmock import brackets, cli, forms, mock, uplane, verify
 from qmock.brackets import bracket_hat
 from qmock.forms import V_HALF, V_ONE_PLUS_TAU_HALF, V_TAU_HALF
 from qmock.qseries import degree_memo, order_memo, q_order
@@ -139,7 +139,7 @@ def test_the_verify_workload_builds_each_shared_series_once(order, builds):
 
 @pytest.mark.parametrize("degree", [0, 1, 4, 8, 16])
 def test_generating_function_builds_each_series_once(degree, builds):
-    # route B reads Theta2, Theta3 and eta(8tau) deepest in its bracket rungs
+    # route B's weights read Theta2 deeper than Z0hat does, and are built first
     uplane.generating_function(degree)
     assert rebuilt(builds) == {}
 
@@ -162,24 +162,40 @@ def test_generating_function_builds_the_h_ladder_once_for_both_routes(degree, mo
 @pytest.mark.parametrize("degree", [0, 1, 4, 8, 16])
 def test_both_routes_pair_the_same_h_ladder_rungs(degree, monkeypatch):
     # route A on H/12 pairs H's rungs as they stand (its weight carries the
-    # 1/12), so it hands on the very rung objects route B reads
+    # 1/12), and route B rescales the very rung objects route A pairs: each
+    # route receives its ladder as h_ladder's return value
     counting(monkeypatch)
-    handed = {}
-    basis_a, hat_ladder = uplane.basis_a, uplane.bracket_hat_ladder
+    handed = []
+    ladder = uplane.h_ladder
 
-    def route_a(ladder, d):
-        handed["A"] = ladder
-        return basis_a(ladder, d)
+    def received(*args):
+        handed.append(out := ladder(*args))
+        return out
 
-    def route_b(ladder):
-        handed["B"] = ladder
-        return hat_ladder(ladder)
-
-    monkeypatch.setattr(uplane, "basis_a", route_a)
-    monkeypatch.setattr(uplane, "bracket_hat_ladder", route_b)
+    rebind(monkeypatch, ladder, received)
     uplane.generating_function(degree)
-    assert len(handed["A"]) == len(handed["B"]) == degree + 1
-    assert all(a is b for a, b in zip(handed["A"], handed["B"]))
+    route_a, route_b = handed
+    assert len(route_a) == len(route_b) == degree + 1
+    assert all(a is b for a, b in zip(route_a, route_b))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 4, 8, 16])
+def test_generating_function_builds_no_t_eta8_or_hat_ladder(degree, monkeypatch):
+    # T and every hat rung carry eta(8tau)^3, which cancel in route B's
+    # product, so route B builds its weights from the Theta_j alone
+    calls = counting(monkeypatch)[1]
+    spied = defaultdict(list)
+    for module, name in ((brackets, "bracket_hat_ladder"), (forms, "eta")):
+
+        def spy(*args, raw=getattr(module, name), name=name):
+            spied[name].append(args)
+            return raw(*args)
+
+        rebind(monkeypatch, getattr(module, name), spy)
+    uplane.generating_function(degree)
+    assert calls["theta_quotient_factor"] == []
+    assert spied["bracket_hat_ladder"] == []
+    assert [args for args in spied["eta"] if args[0] == 8] == []
 
 
 def test_the_z0hat_reduction_builds_its_power_chain_once(monkeypatch):

@@ -244,6 +244,14 @@ def test_eta_certifies_the_empty_prefix_and_rejects_a_negative_order():
         eta(1, -1)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_eta_rejects_a_multiplier_below_one(k):
+    # the pentagonal scan stops only on exponents that climb going outward;
+    # for k = 0 they are all 0 and for k < 0 they fall
+    with pytest.raises(ValueError, match=f"eta multiplier must be a positive int, got {k}"):
+        eta(k, 1)
+
+
 def test_theta_char_rejects_deep_denominators():
     with pytest.raises(PhaseError):
         HalfPeriodPoint(Fraction(1, 3), Fraction(0))

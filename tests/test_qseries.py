@@ -462,6 +462,25 @@ def test_combine_rejects_nonpositive_denominator():
         Series.combine([(1, Series.one(24))], 0)
 
 
+@pytest.mark.parametrize("coefficients, den, shown", [
+    ([Fraction(1, 2)], 1, r"Fraction\(1, 2\)"),
+    ([1], Fraction(3, 2), r"Fraction\(3, 2\)"),
+    ([1, 2.0], 1, "2.0"),
+    ([True], 1, "True"),
+], ids=["fraction-coefficient", "fraction-den", "float-coefficient", "bool-coefficient"])
+def test_combine_rejects_a_coefficient_or_denominator_that_is_not_an_int(coefficients, den, shown):
+    # a Fraction numerator would break the integer-numerator store: the
+    # combination would print as s.scale(1/2) does, yet not equal it
+    s = Series.from_pairs([(0, 1), (24, 3)], prec=96)
+    with pytest.raises(TypeError, match=f"got {shown}$"):
+        Series.combine([(c, s) for c in coefficients], den)
+
+
+def test_combine_of_no_pairs_raises_value_error():
+    with pytest.raises(ValueError, match="at least one"):
+        Series.combine([])
+
+
 # -------------------------------------------------------------- wire format
 
 

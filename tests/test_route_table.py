@@ -8,19 +8,27 @@ route A's on H, the vectors ``ROUTE_H12`` stores, scaled by 2^(2t+3).
 
 import pytest
 
-from qmock import cli
+from qmock import cli, forms
+from qmock.brackets import bracket_hat_ladder
 from qmock.forms import eta, theta_big, z0_hat
+from qmock.qseries import Series, q_order
 from qmock.uplane import (
     ROUTE_FINAL,
     ROUTE_H12,
     ROUTE_TABLE,
+    RouteMismatch,
+    basis_b,
     donaldson_phi,
+    generating_function,
+    h_ladder,
+    mock_order_for,
     phi_route_a,
     phi_route_b,
     route_vectors,
     theta_family,
     theta_quotient_factor,
 )
+from test_build_counts import counting, rebind
 
 PAIRS = [(m, t - m) for t in range(7) for m in range(t + 1)]
 
@@ -64,3 +72,41 @@ def test_route_b_vectors_are_route_a_vectors_scaled():
     for t in range(13):
         for n in range(t + 1):
             assert b[t][n] == 2 ** (2 * t + 3) * a[t][n], (t, n)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 4, 8])
+def test_route_b_rungs_are_t_times_the_hat_ladder(degree):
+    # route B's rung k is the paper's T * Ehat^k[H(8tau)] with both eta(8tau)^3
+    # cancelled; both sides are certified above 48(D - k) lattice units, as far
+    # as pairing rung k with Z0hat^(D - k) reads
+    _, rungs = basis_b(degree)
+    hat = bracket_hat_ladder(h_ladder(mock_order_for(degree, 0), degree))
+    t = theta_quotient_factor(q_order(48 * degree + 49))
+    for k in range(min(degree, 4) + 1):
+        want = t * hat[k]
+        assert rungs[k].agrees_with(want), k
+        assert rungs[k].val() == want.val() == -48 * k - 96, k
+        assert min(rungs[k].prec, want.prec) > 48 * (degree - k), k
+
+
+def with_unit_added(monkeypatch, name, j, exp24):
+    """forms.<name>(j, order) plus q^(exp24/24), rebound in every module that
+    reads it, behind fresh memos so no store built from the true series serves."""
+    counting(monkeypatch)
+    built = getattr(forms, name)
+
+    def mutant(i, order):
+        s = built(i, order)
+        return s + Series.monomial(exp24, 1, prec=s.prec) if i == j else s
+
+    rebind(monkeypatch, built, mutant)
+
+
+@pytest.mark.parametrize("name, exp24", [("theta_big", 96), ("theta_nullwert", 12)],
+                         ids=["Theta4-route-B", "theta4-route-A"])
+def test_table_sees_a_unit_off_in_a_fourth_theta(name, exp24, monkeypatch):
+    # Theta4 enters route B only, theta4 route A only: the route equality in
+    # ``generating_function`` is their oracle
+    with_unit_added(monkeypatch, name, 4, exp24)
+    with pytest.raises(RouteMismatch):
+        generating_function(8)
